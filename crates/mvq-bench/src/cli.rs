@@ -18,7 +18,7 @@
 //! code reports whether every job succeeded.
 //!
 //! With `--stream` the whole model is submitted as **one job per
-//! algorithm** ([`ModelCompressionRequest`]): the convs stream through
+//! algorithm** (a [`Work::Model`] request): the convs stream through
 //! the bounded-memory pipeline, each finished layer spilling to the
 //! service's cache as its own blob, with live per-layer progress printed
 //! from [`Ticket::progress`] while the job runs. The streamed result is
@@ -29,9 +29,7 @@ use std::process::ExitCode;
 use mvq_core::pipeline::{canonical_name, PipelineSpec};
 use mvq_core::KernelStrategy;
 use mvq_nn::models::Arch;
-use mvq_serve::{
-    CachePolicy, CompressionRequest, CompressionService, ModelCompressionRequest, Ticket,
-};
+use mvq_serve::{CachePolicy, CompressionRequest, CompressionService, StreamConfig, Ticket, Work};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -274,8 +272,9 @@ fn run_stream_jobs(
     let mut failures = 0usize;
     for algo in algos {
         let name = format!("model/{algo}");
-        let mut request = ModelCompressionRequest::builder(&name, model.clone(), algo.as_str())
-            .spec(spec.clone());
+        let work = Work::Model { model: model.clone(), stream: StreamConfig::default() };
+        let mut request =
+            CompressionRequest::builder(&name, work, algo.as_str()).spec(spec.clone());
         if let Some(seed) = seed {
             request = request.seed(seed);
         }
@@ -287,7 +286,7 @@ fn run_stream_jobs(
                 continue;
             }
         };
-        let mut ticket = service.submit_model(request);
+        let mut ticket = service.submit_one(request);
         // live progress on stderr; the final table row goes to stdout
         let mut last_done = 0usize;
         loop {

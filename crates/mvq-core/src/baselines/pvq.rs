@@ -86,18 +86,6 @@ pub fn pvq_compress_model(
     crate::pipeline::Pvq { bits }.compress_model(model, &mut rng)
 }
 
-/// Historical in-place mutation API; returns only the summed SSE.
-///
-/// # Errors
-///
-/// Propagates per-layer quantization errors.
-#[deprecated(note = "use `pvq_compress_model`, which returns artifacts like \
-                     the other model-level paths")]
-pub fn pvq_quantize_model(model: &mut Sequential, bits: u32) -> Result<f32, MvqError> {
-    let artifacts = pvq_compress_model(model, bits)?;
-    Ok(artifacts.total_sse().expect("scalar artifacts always record SSE") as f32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,17 +134,6 @@ mod tests {
             vals.dedup();
             assert!(vals.len() <= 4, "{} distinct values", vals.len());
         });
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_reports_summed_sse() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut model = mvq_nn::models::tiny_cnn(3, 8, &mut rng);
-        let mut reference = mvq_nn::models::tiny_cnn(3, 8, &mut StdRng::seed_from_u64(3));
-        let sse = pvq_quantize_model(&mut model, 2).unwrap();
-        let artifacts = pvq_compress_model(&mut reference, 2).unwrap();
-        assert!((sse as f64 - artifacts.total_sse().unwrap()).abs() < 1e-3);
     }
 
     #[test]

@@ -809,7 +809,7 @@ impl Compressor for Pvq {
     }
 
     // Scalar quantization has no shape constraints, so depthwise convs are
-    // quantized too (matching the historical `pvq_quantize_model`).
+    // quantized too.
     fn skips_depthwise(&self) -> bool {
         false
     }

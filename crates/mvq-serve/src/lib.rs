@@ -5,10 +5,11 @@
 //! worker-thread pool over std channels (no async runtime), per-job error
 //! isolation, and a content-addressed, byte-budgeted artifact cache.
 //!
-//! * [`CompressionRequest`] — validated at construction
-//!   ([`CompressionRequest::builder`]): algorithm name, [`PipelineSpec`]
-//!   (+ kernel strategy), optional pinned seed, [`Priority`], and
-//!   [`CacheMode`], each invalid combination a typed
+//! * [`CompressionRequest`] — the one request type, validated at
+//!   construction ([`CompressionRequest::builder`]): a [`Work`] payload
+//!   (one weight matrix or a whole model), algorithm name,
+//!   [`PipelineSpec`] (+ kernel strategy), optional pinned seed,
+//!   [`Priority`], and [`CacheMode`], each invalid combination a typed
 //!   [`MvqError`](mvq_core::MvqError) *before* any work queues.
 //! * [`CompressionService::submit_one`] — admits one request through a
 //!   bounded priority queue (backpressure: `submit_one` blocks while
@@ -21,9 +22,8 @@
 //! * [`CachePolicy`] — byte budgets (memory and disk) for the service's
 //!   [`ArtifactCache`](mvq_core::store::ArtifactCache), enforced by LRU
 //!   eviction that survives restarts.
-//! * [`CompressionService::submit_model`] — whole-model jobs as a
-//!   first-class request kind ([`ModelCompressionRequest`]): the model's
-//!   convs stream through `mvq_core`'s bounded-window pipeline
+//! * Whole-model jobs — a [`Work::Model`] request streams the model's
+//!   convs through `mvq_core`'s bounded-window pipeline
 //!   ([`mvq_core::stream_compress_model`]), each finished layer spilling
 //!   to the cache as its own blob, with per-layer [`Progress`] observable
 //!   on the ticket ([`Ticket::progress`]) while the job runs. Identical
@@ -41,18 +41,18 @@
 //!
 //! Identity is *content*, not position: a job's
 //! [`CacheKey`](mvq_core::store::CacheKey) combines the weight tensor's
-//! bit-pattern hash, the [`PipelineSpec`] fingerprint, the canonical
-//! algorithm name, the kernel strategy, and the RNG seed. Two in-flight
-//! jobs agreeing on all five share one compression (riders report
-//! `deduped: true`), and because every registry algorithm is
-//! deterministic for a fixed seed, a cache hit — or a dedup share — is
-//! **bit-identical** to recompressing from scratch, regardless of worker
-//! count or interleaving (proven per registry method by the conformance
-//! suite, in debug and `--release`).
+//! bit-pattern hash (for a model, the hash over every conv weight), the
+//! [`PipelineSpec`] fingerprint, the canonical algorithm name, the kernel
+//! strategy, and the RNG seed. Two in-flight jobs agreeing on all five
+//! share one compression (riders report `deduped: true`), and because
+//! every registry algorithm is deterministic for a fixed seed, a cache
+//! hit — or a dedup share — is **bit-identical** to recompressing from
+//! scratch, regardless of worker count or interleaving (proven per
+//! registry method by the conformance suite, in debug and `--release`).
 //!
 //! Seeds may be pinned per request or left to the service, which derives
 //! a deterministic *content seed* from the rest of the key — so unseeded
-//! workloads still dedupe and cache across batches and processes.
+//! workloads still dedupe and cache across submissions and processes.
 //!
 //! ```
 //! use mvq_core::pipeline::PipelineSpec;
@@ -78,46 +78,17 @@
 //! let outcome = ticket.wait()?;
 //! assert_eq!(outcome.name, "conv1");
 //! assert!(!outcome.from_cache);
-//! # Ok::<(), mvq_core::MvqError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! ## Migrating from v1 (`submit`) to v2 (tickets)
-//!
-//! The v1 surface — [`BatchCompressionService::submit`] over
-//! [`CompressionJob`]s — is deprecated but fully functional as a shim
-//! over the v2 service, with its exact semantics: one blocking call per
-//! batch, whole-batch abort on the first error, in-batch dedup
-//! accounting, and bit-identical artifacts (the conformance suite pins
-//! v1 ≡ v2 ≡ fresh compression for every registry algorithm).
-//!
-//! | v1 | v2 |
-//! |----|----|
-//! | `CompressionJob::new(name, w, algo, spec)` | `CompressionRequest::builder(name, w, algo).spec(spec).build()?` |
-//! | `.with_seed(s)` | `.seed(s)` |
-//! | invalid algo/spec errors the whole `submit` | `build()` returns the typed error before anything queues |
-//! | `service.submit(jobs)? → BatchReport` | `jobs.map(\|r\| service.submit_one(r))`, then `Ticket::wait` each |
-//! | first error aborts the batch | each ticket resolves independently (`Ok(JobOutcome)` / `Err(JobError)`) |
-//! | implicit rayon fan-out per batch | persistent worker pool; `builder().workers(n).queue_capacity(c)` |
-//! | no admission control | bounded queue: `submit_one` blocks, `try_submit_one` refuses |
-//! | unbounded cache growth | `builder().cache_policy(CachePolicy::UNBOUNDED.with_disk_budget(..))` |
-//!
-//! Cache blobs, [`CacheKey`](mvq_core::store::CacheKey)s, content seeds,
-//! and `FORMAT_VERSION` are unchanged: a v1-era disk cache serves v2
-//! traffic (and vice versa) without invalidation.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-mod batch;
 mod request;
 mod service;
 mod ticket;
 
-pub use batch::{BatchCompressionService, BatchReport, CompressionJob};
-pub use request::{
-    CacheMode, CompressionRequest, CompressionRequestBuilder, ModelCompressionRequest,
-    ModelCompressionRequestBuilder, Priority,
-};
+pub use request::{CacheMode, CompressionRequest, CompressionRequestBuilder, Priority, Work};
 pub use service::{CachePolicy, CompressionService, ServiceBuilder, SubmitError};
 pub use ticket::{CancelKind, CancelToken, JobError, JobOutcome, JobResult, Ticket};
 
@@ -125,8 +96,8 @@ pub use ticket::{CancelKind, CancelToken, JobError, JobOutcome, JobResult, Ticke
 /// service callers need the type constantly.
 pub use mvq_core::pipeline::PipelineSpec;
 
-/// Re-exported for convenience: model requests carry a streaming window,
-/// and their tickets report per-layer [`Progress`].
+/// Re-exported for convenience: [`Work::Model`] requests carry a streaming
+/// window, and their tickets report per-layer [`Progress`].
 pub use mvq_core::{Progress, StreamConfig};
 
 #[cfg(test)]
@@ -148,6 +119,10 @@ mod tests {
 
     fn bits(a: &CompressedArtifact) -> Vec<u32> {
         a.reconstruct().unwrap().data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn model_work(model: mvq_nn::Sequential) -> Work {
+        Work::Model { model, stream: StreamConfig::default() }
     }
 
     #[test]
@@ -208,9 +183,28 @@ mod tests {
         let rider = service.submit_one(request("b"));
         assert_eq!(service.queued(), 1, "the duplicate must not occupy a queue slot");
         assert_eq!(first.key(), rider.key());
-        drop(service); // zero workers: queued job is abandoned
-        assert!(matches!(first.wait(), Err(JobError::Disconnected { .. })));
-        assert!(matches!(rider.wait(), Err(JobError::Disconnected { .. })));
+        // a different pinned seed is a different identity: it queues
+        let reseeded = CompressionRequest::builder("c", weight(2), "mvq")
+            .spec(spec())
+            .seed(10)
+            .build()
+            .unwrap();
+        let reseeded = service.submit_one(reseeded);
+        assert_eq!(service.queued(), 2, "pinned seeds must split identity");
+        assert_ne!(first.key(), reseeded.key());
+        // `vq` is the documented alias of `vq-a`: unseeded requests under
+        // either spelling derive one content seed, hence one key
+        let unseeded = |name: &str, algo: &str| {
+            CompressionRequest::builder(name, weight(2), algo).spec(spec()).build().unwrap()
+        };
+        let alias = service.submit_one(unseeded("alias", "vq"));
+        let canonical = service.submit_one(unseeded("canonical", "vq-a"));
+        assert_eq!(service.queued(), 3, "alias and canonical name must dedupe");
+        assert_eq!(alias.key(), canonical.key());
+        drop(service); // zero workers: queued jobs are abandoned
+        for ticket in [first, rider, reseeded, alias, canonical] {
+            assert!(matches!(ticket.wait(), Err(JobError::Disconnected { .. })));
+        }
     }
 
     #[test]
@@ -393,13 +387,14 @@ mod tests {
         let spec = PipelineSpec { k: 8, ..PipelineSpec::default() };
 
         let service = CompressionService::builder().workers(1).build().unwrap();
-        let request = ModelCompressionRequest::builder("mobilenet", model.clone(), "mvq")
+        let work =
+            Work::Model { model: model.clone(), stream: StreamConfig::default().with_workers(2) };
+        let request = CompressionRequest::builder("mobilenet", work, "mvq")
             .spec(spec.clone())
             .seed(11)
-            .stream(StreamConfig::default().with_workers(2))
             .build()
             .unwrap();
-        let mut ticket = service.submit_model(request.clone());
+        let mut ticket = service.submit_one(request.clone());
         assert!(ticket.progress().is_some(), "model tickets expose progress from submission");
 
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
@@ -435,7 +430,7 @@ mod tests {
         );
 
         // a second submission answers from the cache without streaming
-        let warm = service.submit_model(request);
+        let warm = service.submit_one(request);
         let warm_outcome = warm.wait().unwrap();
         assert!(warm_outcome.from_cache);
         assert_eq!(
@@ -457,7 +452,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let model = mvq_nn::models::tiny_cnn(4, 8, &mut rng);
         let request = |name: &str| {
-            ModelCompressionRequest::builder(name, model.clone(), "mvq")
+            CompressionRequest::builder(name, model_work(model.clone()), "mvq")
                 .spec(PipelineSpec { k: 8, ..PipelineSpec::default() })
                 .seed(5)
                 .build()
@@ -466,8 +461,8 @@ mod tests {
         // zero workers: nothing executes, so the rider deterministically
         // attaches to the queued job
         let service = CompressionService::builder().workers(0).queue_capacity(8).build().unwrap();
-        let first = service.submit_model(request("a"));
-        let rider = service.submit_model(request("b"));
+        let first = service.submit_one(request("a"));
+        let rider = service.submit_one(request("b"));
         assert_eq!(service.queued(), 1, "the duplicate must not occupy a queue slot");
         assert_eq!(first.key(), rider.key());
         assert!(rider.progress().is_some(), "riders observe the executing job's progress");
@@ -478,32 +473,55 @@ mod tests {
 
     #[test]
     fn model_requests_validate_at_build() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let model = mvq_nn::models::tiny_cnn(4, 8, &mut rng);
-        let unknown = ModelCompressionRequest::builder("m", model.clone(), "vqgan").build();
+        let tiny = |seed: u64| mvq_nn::models::tiny_cnn(4, 8, &mut StdRng::seed_from_u64(seed));
+        let build = |name: &str, model, algo: &str| {
+            CompressionRequest::builder(name, model_work(model), algo).build()
+        };
+        let unknown = build("m", tiny(23), "vqgan");
         assert!(matches!(unknown, Err(MvqError::InvalidConfig(_))));
-        let empty_name = ModelCompressionRequest::builder("", model, "mvq").build();
+        let empty_name = build("", tiny(23), "mvq");
         assert!(matches!(empty_name, Err(MvqError::InvalidConfig(_))));
-        let convless =
-            ModelCompressionRequest::builder("m", mvq_nn::Sequential::new(vec![]), "mvq").build();
+        let convless = build("m", mvq_nn::Sequential::new(vec![]), "mvq");
         assert!(matches!(convless, Err(MvqError::InvalidConfig(_))));
+        // streaming spills every finished layer into the cache, so a model
+        // job that may not write the cache cannot be honoured
+        for mode in [CacheMode::ReadOnly, CacheMode::Bypass] {
+            let request = CompressionRequest::builder("m", model_work(tiny(25)), "mvq")
+                .cache_mode(mode)
+                .build();
+            assert!(matches!(request, Err(MvqError::InvalidConfig(_))), "{mode:?}: {request:?}");
+        }
         // aliases canonicalize, and per-matrix tickets have no progress
-        let ok = ModelCompressionRequest::builder(
-            "m",
-            {
-                let mut rng = StdRng::seed_from_u64(24);
-                mvq_nn::models::tiny_cnn(4, 8, &mut rng)
-            },
-            "vq",
-        )
-        .build()
-        .unwrap();
-        assert_eq!(ok.algo(), "vq-a");
+        assert_eq!(build("m", tiny(24), "vq").unwrap().algo(), "vq-a");
         let service = CompressionService::builder().workers(0).queue_capacity(4).build().unwrap();
         let matrix_ticket = service.submit_one(
             CompressionRequest::builder("w", weight(7), "mvq").spec(spec()).build().unwrap(),
         );
         assert!(matrix_ticket.progress().is_none(), "matrix tickets expose no progress");
+    }
+
+    /// Unseeded requests key on a content seed derived under pinned domain
+    /// strings. A change here silently re-keys every unseeded blob in
+    /// existing disk caches.
+    #[test]
+    fn unseeded_cache_keys_are_pinned() {
+        use mvq_core::store::CacheKey;
+        let service = CompressionService::builder().workers(0).queue_capacity(4).build().unwrap();
+        let spec = PipelineSpec { k: 8, ..PipelineSpec::default() };
+        let matrix = CompressionRequest::builder("m", weight(0), "mvq").spec(spec.clone()).build();
+        let model = mvq_nn::models::tiny_cnn(4, 8, &mut StdRng::seed_from_u64(22));
+        let model = CompressionRequest::builder("n", model_work(model), "mvq").spec(spec).build();
+        let key = |weight_hash, seed| CacheKey {
+            algo: "mvq",
+            weight_hash,
+            spec_fingerprint: 0xa11e_fa89_0304_9917,
+            kernel: mvq_core::KernelStrategy::Blocked,
+            seed,
+        };
+        let matrix = service.submit_one(matrix.unwrap());
+        assert_eq!(matrix.key(), &key(0xf87f_6046_f06a_3cad, 0x3a40_1bef_37fc_81da));
+        let model = service.submit_one(model.unwrap());
+        assert_eq!(model.key(), &key(0x890f_c4a9_9bb5_c31a, 0x9bce_a4f1_2ada_b7ca));
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Typed, construction-validated compression requests.
 //!
-//! [`CompressionRequest`] is the unit of work [`crate::CompressionService`]
-//! accepts. Unlike the v1 [`crate::CompressionJob`] — a bag of strings
-//! checked only when a batch ran — a request is validated by
-//! [`CompressionRequestBuilder::build`]: the algorithm name is resolved
-//! against the pipeline registry, the spec is compiled for that algorithm,
-//! and the weight is shape-checked, each failure a typed
-//! [`MvqError::InvalidConfig`]. A request that builds cannot fail
+//! [`CompressionRequest`] is the one unit of work
+//! [`crate::CompressionService`] accepts, whether it compresses a single
+//! weight matrix or streams a whole model (its [`Work`] payload). A
+//! request is validated by [`CompressionRequestBuilder::build`]: the
+//! algorithm name is resolved against the pipeline registry, the spec is
+//! compiled for that algorithm, and the payload is checked, each failure
+//! a typed [`MvqError::InvalidConfig`]. A request that builds cannot fail
 //! admission; only the compression itself can still error (per job, as a
 //! [`crate::JobError`]).
 
 use std::time::{Duration, Instant};
 
 use mvq_core::pipeline::{by_name, canonical_name, PipelineSpec};
-use mvq_core::store::Fnv1a;
-use mvq_core::{model_weight_hash, KernelStrategy, MvqError, StreamConfig};
+use mvq_core::store::{CacheKey, Fnv1a};
+use mvq_core::{model_cache_key, KernelStrategy, MvqError, StreamConfig};
 use mvq_nn::Sequential;
 use mvq_tensor::Tensor;
 
@@ -65,8 +65,36 @@ impl CacheMode {
     }
 }
 
+/// What a request compresses. The payload decides the request's cache
+/// identity: a matrix keys on its weight's bit pattern
+/// ([`CacheKey::new`]), a model on all of its conv weights
+/// ([`model_cache_key`]).
+#[derive(Debug, Clone)]
+pub enum Work {
+    /// One weight tensor, compressed via `Compressor::compress_matrix`.
+    Matrix(Tensor),
+    /// Every conv of a model, streamed through the bounded-window
+    /// pipeline ([`mvq_core::stream_compress_model`]): each finished layer
+    /// spills to the service's cache under the model key's
+    /// [`layer_key`](CacheKey::layer_key), and per-layer progress is
+    /// observable on [`crate::Ticket::progress`] while the job runs.
+    Model {
+        /// The model whose convs are compressed.
+        model: Sequential,
+        /// Streaming window/worker knobs. Not part of the cache identity:
+        /// the streamed result is bit-identical across window shapes.
+        stream: StreamConfig,
+    },
+}
+
+impl From<Tensor> for Work {
+    fn from(weight: Tensor) -> Work {
+        Work::Matrix(weight)
+    }
+}
+
 /// One validated unit of work for [`crate::CompressionService`]: compress
-/// `weight` with `algo` under `spec`, at `priority`, interacting with the
+/// `work` with `algo` under `spec`, at `priority`, interacting with the
 /// cache per `cache_mode`.
 ///
 /// Construct through [`CompressionRequest::builder`]; the fields are
@@ -75,7 +103,7 @@ impl CacheMode {
 #[derive(Debug, Clone)]
 pub struct CompressionRequest {
     name: String,
-    weight: Tensor,
+    work: Work,
     algo: &'static str,
     spec: PipelineSpec,
     seed: Option<u64>,
@@ -86,16 +114,17 @@ pub struct CompressionRequest {
 }
 
 impl CompressionRequest {
-    /// Starts building a request to compress `weight` with the registry
-    /// algorithm `algo` (aliases like `vq` are canonicalized at build).
+    /// Starts building a request to compress `work` — a weight [`Tensor`]
+    /// or a [`Work::Model`] — with the registry algorithm `algo` (aliases
+    /// like `vq` are canonicalized at build).
     pub fn builder(
         name: impl Into<String>,
-        weight: Tensor,
+        work: impl Into<Work>,
         algo: impl Into<String>,
     ) -> CompressionRequestBuilder {
         CompressionRequestBuilder {
             name: name.into(),
-            weight,
+            work: work.into(),
             algo: algo.into(),
             spec: PipelineSpec::default(),
             seed: None,
@@ -111,9 +140,9 @@ impl CompressionRequest {
         &self.name
     }
 
-    /// The weight tensor to compress.
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
+    /// What the request compresses.
+    pub fn work(&self) -> &Work {
+        &self.work
     }
 
     /// Canonical registry algorithm name.
@@ -154,16 +183,37 @@ impl CompressionRequest {
         self.cancel.as_ref()
     }
 
-    /// The seed this request will actually compress with: the pinned seed
-    /// or the content-derived one.
-    pub(crate) fn resolved_seed(&self) -> u64 {
-        self.seed.unwrap_or_else(|| content_seed(&self.weight, &self.spec, self.algo))
+    /// The content address this request resolves to, with the seed it
+    /// will actually compress with: the pinned seed, or one derived from
+    /// the key's own weight hash and spec fingerprint, so the weights are
+    /// hashed once either way. The seed domains are pinned — they have
+    /// encoded the same identity since the first cached blobs, and
+    /// changing one re-keys every unseeded entry of an existing cache.
+    pub(crate) fn cache_key(&self) -> CacheKey {
+        let (key, domain): (_, &[u8]) = match &self.work {
+            Work::Matrix(weight) => {
+                (CacheKey::new(self.algo, weight, &self.spec, 0), b"mvq.serve.contentseed.v1")
+            }
+            Work::Model { model, .. } => {
+                (model_cache_key(self.algo, model, &self.spec, 0), b"mvq.serve.modelseed.v1")
+            }
+        };
+        let mut key = key.expect("request algo was canonicalized at build");
+        key.seed = self.seed.unwrap_or_else(|| {
+            let mut h = Fnv1a::new();
+            h.update(domain);
+            h.update_u64(key.weight_hash);
+            h.update_u64(key.spec_fingerprint);
+            h.update(self.algo.as_bytes());
+            h.finish()
+        });
+        key
     }
 
     pub(crate) fn into_parts(
         self,
-    ) -> (String, Tensor, &'static str, PipelineSpec, Option<Instant>, Option<CancelToken>) {
-        (self.name, self.weight, self.algo, self.spec, self.deadline, self.cancel)
+    ) -> (String, Work, &'static str, PipelineSpec, Option<Instant>, Option<CancelToken>) {
+        (self.name, self.work, self.algo, self.spec, self.deadline, self.cancel)
     }
 }
 
@@ -171,7 +221,7 @@ impl CompressionRequest {
 #[derive(Debug, Clone)]
 pub struct CompressionRequestBuilder {
     name: String,
-    weight: Tensor,
+    work: Work,
     algo: String,
     spec: PipelineSpec,
     seed: Option<u64>,
@@ -209,6 +259,9 @@ impl CompressionRequestBuilder {
     }
 
     /// Sets the cache interaction policy (default: [`CacheMode::ReadWrite`]).
+    /// Model requests accept only `ReadWrite`: streaming spills every
+    /// finished layer to the cache, so it is a cache writer by
+    /// construction.
     pub fn cache_mode(mut self, mode: CacheMode) -> Self {
         self.cache_mode = mode;
         self
@@ -242,20 +295,41 @@ impl CompressionRequestBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`MvqError::InvalidConfig`] when the name is empty, the
-    /// weight has no elements, the algorithm is unknown, or the spec does
-    /// not compile for the algorithm (e.g. `d` not a multiple of `m` for
-    /// `mvq`).
+    /// Returns [`MvqError::InvalidConfig`] when the name is empty, a
+    /// matrix has no elements, a model has no conv layers or a cache mode
+    /// other than [`CacheMode::ReadWrite`], the algorithm is unknown, or
+    /// the spec does not compile for the algorithm (e.g. `d` not a
+    /// multiple of `m` for `mvq`).
     pub fn build(self) -> Result<CompressionRequest, MvqError> {
         if self.name.is_empty() {
             return Err(MvqError::InvalidConfig("request name must not be empty".into()));
         }
-        if self.weight.numel() == 0 {
-            return Err(MvqError::InvalidConfig(format!(
-                "request `{}`: weight of dims {:?} has no elements",
-                self.name,
-                self.weight.dims()
-            )));
+        match &self.work {
+            Work::Matrix(weight) if weight.numel() == 0 => {
+                return Err(MvqError::InvalidConfig(format!(
+                    "request `{}`: weight of dims {:?} has no elements",
+                    self.name,
+                    weight.dims()
+                )));
+            }
+            Work::Matrix(_) => {}
+            Work::Model { model, .. } => {
+                let mut convs = 0usize;
+                model.visit_convs(&mut |_| convs += 1);
+                if convs == 0 {
+                    return Err(MvqError::InvalidConfig(format!(
+                        "request `{}`: model has no conv layers to compress",
+                        self.name
+                    )));
+                }
+                if self.cache_mode != CacheMode::ReadWrite {
+                    return Err(MvqError::InvalidConfig(format!(
+                        "request `{}`: model jobs stream layers into the cache, so they need \
+                         CacheMode::ReadWrite, not {:?}",
+                        self.name, self.cache_mode
+                    )));
+                }
+            }
         }
         let algo = canonical_name(&self.algo).ok_or_else(|| {
             MvqError::InvalidConfig(format!(
@@ -268,7 +342,7 @@ impl CompressionRequestBuilder {
         by_name(algo, &self.spec)?;
         Ok(CompressionRequest {
             name: self.name,
-            weight: self.weight,
+            work: self.work,
             algo,
             spec: self.spec,
             seed: self.seed,
@@ -278,242 +352,6 @@ impl CompressionRequestBuilder {
             cancel: self.cancel,
         })
     }
-}
-
-/// One validated whole-model unit of work for
-/// [`crate::CompressionService::submit_model`]: stream-compress every
-/// conv of `model` with `algo` under `spec`, spilling each finished layer
-/// to the service's cache under the model key's
-/// [`layer_key`](mvq_core::store::CacheKey::layer_key) and bounding the
-/// in-flight working set by `stream`'s window.
-///
-/// Model jobs always interact with the cache read-write — the streaming
-/// pipeline *is* a cache writer by construction (layers spill as they
-/// finish), so there is no [`CacheMode`] knob here. Per-layer progress is
-/// observable on the returned [`crate::Ticket::progress`] while the job
-/// runs.
-#[derive(Debug, Clone)]
-pub struct ModelCompressionRequest {
-    name: String,
-    model: Sequential,
-    algo: &'static str,
-    spec: PipelineSpec,
-    stream: StreamConfig,
-    seed: Option<u64>,
-    priority: Priority,
-    deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
-}
-
-impl ModelCompressionRequest {
-    /// Starts building a request to stream-compress `model` with the
-    /// registry algorithm `algo` (aliases canonicalized at build).
-    pub fn builder(
-        name: impl Into<String>,
-        model: Sequential,
-        algo: impl Into<String>,
-    ) -> ModelCompressionRequestBuilder {
-        ModelCompressionRequestBuilder {
-            name: name.into(),
-            model,
-            algo: algo.into(),
-            spec: PipelineSpec::default(),
-            stream: StreamConfig::default(),
-            seed: None,
-            priority: Priority::default(),
-            deadline: None,
-            cancel: None,
-        }
-    }
-
-    /// Caller-chosen label; not part of the identity.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The model whose convs will be streamed.
-    pub fn model(&self) -> &Sequential {
-        &self.model
-    }
-
-    /// Canonical registry algorithm name.
-    pub fn algo(&self) -> &'static str {
-        self.algo
-    }
-
-    /// Pipeline hyperparameters.
-    pub fn spec(&self) -> &PipelineSpec {
-        &self.spec
-    }
-
-    /// The streaming window/worker knobs. Not part of the cache identity:
-    /// the streamed result is bit-identical across window shapes.
-    pub fn stream(&self) -> &StreamConfig {
-        &self.stream
-    }
-
-    /// The pinned RNG seed, if any (`None`: a deterministic content seed
-    /// is derived, as for [`CompressionRequest::seed`]).
-    pub fn seed(&self) -> Option<u64> {
-        self.seed
-    }
-
-    /// Scheduling priority.
-    pub fn priority(&self) -> Priority {
-        self.priority
-    }
-
-    /// The queue deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// The seed this request will actually compress with.
-    pub(crate) fn resolved_seed(&self) -> u64 {
-        self.seed.unwrap_or_else(|| {
-            let mut h = Fnv1a::new();
-            h.update(b"mvq.serve.modelseed.v1");
-            h.update_u64(model_weight_hash(&self.model));
-            h.update_u64(self.spec.fingerprint());
-            h.update(self.algo.as_bytes());
-            h.finish()
-        })
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        String,
-        Sequential,
-        &'static str,
-        PipelineSpec,
-        StreamConfig,
-        Option<Instant>,
-        Option<CancelToken>,
-    ) {
-        (self.name, self.model, self.algo, self.spec, self.stream, self.deadline, self.cancel)
-    }
-}
-
-/// Builder for [`ModelCompressionRequest`]; see
-/// [`ModelCompressionRequest::builder`].
-#[derive(Debug, Clone)]
-pub struct ModelCompressionRequestBuilder {
-    name: String,
-    model: Sequential,
-    algo: String,
-    spec: PipelineSpec,
-    stream: StreamConfig,
-    seed: Option<u64>,
-    priority: Priority,
-    deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
-}
-
-impl ModelCompressionRequestBuilder {
-    /// Sets the pipeline hyperparameters (default: [`PipelineSpec::default`]).
-    pub fn spec(mut self, spec: PipelineSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// Sets the streaming window/worker knobs (default:
-    /// [`StreamConfig::default`]).
-    pub fn stream(mut self, stream: StreamConfig) -> Self {
-        self.stream = stream;
-        self
-    }
-
-    /// Pins the RNG seed (part of the cache identity).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Sets the scheduling priority (default: [`Priority::Normal`]).
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Sets an absolute queue deadline; semantics as
-    /// [`CompressionRequestBuilder::deadline`].
-    pub fn deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Shorthand for [`Self::deadline`] at `now + timeout`.
-    pub fn deadline_after(self, timeout: Duration) -> Self {
-        self.deadline(Instant::now() + timeout)
-    }
-
-    /// Attaches a cancellation token; semantics as
-    /// [`CompressionRequestBuilder::cancel_token`].
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Validates and finishes the request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MvqError::InvalidConfig`] when the name is empty, the
-    /// model has no conv layers, the algorithm is unknown, or the spec
-    /// does not compile for the algorithm.
-    pub fn build(self) -> Result<ModelCompressionRequest, MvqError> {
-        if self.name.is_empty() {
-            return Err(MvqError::InvalidConfig("request name must not be empty".into()));
-        }
-        let mut convs = 0usize;
-        self.model.visit_convs(&mut |_| convs += 1);
-        if convs == 0 {
-            return Err(MvqError::InvalidConfig(format!(
-                "request `{}`: model has no conv layers to compress",
-                self.name
-            )));
-        }
-        let algo = canonical_name(&self.algo).ok_or_else(|| {
-            MvqError::InvalidConfig(format!(
-                "request `{}`: unknown compressor `{}`",
-                self.name, self.algo
-            ))
-        })?;
-        by_name(algo, &self.spec)?;
-        Ok(ModelCompressionRequest {
-            name: self.name,
-            model: self.model,
-            algo,
-            spec: self.spec,
-            stream: self.stream,
-            seed: self.seed,
-            priority: self.priority,
-            deadline: self.deadline,
-            cancel: self.cancel,
-        })
-    }
-}
-
-/// Deterministic seed for an unseeded request, derived from its content
-/// identity — the same weight/spec/algorithm always compresses with the
-/// same RNG stream, so unseeded work dedupes and caches across batches
-/// and processes. The domain string is pinned: it has encoded the same
-/// identity since the v1 batch service, so existing unseeded cache blobs
-/// stay addressable.
-pub(crate) fn content_seed(weight: &Tensor, spec: &PipelineSpec, canonical_algo: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(b"mvq.serve.contentseed.v1");
-    h.update_u64(mvq_core::weight_hash(weight));
-    h.update_u64(spec.fingerprint());
-    h.update(canonical_algo.as_bytes());
-    h.finish()
 }
 
 #[cfg(test)]
@@ -561,7 +399,7 @@ mod tests {
         let a = CompressionRequest::builder("a", weight(), "vq").build().unwrap();
         let b = CompressionRequest::builder("b", weight(), "vq-a").build().unwrap();
         assert_eq!(a.algo(), "vq-a");
-        assert_eq!(a.resolved_seed(), b.resolved_seed());
+        assert_eq!(a.cache_key(), b.cache_key());
     }
 
     #[test]

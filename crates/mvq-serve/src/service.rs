@@ -19,16 +19,14 @@ use std::time::Instant;
 use mvq_core::pipeline::{by_name, PipelineSpec};
 use mvq_core::store::{ArtifactCache, CacheBudget, CacheKey, CacheStats, Persist, DEFAULT_SHARDS};
 use mvq_core::{
-    load_streamed_model, model_cache_key, stream_compress_model, MvqError, ProgressHandle,
-    StreamConfig,
+    load_streamed_model, stream_compress_model, MvqError, ProgressHandle, StreamConfig,
 };
 use mvq_nn::Sequential;
 use mvq_obs::{names as metric, Registry, Stage, Trace, TraceOutcome};
-use mvq_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::request::{CacheMode, CompressionRequest, ModelCompressionRequest, Priority};
+use crate::request::{CacheMode, CompressionRequest, Priority, Work};
 use crate::ticket::{CancelKind, CancelToken, JobError, JobOutcome, JobResult, Payload, Ticket};
 
 /// Cache policy the service applies to the cache it builds: a thin,
@@ -81,44 +79,16 @@ pub enum SubmitError {
         /// The refused request, returned intact.
         request: Box<CompressionRequest>,
     },
-    /// The queue is at capacity; the refused whole-model request rides
-    /// back ([`crate::CompressionService::try_submit_model`]).
-    ModelQueueFull {
-        /// The queue capacity that was hit.
-        capacity: usize,
-        /// The refused request, returned intact.
-        request: Box<ModelCompressionRequest>,
-    },
 }
 
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::QueueFull { capacity, request } => write!(
-                f,
-                "queue full ({capacity} jobs queued): request `{}` refused",
-                request.name()
-            ),
-            SubmitError::ModelQueueFull { capacity, request } => write!(
-                f,
-                "queue full ({capacity} jobs queued): model request `{}` refused",
-                request.name()
-            ),
-        }
+        let SubmitError::QueueFull { capacity, request } = self;
+        write!(f, "queue full ({capacity} jobs queued): request `{}` refused", request.name())
     }
 }
 
 impl std::error::Error for SubmitError {}
-
-/// What a queued job compresses: one weight matrix (the original request
-/// kind) or a whole model streamed through the bounded-window pipeline.
-enum JobPayload {
-    /// Compress one weight tensor via `Compressor::compress_matrix`.
-    Matrix { weight: Tensor },
-    /// Stream every conv of a model, spilling per-layer blobs to the
-    /// cache; `progress` is shared with every ticket observing the job.
-    Model { model: Sequential, stream: StreamConfig, progress: ProgressHandle },
-}
 
 /// One queued unit of work. Normal jobs keep their waiters in the shared
 /// in-flight map (so identical submissions can attach); bypass jobs carry
@@ -127,7 +97,10 @@ struct QueuedJob {
     key: CacheKey,
     algo: &'static str,
     spec: PipelineSpec,
-    payload: JobPayload,
+    work: Work,
+    /// Model jobs only: per-layer counters shared with every ticket
+    /// observing the job.
+    progress: Option<ProgressHandle>,
     mode: CacheMode,
     direct: Option<Waiter>,
     /// The submitting waiter's lifecycle trace (shared `Arc`): workers
@@ -246,51 +219,40 @@ impl State {
     ) -> (Option<QueuedJob>, Vec<(Waiter, CancelKind)>, usize) {
         let mut dead: Vec<(Waiter, CancelKind)> = Vec::new();
         let mut dropped = 0;
-        while let Some(job) = self.pop_job() {
-            let QueuedJob { key, algo, spec, payload, mode, direct, trace } = job;
-            match direct {
-                Some(waiter) => match waiter.dead(now) {
+        while let Some(mut job) = self.pop_job() {
+            if let Some(waiter) = job.direct.take() {
+                match waiter.dead(now) {
                     Some(kind) => {
                         dead.push((waiter, kind));
                         dropped += 1;
+                        continue;
                     }
                     None => {
-                        let job = QueuedJob {
-                            key,
-                            algo,
-                            spec,
-                            payload,
-                            mode,
-                            direct: Some(waiter),
-                            trace,
-                        };
+                        job.direct = Some(waiter);
                         return (Some(job), dead, dropped);
                     }
-                },
-                None => {
-                    let Some(entry) = self.inflight.get_mut(&key) else {
-                        // the entry was already removed (e.g. by a racing
-                        // shutdown drain); nothing waits, drop the job
-                        dropped += 1;
-                        continue;
-                    };
-                    let mut live = Vec::with_capacity(entry.waiters.len());
-                    for waiter in entry.waiters.drain(..) {
-                        match waiter.dead(now) {
-                            Some(kind) => dead.push((waiter, kind)),
-                            None => live.push(waiter),
-                        }
-                    }
-                    if live.is_empty() {
-                        self.inflight.remove(&key);
-                        dropped += 1;
-                        continue;
-                    }
-                    entry.waiters = live;
-                    let job = QueuedJob { key, algo, spec, payload, mode, direct: None, trace };
-                    return (Some(job), dead, dropped);
                 }
             }
+            let Some(entry) = self.inflight.get_mut(&job.key) else {
+                // the entry was already removed (e.g. by a racing shutdown
+                // drain); nothing waits, drop the job
+                dropped += 1;
+                continue;
+            };
+            let mut live = Vec::with_capacity(entry.waiters.len());
+            for waiter in entry.waiters.drain(..) {
+                match waiter.dead(now) {
+                    Some(kind) => dead.push((waiter, kind)),
+                    None => live.push(waiter),
+                }
+            }
+            if live.is_empty() {
+                self.inflight.remove(&job.key);
+                dropped += 1;
+                continue;
+            }
+            entry.waiters = live;
+            return (Some(job), dead, dropped);
         }
         (None, dead, dropped)
     }
@@ -541,6 +503,13 @@ impl CompressionService {
     /// rider with a higher priority boosts the queued job to it, so a
     /// `High` request never waits behind `Normal` work just because a
     /// `Low` duplicate arrived first.
+    ///
+    /// A [`Work::Model`] request streams the model's convs through the
+    /// bounded-window pipeline ([`mvq_core::stream_compress_model`]),
+    /// spilling each finished layer to the service's cache;
+    /// [`Ticket::progress`] observes the per-layer counters while the job
+    /// runs (riders share the executing job's counters), and the outcome
+    /// decodes via [`JobOutcome::model_artifacts`].
     pub fn submit_one(&self, request: CompressionRequest) -> Ticket {
         match self.enqueue(request, true) {
             Ok(ticket) => ticket,
@@ -564,11 +533,12 @@ impl CompressionService {
 
     fn enqueue(&self, request: CompressionRequest, block: bool) -> Result<Ticket, SubmitError> {
         let trace = Trace::begin(request.name());
-        let seed = request.resolved_seed();
-        let key = CacheKey::new(request.algo(), request.weight(), request.spec(), seed)
-            .expect("request algo was canonicalized at build");
+        let key = request.cache_key();
         // lint:allow(unbounded-channel) -- per-job result channel: carries at most one message per waiter, and queue depth itself is bounded by ServiceConfig
         let (tx, rx) = mpsc::channel();
+        // a model ticket observes progress from submission on, before any
+        // worker has picked the job up
+        let progress = matches!(request.work(), Work::Model { .. }).then(ProgressHandle::new);
         let mut state = self.shared.state.lock().expect("service lock");
         loop {
             // checked at the loop head so it covers both fresh submissions
@@ -582,7 +552,7 @@ impl CompressionService {
                 if let Some(snap) = trace.finish(TraceOutcome::Error) {
                     self.shared.metrics.traces().push(snap);
                 }
-                return Ok(Ticket::new(name, key, rx, None, trace));
+                return Ok(Ticket::new(name, key, rx, progress, trace));
             }
             if request.cache_mode().dedupes() {
                 if let Some(entry) = state.inflight.get_mut(&key) {
@@ -623,7 +593,7 @@ impl CompressionService {
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
         let priority = request.priority();
         let mode = request.cache_mode();
-        let (name, weight, algo, spec, deadline, cancel) = request.into_parts();
+        let (name, work, algo, spec, deadline, cancel) = request.into_parts();
         let waiter = Waiter { name: name.clone(), tx, cancel, deadline, trace: trace.clone() };
         let direct = if mode.dedupes() {
             state.inflight.insert(
@@ -631,133 +601,13 @@ impl CompressionService {
                 InflightEntry {
                     waiters: vec![waiter],
                     queued: Some((seq, priority)),
-                    progress: None,
+                    progress: progress.clone(),
                 },
             );
             None
         } else {
             Some(waiter)
         };
-        let payload = JobPayload::Matrix { weight };
-        trace.stamp(Stage::Queued);
-        state.jobs.insert(
-            seq,
-            QueuedJob { key: key.clone(), algo, spec, payload, mode, direct, trace: trace.clone() },
-        );
-        state.heap.push(QueueRef { priority, seq });
-        drop(state);
-        self.shared.metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
-        self.shared.work.notify_one();
-        Ok(Ticket::new(name, key, rx, None, trace))
-    }
-
-    /// Submits one whole-model streaming request, blocking while the
-    /// queue is full, and returns its [`Ticket`]. The job streams the
-    /// model's convs through the bounded-window pipeline
-    /// ([`mvq_core::stream_compress_model`]), spilling each finished
-    /// layer to the service's cache; [`Ticket::progress`] observes the
-    /// per-layer counters while the job runs, and the outcome decodes via
-    /// [`JobOutcome::model_artifacts`](crate::JobOutcome::model_artifacts).
-    ///
-    /// Identical in-flight model jobs (same model key) share one
-    /// streaming run — riders' tickets observe the same progress.
-    pub fn submit_model(&self, request: ModelCompressionRequest) -> Ticket {
-        match self.enqueue_model(request, true) {
-            Ok(ticket) => ticket,
-            Err(_) => {
-                // lint:allow(panic-path) -- enqueue_model(block = true) waits on the queue condvar instead of returning QueueFull; this arm only satisfies the shared signature
-                unreachable!("blocking submission never reports a full queue")
-            }
-        }
-    }
-
-    /// Non-blocking [`CompressionService::submit_model`]: refuses with
-    /// [`SubmitError::ModelQueueFull`] — handing the request back —
-    /// instead of waiting for queue space.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::ModelQueueFull`] when the queue is at
-    /// capacity.
-    pub fn try_submit_model(
-        &self,
-        request: ModelCompressionRequest,
-    ) -> Result<Ticket, SubmitError> {
-        self.enqueue_model(request, false)
-    }
-
-    fn enqueue_model(
-        &self,
-        request: ModelCompressionRequest,
-        block: bool,
-    ) -> Result<Ticket, SubmitError> {
-        let trace = Trace::begin(request.name());
-        let seed = request.resolved_seed();
-        let key = model_cache_key(request.algo(), request.model(), request.spec(), seed)
-            .expect("request algo was canonicalized at build");
-        // lint:allow(unbounded-channel) -- per-job result channel: carries at most one message per waiter, and queue depth itself is bounded by ServiceConfig
-        let (tx, rx) = mpsc::channel();
-        let progress = ProgressHandle::new();
-        let mut state = self.shared.state.lock().expect("service lock");
-        loop {
-            if state.shutdown {
-                drop(state);
-                self.shared.metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
-                let name = request.name().to_string();
-                let _ = tx.send(Err(JobError::Disconnected { name: name.clone() }));
-                trace.stamp(Stage::Replied);
-                if let Some(snap) = trace.finish(TraceOutcome::Error) {
-                    self.shared.metrics.traces().push(snap);
-                }
-                return Ok(Ticket::new(name, key, rx, Some(progress), trace));
-            }
-            // model jobs always dedupe (they are never cache-bypassing)
-            if let Some(entry) = state.inflight.get_mut(&key) {
-                let name = request.name().to_string();
-                trace.mark_deduped();
-                entry.waiters.push(Waiter {
-                    name: name.clone(),
-                    tx,
-                    cancel: request.cancel().cloned(),
-                    deadline: request.deadline(),
-                    trace: trace.clone(),
-                });
-                let progress = entry.progress.clone();
-                if let Some((seq, current)) = entry.queued {
-                    if request.priority() > current {
-                        entry.queued = Some((seq, request.priority()));
-                        state.heap.push(QueueRef { priority: request.priority(), seq });
-                    }
-                }
-                drop(state);
-                self.shared.metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
-                self.shared.metrics.counter(metric::SERVE_JOBS_DEDUPED).inc();
-                return Ok(Ticket::new(name, key, rx, progress, trace));
-            }
-            if state.jobs.len() < self.shared.capacity {
-                break;
-            }
-            if !block {
-                return Err(SubmitError::ModelQueueFull {
-                    capacity: self.shared.capacity,
-                    request: Box::new(request),
-                });
-            }
-            state = self.shared.space.wait(state).expect("service lock");
-        }
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let priority = request.priority();
-        let (name, model, algo, spec, stream, deadline, cancel) = request.into_parts();
-        let waiter = Waiter { name: name.clone(), tx, cancel, deadline, trace: trace.clone() };
-        state.inflight.insert(
-            key.clone(),
-            InflightEntry {
-                waiters: vec![waiter],
-                queued: Some((seq, priority)),
-                progress: Some(progress.clone()),
-            },
-        );
-        let payload = JobPayload::Model { model, stream, progress: progress.clone() };
         trace.stamp(Stage::Queued);
         state.jobs.insert(
             seq,
@@ -765,9 +615,10 @@ impl CompressionService {
                 key: key.clone(),
                 algo,
                 spec,
-                payload,
-                mode: CacheMode::ReadWrite,
-                direct: None,
+                work,
+                progress: progress.clone(),
+                mode,
+                direct,
                 trace: trace.clone(),
             },
         );
@@ -775,7 +626,7 @@ impl CompressionService {
         drop(state);
         self.shared.metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
         self.shared.work.notify_one();
-        Ok(Ticket::new(name, key, rx, Some(progress), trace))
+        Ok(Ticket::new(name, key, rx, progress, trace))
     }
 }
 
@@ -842,6 +693,7 @@ fn worker_loop(shared: &Shared) {
 
 /// What went wrong, before it is fanned out to (possibly several) waiters
 /// with their own names.
+#[derive(Clone)]
 enum FailureKind {
     Compression(MvqError),
     Cache(MvqError),
@@ -854,16 +706,6 @@ impl FailureKind {
             FailureKind::Compression(source) => JobError::Compression { name, source },
             FailureKind::Cache(source) => JobError::Cache { name, source },
             FailureKind::Panicked(detail) => JobError::Panicked { name, detail },
-        }
-    }
-}
-
-impl Clone for FailureKind {
-    fn clone(&self) -> FailureKind {
-        match self {
-            FailureKind::Compression(e) => FailureKind::Compression(e.clone()),
-            FailureKind::Cache(e) => FailureKind::Cache(e.clone()),
-            FailureKind::Panicked(d) => FailureKind::Panicked(d.clone()),
         }
     }
 }
@@ -935,11 +777,9 @@ fn execute(shared: &Shared, job: QueuedJob) {
 /// that same blob with the cache and every waiter. Only bypass jobs —
 /// which never encode — carry a decoded artifact.
 fn run_job(shared: &Shared, job: &QueuedJob) -> Result<(Payload, bool), FailureKind> {
-    let weight = match &job.payload {
-        JobPayload::Matrix { weight } => weight,
-        JobPayload::Model { model, stream, progress } => {
-            return run_model_job(shared, job, model, stream, progress);
-        }
+    let weight = match &job.work {
+        Work::Matrix(weight) => weight,
+        Work::Model { model, stream } => return run_model_job(shared, job, model, stream),
     };
     if job.mode.reads_cache() {
         let probe = shared.cache.get_raw(&job.key);
@@ -987,17 +827,17 @@ fn run_job(shared: &Shared, job: &QueuedJob) -> Result<(Payload, bool), FailureK
     Ok((Payload::Artifact(compressed), false))
 }
 
-/// Runs one whole-model streaming job. Model jobs are always read-write:
-/// a hit on the stored [`mvq_core::store::ModelIndex`] (with every layer
-/// blob still resident) reassembles from the cache; a miss streams the
-/// model through [`stream_compress_model`], which spills each layer as
-/// its own blob, then assembles the payload from what was just spilled.
+/// Runs one whole-model streaming job. Model jobs are always read-write
+/// (enforced at request build): a hit on the stored
+/// [`mvq_core::store::ModelIndex`] (with every layer blob still resident)
+/// reassembles from the cache; a miss streams the model through
+/// [`stream_compress_model`], which spills each layer as its own blob,
+/// then assembles the payload from what was just spilled.
 fn run_model_job(
     shared: &Shared,
     job: &QueuedJob,
     model: &Sequential,
     stream: &StreamConfig,
-    progress: &ProgressHandle,
 ) -> Result<(Payload, bool), FailureKind> {
     let probe = load_streamed_model(&shared.cache, &job.key);
     job.trace.stamp(Stage::CacheProbe);
@@ -1020,7 +860,7 @@ fn run_model_job(
             &shared.cache,
             &job.key,
             stream,
-            Some(progress),
+            job.progress.as_ref(),
         )
     }))
     .map_err(|payload| FailureKind::Panicked(panic_detail(payload)))?
@@ -1066,24 +906,42 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvq_tensor::Tensor;
 
-    fn push_job(state: &mut State, seq: u64, priority: Priority) {
+    /// Queues a matrix job whose key carries `seq` as its seed.
+    fn push_queued(state: &mut State, seq: u64, priority: Priority, direct: Option<Waiter>) {
         let weight = Tensor::ones(vec![16, 16]);
         let spec = PipelineSpec::default();
         let key = CacheKey::new("mvq", &weight, &spec, seq).unwrap();
-        state.jobs.insert(
-            seq,
-            QueuedJob {
-                key,
-                algo: "mvq",
-                spec,
-                payload: JobPayload::Matrix { weight },
-                mode: CacheMode::ReadWrite,
-                direct: None,
-                trace: Trace::begin("test"),
-            },
-        );
+        let mode = if direct.is_some() { CacheMode::Bypass } else { CacheMode::ReadWrite };
+        let work = Work::Matrix(weight);
+        let trace = Trace::begin("test");
+        let job = QueuedJob { key, algo: "mvq", spec, work, progress: None, mode, direct, trace };
+        state.jobs.insert(seq, job);
         state.heap.push(QueueRef { priority, seq });
+    }
+
+    fn push_job(state: &mut State, seq: u64, priority: Priority) {
+        push_queued(state, seq, priority, None);
+    }
+
+    /// A waiter carrying `cancel`, plus the receiver its result lands on.
+    fn waiter(name: &str, cancel: Option<CancelToken>) -> (Waiter, mpsc::Receiver<JobResult>) {
+        // lint:allow(unbounded-channel) -- test-only per-job result channel, one message
+        let (tx, rx) = mpsc::channel();
+        (Waiter { name: name.into(), tx, cancel, deadline: None, trace: Trace::begin(name) }, rx)
+    }
+
+    /// Queues an in-flight (dedup-visible) job at seq 0 whose waiters are
+    /// `waiters`, returning its key.
+    fn push_inflight(state: &mut State, seed: u64, waiters: Vec<Waiter>) -> CacheKey {
+        push_job(state, 0, Priority::Normal);
+        let job = state.jobs.get_mut(&0).unwrap();
+        job.key.seed = seed;
+        let key = job.key.clone();
+        let entry = InflightEntry { waiters, queued: Some((0, Priority::Normal)), progress: None };
+        state.inflight.insert(key.clone(), entry);
+        key
     }
 
     #[test]
@@ -1119,31 +977,9 @@ mod tests {
         cancel: Option<CancelToken>,
         deadline: Option<Instant>,
     ) -> mpsc::Receiver<JobResult> {
-        let weight = Tensor::ones(vec![16, 16]);
-        let spec = PipelineSpec::default();
-        let key = CacheKey::new("mvq", &weight, &spec, seq).unwrap();
-        // lint:allow(unbounded-channel) -- test-only per-job result channel, one message
-        let (tx, rx) = mpsc::channel();
-        let waiter = Waiter {
-            name: format!("job-{seq}"),
-            tx,
-            cancel,
-            deadline,
-            trace: Trace::begin("test"),
-        };
-        state.jobs.insert(
-            seq,
-            QueuedJob {
-                key,
-                algo: "mvq",
-                spec,
-                payload: JobPayload::Matrix { weight },
-                mode: CacheMode::Bypass,
-                direct: Some(waiter),
-                trace: Trace::begin("test"),
-            },
-        );
-        state.heap.push(QueueRef { priority: Priority::Normal, seq });
+        let (mut waiter, rx) = waiter(&format!("job-{seq}"), cancel);
+        waiter.deadline = deadline;
+        push_queued(state, seq, Priority::Normal, Some(waiter));
         rx
     }
 
@@ -1178,51 +1014,11 @@ mod tests {
     fn pop_live_job_peels_dead_riders_off_a_live_dedup_job() {
         let mut state = State::default();
         let now = Instant::now();
-        let weight = Tensor::ones(vec![16, 16]);
-        let spec = PipelineSpec::default();
-        let key = CacheKey::new("mvq", &weight, &spec, 7).unwrap();
-        // lint:allow(unbounded-channel) -- test-only per-job result channels, one message each
-        let (tx_live, _rx_live) = mpsc::channel();
-        // lint:allow(unbounded-channel) -- test-only per-job result channels, one message each
-        let (tx_dead, _rx_dead) = mpsc::channel();
         let token = CancelToken::new();
         token.cancel();
-        state.inflight.insert(
-            key.clone(),
-            InflightEntry {
-                waiters: vec![
-                    Waiter {
-                        name: "live".into(),
-                        tx: tx_live,
-                        cancel: None,
-                        deadline: None,
-                        trace: Trace::begin("live"),
-                    },
-                    Waiter {
-                        name: "dead-rider".into(),
-                        tx: tx_dead,
-                        cancel: Some(token),
-                        deadline: None,
-                        trace: Trace::begin("dead-rider"),
-                    },
-                ],
-                queued: Some((0, Priority::Normal)),
-                progress: None,
-            },
-        );
-        state.jobs.insert(
-            0,
-            QueuedJob {
-                key: key.clone(),
-                algo: "mvq",
-                spec,
-                payload: JobPayload::Matrix { weight },
-                mode: CacheMode::ReadWrite,
-                direct: None,
-                trace: Trace::begin("test"),
-            },
-        );
-        state.heap.push(QueueRef { priority: Priority::Normal, seq: 0 });
+        let (live, _rx_live) = waiter("live", None);
+        let (dead_rider, _rx_dead) = waiter("dead-rider", Some(token));
+        let key = push_inflight(&mut state, 7, vec![live, dead_rider]);
 
         let (job, dead, dropped) = state.pop_live_job(now);
         assert!(job.is_some(), "a job with a live waiter must still run");
@@ -1238,40 +1034,10 @@ mod tests {
     #[test]
     fn pop_live_job_drops_a_dedup_job_whose_waiters_all_died() {
         let mut state = State::default();
-        let weight = Tensor::ones(vec![16, 16]);
-        let spec = PipelineSpec::default();
-        let key = CacheKey::new("mvq", &weight, &spec, 9).unwrap();
-        // lint:allow(unbounded-channel) -- test-only per-job result channel, one message
-        let (tx, rx) = mpsc::channel();
         let token = CancelToken::new();
         token.cancel();
-        state.inflight.insert(
-            key.clone(),
-            InflightEntry {
-                waiters: vec![Waiter {
-                    name: "gone".into(),
-                    tx,
-                    cancel: Some(token),
-                    deadline: None,
-                    trace: Trace::begin("gone"),
-                }],
-                queued: Some((0, Priority::Normal)),
-                progress: None,
-            },
-        );
-        state.jobs.insert(
-            0,
-            QueuedJob {
-                key: key.clone(),
-                algo: "mvq",
-                spec,
-                payload: JobPayload::Matrix { weight },
-                mode: CacheMode::ReadWrite,
-                direct: None,
-                trace: Trace::begin("test"),
-            },
-        );
-        state.heap.push(QueueRef { priority: Priority::Normal, seq: 0 });
+        let (gone, rx) = waiter("gone", Some(token));
+        let key = push_inflight(&mut state, 9, vec![gone]);
 
         let (job, dead, dropped) = state.pop_live_job(Instant::now());
         assert!(job.is_none(), "an all-dead job must never reach a worker");

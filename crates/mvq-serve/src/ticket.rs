@@ -152,8 +152,7 @@ impl JobOutcome {
     }
 
     /// Decodes the assembled [`ModelArtifacts`] of a whole-model
-    /// (streaming) job — see
-    /// [`crate::CompressionService::submit_model`]. This materializes
+    /// (streaming) job — a [`crate::Work::Model`] request. This materializes
     /// every layer at once; callers that want to stay bounded should read
     /// the per-layer blobs from the service's cache instead
     /// (`key.layer_key(conv_index)`).
@@ -265,20 +264,6 @@ impl fmt::Display for JobError {
 impl Error for JobError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         self.mvq_error().map(|e| e as &(dyn Error + 'static))
-    }
-}
-
-impl From<JobError> for MvqError {
-    /// Flattens a job error back into the pipeline error space — used by
-    /// the deprecated v1 batch shim, whose `submit` reported a bare
-    /// [`MvqError`].
-    fn from(e: JobError) -> MvqError {
-        match e {
-            JobError::Compression { source, .. } | JobError::Cache { source, .. } => source,
-            JobError::Panicked { .. }
-            | JobError::Disconnected { .. }
-            | JobError::Cancelled { .. } => MvqError::InvalidConfig(e.to_string()),
-        }
     }
 }
 

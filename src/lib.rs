@@ -21,8 +21,8 @@
 //!   ([`serve::CompressionRequest`] → [`serve::Ticket`]) over a
 //!   worker-thread pool with bounded-queue admission control and per-job
 //!   error isolation, backed by versioned artifact serialization
-//!   ([`core::store`]) in a content-addressed, byte-budgeted LRU cache
-//!   (the deprecated v1 batch `submit` remains as a shim)
+//!   ([`core::store`]) in a content-addressed, byte-budgeted LRU cache;
+//!   one request type covers single matrices and streamed whole models
 //! * [`net`] — the service on the wire: a length-prefixed TCP protocol
 //!   ([`net::NetServer`] / [`net::NetClient`]) with per-request
 //!   deadlines, client-disconnect cancellation, and graceful drain,

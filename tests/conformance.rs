@@ -1,16 +1,14 @@
 //! Trait-conformance tests: every compressor in the pipeline registry must
 //! honor the shared `Compressor` / `CompressedArtifact` contract on the
 //! same seeded weight matrix — and the compression service must serve
-//! cache hits, dedup shares, and the deprecated v1 batch path
-//! bit-identical to fresh compressions, deterministically across
-//! submission order, batching, worker interleaving, and cache eviction.
+//! cache hits and dedup shares bit-identical to fresh compressions,
+//! deterministically across submission order, batching, worker
+//! interleaving, and cache eviction.
 
 use mvq::core::pipeline::{by_name, registry, PipelineSpec, ALGORITHM_NAMES};
 use mvq::core::store::CacheBudget;
 use mvq::core::{CompressedArtifact, KernelStrategy, ModelCompressor, MvqConfig, Parallelism};
-use mvq::serve::{
-    BatchCompressionService, CachePolicy, CompressionJob, CompressionRequest, CompressionService,
-};
+use mvq::serve::{CachePolicy, CompressionRequest, CompressionService, JobOutcome, Ticket};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -265,16 +263,13 @@ fn artifact_bits(a: &CompressedArtifact) -> Vec<u32> {
 }
 
 #[test]
-#[allow(deprecated)]
-fn ticket_and_v1_paths_match_fresh_compression_for_every_algorithm() {
-    // The service contract across both API generations: a ticket served
-    // by `CompressionService` (cold and from cache), an outcome from the
-    // deprecated v1 `submit` shim, and a fresh registry compression with
-    // the same seed must all reconstruct the exact same bit pattern.
+fn ticket_paths_match_fresh_compression_for_every_algorithm() {
+    // The service contract: a ticket served by `CompressionService` (cold
+    // and from cache) and a fresh registry compression with the same seed
+    // must reconstruct the exact same bit pattern.
     let w = test_weight();
     let spec = PipelineSpec { k: 8, swap_trials: 200, ..PipelineSpec::default() };
     let service = CompressionService::builder().workers(2).build().unwrap();
-    let v1 = BatchCompressionService::in_memory();
     for name in ALGORITHM_NAMES {
         let request = || {
             CompressionRequest::builder(name, w.clone(), name)
@@ -287,9 +282,6 @@ fn ticket_and_v1_paths_match_fresh_compression_for_every_algorithm() {
         assert!(!cold.from_cache, "{name}: first submission must compress");
         let warm = service.submit_one(request()).wait().unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(warm.from_cache, "{name}: second submission must hit");
-        let batch = v1
-            .submit(vec![CompressionJob::new(name, w.clone(), name, spec.clone()).with_seed(41)])
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
         let fresh = by_name(name, &spec)
             .expect("valid spec")
             .compress_matrix(&w, &mut StdRng::seed_from_u64(41))
@@ -297,7 +289,6 @@ fn ticket_and_v1_paths_match_fresh_compression_for_every_algorithm() {
         for (label, served) in [
             ("cold ticket", cold.artifact().expect("decode")),
             ("warm ticket", warm.artifact().expect("decode")),
-            ("v1 submit", batch.outcomes[0].artifact().expect("decode")),
         ] {
             let served = &served;
             assert_eq!(
@@ -479,39 +470,34 @@ fn disk_eviction_respects_budget_and_survives_restart() {
 }
 
 #[test]
-#[allow(deprecated)]
 fn service_is_deterministic_across_order_and_batching() {
-    // The same job set — shuffled, and split one-job-per-batch (serial)
-    // vs one big batch (parallel fan-out) — must produce bit-identical
-    // artifacts per job name and the same dedupe/hit accounting. Runs on
-    // the deprecated v1 shim deliberately: its BatchReport accounting is
-    // part of the compatibility contract the shim must preserve.
+    // The same 24-request set (12 unique keys, each submitted twice) —
+    // all in flight at once, in reverse, and one request at a time — must
+    // produce bit-identical artifacts per request name. The later twin of
+    // every pair rides the earlier one (dedup share or cache hit), and
+    // resubmitting the whole set is all cache hits.
     let spec = PipelineSpec { k: 8, swap_trials: 200, ..PipelineSpec::default() };
     let mut wrng = StdRng::seed_from_u64(0xBEEF);
     let weights: Vec<mvq::tensor::Tensor> =
         (0..4).map(|_| mvq::tensor::kaiming_normal(vec![32, 16], 16, &mut wrng)).collect();
-    let jobs = || -> Vec<CompressionJob> {
-        let mut jobs = Vec::new();
+    let requests = || -> Vec<CompressionRequest> {
+        let mut requests = Vec::new();
         for (i, w) in weights.iter().enumerate() {
             for algo in ["mvq", "vq-a", "pvq"] {
-                jobs.push(CompressionJob::new(
-                    format!("w{i}-{algo}"),
-                    w.clone(),
-                    algo,
-                    spec.clone(),
-                ));
-                // a duplicate of every job, exercising in-flight dedup
-                jobs.push(CompressionJob::new(
-                    format!("w{i}-{algo}-dup"),
-                    w.clone(),
-                    algo,
-                    spec.clone(),
-                ));
+                // each job plus a duplicate of it, exercising in-flight dedup
+                for name in [format!("w{i}-{algo}"), format!("w{i}-{algo}-dup")] {
+                    let request =
+                        CompressionRequest::builder(name, w.clone(), algo).spec(spec.clone());
+                    requests.push(request.build().unwrap());
+                }
             }
         }
-        jobs
+        requests
     };
-    let collect = |outcomes: &[mvq::serve::JobOutcome]| {
+    let wait_all = |tickets: Vec<Ticket>| -> Vec<JobOutcome> {
+        tickets.into_iter().map(|t| t.wait().expect("job")).collect()
+    };
+    let collect = |outcomes: &[JobOutcome]| {
         let mut named: Vec<(String, Vec<u32>)> = outcomes
             .iter()
             .map(|o| (o.name.clone(), artifact_bits(&o.artifact().expect("decode"))))
@@ -519,40 +505,37 @@ fn service_is_deterministic_across_order_and_batching() {
         named.sort();
         named
     };
+    // outcomes arrive in submission order; the first of each twin pair
+    // compresses, the second shares its result
+    let assert_twins_share = |outcomes: &[JobOutcome], leg: &str| {
+        for (i, o) in outcomes.iter().enumerate() {
+            let twin = o.name.trim_end_matches("-dup");
+            let first = outcomes.iter().position(|p| p.name.trim_end_matches("-dup") == twin);
+            let shared = o.deduped || o.from_cache;
+            assert_eq!(shared, first != Some(i), "{leg}: {} deduped/from_cache = {shared}", o.name);
+        }
+    };
 
-    let batched = BatchCompressionService::in_memory();
-    let big = batched.submit(jobs()).expect("batch");
-    assert_eq!(big.unique_jobs, 12);
-    assert_eq!(big.deduped_jobs, 12);
-    assert_eq!(big.cache_hits, 0);
+    let service = CompressionService::builder().workers(4).build().unwrap();
+    let forward = wait_all(requests().into_iter().map(|r| service.submit_one(r)).collect());
+    assert_twins_share(&forward, "forward");
 
-    // shuffled order: reverse is a deterministic shuffle
-    let shuffled_service = BatchCompressionService::in_memory();
-    let mut reversed = jobs();
-    reversed.reverse();
-    let shuffled = shuffled_service.submit(reversed).expect("shuffled batch");
-    assert_eq!(collect(&big.outcomes), collect(&shuffled.outcomes), "order changed results");
-    assert_eq!(shuffled.unique_jobs, 12);
-    assert_eq!(shuffled.deduped_jobs, 12);
+    let reversed_service = CompressionService::builder().workers(4).build().unwrap();
+    let reversed =
+        wait_all(requests().into_iter().rev().map(|r| reversed_service.submit_one(r)).collect());
+    assert_twins_share(&reversed, "reversed");
+    assert_eq!(collect(&forward), collect(&reversed), "order changed results");
 
-    // serial: one batch per job — same artifacts, hit counts fully
-    // determined by duplicate structure (every dup hits the cache)
-    let serial_service = BatchCompressionService::in_memory();
-    let mut serial_outcomes = Vec::new();
-    let mut serial_hits = 0usize;
-    for job in jobs() {
-        let report = serial_service.submit(vec![job]).expect("serial submit");
-        serial_hits += report.cache_hits;
-        serial_outcomes.extend(report.outcomes);
-    }
-    assert_eq!(collect(&big.outcomes), collect(&serial_outcomes), "batching changed results");
-    assert_eq!(serial_hits, 12, "every duplicate must be a cache hit when submitted serially");
+    let serial_service = CompressionService::builder().workers(4).build().unwrap();
+    let serial: Vec<JobOutcome> =
+        requests().into_iter().map(|r| serial_service.submit_one(r).wait().expect("job")).collect();
+    assert_twins_share(&serial, "serial");
+    assert!(serial.iter().all(|o| !o.deduped), "serial submission never has a twin in flight");
+    assert_eq!(collect(&forward), collect(&serial), "batching changed results");
 
-    // resubmitting the whole set is all hits, counted once per unique key
-    let resubmit = batched.submit(jobs()).expect("resubmit");
-    assert_eq!(resubmit.cache_hits, 12);
-    assert_eq!(resubmit.compressed, 0);
-    assert_eq!(collect(&big.outcomes), collect(&resubmit.outcomes));
+    let resubmit = wait_all(requests().into_iter().map(|r| service.submit_one(r)).collect());
+    assert!(resubmit.iter().all(|o| o.from_cache), "a full resubmission must be all cache hits");
+    assert_eq!(collect(&forward), collect(&resubmit));
 }
 
 #[test]

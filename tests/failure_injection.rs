@@ -358,9 +358,9 @@ fn differing_specs_never_collide_in_cache_keys() {
 
 #[test]
 fn one_poisoned_job_does_not_abort_the_rest() {
-    // The v2 isolation contract: a batch with one job whose data cannot
-    // compress (all-zero weights collapse every codeword) completes all
-    // the healthy jobs and reports a typed JobError on the poisoned
+    // The per-ticket isolation contract: a batch with one job whose data
+    // cannot compress (all-zero weights collapse every codeword) completes
+    // all the healthy jobs and reports a typed JobError on the poisoned
     // ticket only.
     let spec = PipelineSpec { k: 8, swap_trials: 100, ..PipelineSpec::default() };
     let service = CompressionService::builder().workers(2).build().unwrap();
@@ -533,8 +533,9 @@ fn corrupt_cache_blob_fails_the_job_not_the_service() {
 
 #[test]
 fn request_validation_fails_before_any_work_queues() {
-    // The v2 request builder front-loads every v1 submit-time failure:
-    // unknown algorithm, uncompilable spec, empty weight, empty name.
+    // The request builder front-loads every validation failure before
+    // anything queues: unknown algorithm, uncompilable spec, empty weight,
+    // empty name.
     let mut rng = StdRng::seed_from_u64(3);
     let w = mvq::tensor::kaiming_normal(vec![32, 16], 16, &mut rng);
     let cases: Vec<Result<CompressionRequest, MvqError>> = vec![
