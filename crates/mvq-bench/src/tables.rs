@@ -6,11 +6,10 @@
 //! reproduces is the *comparisons* — who wins, how orderings move with the
 //! knobs — per DESIGN.md.
 
-use mvq_core::pipeline::{by_name, PipelineSpec};
+use mvq_core::pipeline::{by_name, Compressor, PipelineSpec};
 use mvq_core::{
-    finetune_codebooks, prune_model, sparse_finetune, ClusterScope, CodebookFinetuneConfig,
-    GroupingStrategy, ModelArtifacts, ModelCompressor, MvqConfig, PruneMethod,
-    SparseFinetuneConfig,
+    finetune_codebooks, prune_model, sparse_finetune, CodebookFinetuneConfig, GroupingStrategy,
+    ModelArtifacts, MvqCompressor, MvqConfig, PruneMethod, SparseFinetuneConfig,
 };
 use mvq_nn::data::{SyntheticClassification, SyntheticSegmentation};
 use mvq_nn::flops::count_flops;
@@ -103,7 +102,8 @@ pub struct MvqRun {
 }
 
 /// Runs prune → sparse-finetune → masked k-means → int8 → (optional)
-/// codebook fine-tune on a clone of `trained`.
+/// codebook fine-tune on a clone of `trained`, with one codebook per layer
+/// or, when `crosslayer`, one codebook shared by all layers.
 #[allow(clippy::too_many_arguments)]
 pub fn run_mvq(
     trained: &Trained,
@@ -111,7 +111,7 @@ pub fn run_mvq(
     d: usize,
     keep_n: usize,
     m: usize,
-    scope: ClusterScope,
+    crosslayer: bool,
     cfg: &ExperimentConfig,
     sparse_ft_epochs: usize,
 ) -> MvqRun {
@@ -137,10 +137,13 @@ pub fn run_mvq(
     let reference = model.clone();
     // steps 2-3: masked k-means + int8 codebook
     let mvq_cfg = MvqConfig::new(k, d, keep_n, m).expect("validated dims");
-    let mut compressed = ModelCompressor::new(mvq_cfg)
-        .with_scope(scope)
-        .compress(&mut model, &mut rng)
-        .expect("compressible model");
+    let compressor = MvqCompressor::new(mvq_cfg);
+    let mut compressed = if crosslayer {
+        compressor.compress_model_crosslayer(&mut model, &mut rng)
+    } else {
+        compressor.compress_model(&mut model, &mut rng)
+    }
+    .expect("compressible model");
     let sse = compressed.total_masked_sse(&reference).expect("same layout");
     let cr = compressed.compression_ratio();
     bn_recalibrate(&mut model, &trained.data, 8);
@@ -272,7 +275,7 @@ pub fn table3(cfg: &ExperimentConfig) -> String {
     // Case D (ours): masked k-means, sparse reconstruct, with the
     // pipeline's sparse fine-tuning step (the paper fine-tunes the sparse
     // model before clustering)
-    let run = run_mvq(&trained, k_cd, d_cd, keep_n, m, ClusterScope::LayerWise, cfg, 1);
+    let run = run_mvq(&trained, k_cd, d_cd, keep_n, m, false, cfg, 1);
     rows.push(vec![
         "D: SW+MK+SR (ours)".into(),
         format!("{:.0}/{:.0}", run.sse, run.sse),
@@ -307,7 +310,7 @@ pub fn table4(cfg: &ExperimentConfig) -> String {
     ];
     for (arch, k, d, keep_n, m) in specs {
         let trained = train_arch(arch, cfg);
-        let run = run_mvq(&trained, k, d, keep_n, m, ClusterScope::LayerWise, cfg, 1);
+        let run = run_mvq(&trained, k, d, keep_n, m, false, cfg, 1);
         rows.push(vec![
             format!("{arch} (dense {:.1}%)", trained.dense_acc * 100.0),
             "MVQ (ours)".into(),
@@ -345,7 +348,7 @@ pub fn table5(cfg: &ExperimentConfig) -> String {
     let mut rows = Vec::new();
     for arch in [Arch::ResNet18, Arch::ResNet50] {
         let trained = train_arch(arch, cfg);
-        let run = run_mvq(&trained, 64, 16, 4, 16, ClusterScope::LayerWise, cfg, 0);
+        let run = run_mvq(&trained, 64, 16, 4, 16, false, cfg, 0);
         // PQF at comparable CR: d=8, k doubled (maskless). Only the SSE is
         // needed, so compress without writing reconstructions back.
         let spec = PipelineSpec::default().with_k(128).with_d(8).with_swap_trials(5_000);
@@ -388,10 +391,10 @@ pub fn table6(cfg: &ExperimentConfig) -> String {
     // MVQ at 1:2 pruning (CR ~ paper's 19x table row)
     let mut mvq_model = model.clone();
     let mvq_cfg = MvqConfig::new(64, 16, 8, 16).expect("valid");
-    let mut compressed =
-        ModelCompressor::new(mvq_cfg).compress(&mut mvq_model, &mut rng).expect("compressible");
-    let cr = compressed.compression_ratio();
-    let _ = &mut compressed;
+    let cr = MvqCompressor::new(mvq_cfg)
+        .compress_model(&mut mvq_model, &mut rng)
+        .expect("compressible")
+        .compression_ratio();
     let mvq_miou = evaluate_miou(&mut mvq_model, &data).expect("eval");
 
     // PvQ 2-bit
@@ -458,7 +461,7 @@ pub fn fig10(cfg: &ExperimentConfig) -> String {
         bn_recalibrate(&mut model, &trained.data, 8);
         let prune_acc = evaluate_classifier(&mut model, &trained.data).expect("eval");
         // clustering accuracy: full pipeline
-        let run = run_mvq(&trained, 64, 16, keep, 16, ClusterScope::LayerWise, cfg, 1);
+        let run = run_mvq(&trained, 64, 16, keep, 16, false, cfg, 1);
         rows.push(vec![
             format!("{keep}:16"),
             pct(1.0 - keep as f64 / 16.0),
@@ -479,25 +482,16 @@ pub fn fig10(cfg: &ExperimentConfig) -> String {
 pub fn fig11(cfg: &ExperimentConfig) -> String {
     let trained = train_arch(Arch::MobileNetV2, cfg);
     let mut rows = Vec::new();
-    // (label, keep_n, m, scope); d=16 throughout; 1:2 and 2:4 both give
-    // 50% sparsity but different mask storage (0.5 vs 0.75 bit/w)
-    let arms: [(&str, usize, usize, ClusterScope); 3] = [
-        ("layerwise-1:2", 8, 16, ClusterScope::LayerWise),
-        ("crosslayer-1:2", 8, 16, ClusterScope::CrossLayer),
-        ("layerwise-2:4", 8, 16, ClusterScope::LayerWise),
+    // (label, keep_n, m, crosslayer); d=16 throughout; 1:2 and 2:4 both
+    // give 50% sparsity but different mask storage (0.5 vs 0.75 bit/w)
+    let arms: [(&str, usize, usize, bool); 3] = [
+        ("layerwise-1:2", 1, 2, false),
+        ("crosslayer-1:2", 1, 2, true),
+        ("layerwise-2:4", 2, 4, false),
     ];
-    for (i, (label, keep_n, m, scope)) in arms.into_iter().enumerate() {
-        // emulate the mask-cost difference of 2:4 by re-deriving CR with
-        // the 2:4 LUT (same 50% sparsity pattern constraintwise)
-        let run = run_mvq(&trained, 48, 16, keep_n, m, scope, cfg, 1);
-        let cr = if i == 2 {
-            // 2:4 mask costs 0.75 b/w instead of 1:2-within-16 equivalent
-            let bits_per_w = 32.0 / run.cr;
-            32.0 / (bits_per_w + 0.25)
-        } else {
-            run.cr
-        };
-        rows.push(vec![label.into(), ratio(cr), f(run.acc_ft as f64 * 100.0, 1)]);
+    for (label, keep_n, m, crosslayer) in arms {
+        let run = run_mvq(&trained, 48, 16, keep_n, m, crosslayer, cfg, 1);
+        rows.push(vec![label.into(), ratio(run.cr), f(run.acc_ft as f64 * 100.0, 1)]);
     }
     let mut out = format!(
         "Fig. 11 — pruning/clustering strategy on MobileNet-v2-lite (dense {:.1}%)\n\
@@ -519,8 +513,8 @@ pub fn fig13(cfg: &ExperimentConfig) -> String {
         let mut rows = Vec::new();
         for k in [16usize, 32, 64, 128] {
             // the full pipeline includes sparse fine-tuning (step 1)
-            let lw = run_mvq(&trained, k, 16, 4, 16, ClusterScope::LayerWise, cfg, 1);
-            let cl = run_mvq(&trained, k, 16, 4, 16, ClusterScope::CrossLayer, cfg, 1);
+            let lw = run_mvq(&trained, k, 16, 4, 16, false, cfg, 1);
+            let cl = run_mvq(&trained, k, 16, 4, 16, true, cfg, 1);
             // PQF and BGD at matched assignment rate: d=8, 2k codewords —
             // one loop over registry names, no per-algorithm arms
             let baseline_spec =

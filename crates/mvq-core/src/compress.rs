@@ -270,12 +270,6 @@ impl CompressedMatrix {
         self.grouping.ungroup(&grouped, &self.orig_dims, self.mask.d())
     }
 
-    /// Decomposes into `(codebook, assignments, mask, orig_dims)` — used
-    /// by the model-level pipeline to pool per-layer codebooks.
-    pub fn into_parts(self) -> (Codebook, Assignments, NmMask, Vec<usize>) {
-        (self.codebook, self.assignments, self.mask, self.orig_dims)
-    }
-
     /// Storage breakdown under Eq. 7.
     pub fn storage(&self) -> StorageBreakdown {
         mvq_compression_ratio(self.mask.ng(), &self.codebook, self.keep_n, self.m)

@@ -8,6 +8,12 @@
 //! so zero-gradients of pruned lanes cannot dilute the update. Quantized
 //! codebooks are re-snapped to their grid after every step
 //! (straight-through estimation).
+//!
+//! The compressed model is a [`ModelArtifacts`] of masked
+//! ([`crate::CompressedArtifact::Masked`]) layers, from either clustering
+//! scope. Layers whose codebooks are equal by value share one optimizer
+//! slot and receive the same update, so a crosslayer codebook stays one
+//! codebook through fine-tuning.
 
 use mvq_nn::data::SyntheticClassification;
 use mvq_nn::layers::Sequential;
@@ -19,7 +25,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::error::MvqError;
-use crate::model_compress::CompressedModel;
+use crate::pipeline::ModelArtifacts;
 
 /// Hyperparameters for codebook fine-tuning.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,15 +44,17 @@ impl Default for CodebookFinetuneConfig {
     }
 }
 
-/// Fine-tunes the codebooks of `compressed` on `data`, keeping
-/// `model`'s decoded weights in sync. Returns the mean loss per epoch.
+/// Fine-tunes the codebooks of `artifacts` on `data`, keeping `model`'s
+/// decoded weights in sync. Returns the mean loss per epoch.
 ///
 /// # Errors
 ///
-/// Propagates model and reconstruction errors.
+/// Returns [`MvqError::InvalidConfig`] for zero epochs or batch size and
+/// for a layer that is not [`crate::CompressedArtifact::Masked`];
+/// propagates model and reconstruction errors.
 pub fn finetune_codebooks<R: Rng>(
     model: &mut Sequential,
-    compressed: &mut CompressedModel,
+    artifacts: &mut ModelArtifacts,
     data: &SyntheticClassification,
     cfg: &CodebookFinetuneConfig,
     rng: &mut R,
@@ -54,13 +62,20 @@ pub fn finetune_codebooks<R: Rng>(
     if cfg.epochs == 0 || cfg.batch_size == 0 {
         return Err(MvqError::InvalidConfig("epochs and batch_size must be positive".into()));
     }
+    for layer in &artifacts.layers {
+        layer.as_masked()?;
+    }
+    let groups = artifacts.codebook_groups();
     let mut opt = Optimizer::new(cfg.optimizer);
     let n = data.n_train();
     let mut order: Vec<usize> = (0..n).collect();
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    // wrap each codebook in a Param so the shared optimizer machinery applies
-    let mut cb_params: Vec<Param> =
-        compressed.codebooks.iter().map(|cb| Param::new(cb.centers().clone())).collect();
+    // wrap each shared codebook in a Param so the optimizer machinery applies
+    let mut cb_params = Vec::with_capacity(groups.len());
+    for group in &groups {
+        let codebook = artifacts.layers[group[0]].as_masked()?.codebook();
+        cb_params.push(Param::new(codebook.centers().clone()));
+    }
     for _ in 0..cfg.epochs {
         order.shuffle(rng);
         let mut total = 0.0f64;
@@ -69,20 +84,24 @@ pub fn finetune_codebooks<R: Rng>(
         while start < n {
             let end = (start + cfg.batch_size).min(n);
             let (xb, yb) = gather(data, &order[start..end]);
-            compressed.apply_to(model)?;
+            artifacts.apply_to(model)?;
             model.zero_grad();
             let logits = model.forward(&xb, true)?;
             let (loss, grad) = cross_entropy(&logits, &yb)?;
             model.backward(&grad)?;
-            accumulate_masked_codebook_grads(model, compressed, &mut cb_params)?;
+            accumulate_masked_codebook_grads(model, artifacts, &groups, &mut cb_params)?;
             for (slot, p) in cb_params.iter_mut().enumerate() {
                 opt.step_param(p, slot);
                 p.zero_grad();
             }
-            // write updated centers back and re-snap to the int grid
-            for (cb, p) in compressed.codebooks.iter_mut().zip(&cb_params) {
-                *cb.centers_mut() = p.value.clone();
-                cb.requantize()?;
+            // write updated centers back to every layer sharing the
+            // codebook and re-snap them to the int grid
+            for (group, p) in groups.iter().zip(&cb_params) {
+                for &i in group {
+                    let codebook = artifacts.layers[i].as_masked_mut()?.codebook_mut();
+                    *codebook.centers_mut() = p.value.clone();
+                    codebook.requantize()?;
+                }
             }
             total += loss as f64;
             batches += 1;
@@ -90,43 +109,45 @@ pub fn finetune_codebooks<R: Rng>(
         }
         epoch_losses.push((total / batches.max(1) as f64) as f32);
     }
-    compressed.apply_to(model)?;
+    artifacts.apply_to(model)?;
     Ok(epoch_losses)
 }
 
 /// Computes Eq. 6's masked codeword gradients from the conv weight
-/// gradients currently stored in `model`.
+/// gradients currently stored in `model`, one codebook per group of
+/// `groups` (see `ModelArtifacts::codebook_groups`).
 fn accumulate_masked_codebook_grads(
     model: &mut Sequential,
-    compressed: &CompressedModel,
+    artifacts: &ModelArtifacts,
+    groups: &[Vec<usize>],
     cb_params: &mut [Param],
 ) -> Result<(), MvqError> {
     // gather conv weight grads by depth-first index
     let mut grads: Vec<Tensor> = Vec::new();
     model.visit_convs_mut(&mut |conv| grads.push(conv.weight.grad.clone()));
-    // per-codebook lane-wise numerator and denominator
-    let mut sums: Vec<Vec<f64>> = cb_params.iter().map(|p| vec![0.0f64; p.value.numel()]).collect();
-    let mut counts: Vec<Vec<f64>> = sums.clone();
-    let d = compressed.entries.first().map(|e| e.mask.d()).unwrap_or(0);
-    for entry in &compressed.entries {
-        let g4 = &grads[entry.conv_index];
-        let grouped = compressed.grouping().group(g4, d)?;
-        let sum = &mut sums[entry.codebook_id];
-        let count = &mut counts[entry.codebook_id];
-        for j in 0..entry.mask.ng() {
-            let i = entry.assignments.of(j);
-            let grow = grouped.row(j);
-            let mrow = entry.mask.row(j);
-            for t in 0..d {
-                if mrow[t] {
-                    sum[i * d + t] += grow[t] as f64;
-                    count[i * d + t] += 1.0;
+    for (group, p) in groups.iter().zip(cb_params.iter_mut()) {
+        // lane-wise numerator and denominator over every member layer
+        let mut sum = vec![0.0f64; p.value.numel()];
+        let mut count = sum.clone();
+        for &i in group {
+            let layer = &artifacts.layers[i];
+            let matrix = layer.as_masked()?;
+            let mask = matrix.mask();
+            let d = mask.d();
+            let grouped = matrix.grouping().group(&grads[layer.conv_index], d)?;
+            for j in 0..mask.ng() {
+                let c = matrix.assignments().of(j);
+                let grow = grouped.row(j);
+                let mrow = mask.row(j);
+                for t in 0..d {
+                    if mrow[t] {
+                        sum[c * d + t] += grow[t] as f64;
+                        count[c * d + t] += 1.0;
+                    }
                 }
             }
         }
-    }
-    for (p, (sum, count)) in cb_params.iter_mut().zip(sums.iter().zip(&counts)) {
-        for (g, (&s, &c)) in p.grad.data_mut().iter_mut().zip(sum.iter().zip(count)) {
+        for (g, (&s, &c)) in p.grad.data_mut().iter_mut().zip(sum.iter().zip(&count)) {
             *g = if c > 0.0 { (s / c) as f32 } else { 0.0 };
         }
     }
@@ -151,13 +172,17 @@ fn gather(data: &SyntheticClassification, idx: &[usize]) -> (Tensor, Vec<usize>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::MvqConfig;
-    use crate::model_compress::ModelCompressor;
+    use crate::compress::{MvqCompressor, MvqConfig};
+    use crate::pipeline::{by_name, Compressor, PipelineSpec};
     use mvq_nn::models::tiny_cnn;
     use mvq_nn::optim::{Optimizer as NnOpt, OptimizerKind as NnOptKind};
     use mvq_nn::train::{evaluate_classifier, train_classifier, TrainConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn codebooks(artifacts: &ModelArtifacts) -> Vec<&crate::Codebook> {
+        artifacts.layers.iter().map(|l| l.artifact.codebook().unwrap()).collect()
+    }
 
     #[test]
     fn finetune_reduces_loss() {
@@ -177,7 +202,7 @@ mod tests {
         let acc_before = evaluate_classifier(&mut model, &data).unwrap();
         // fp32 codebook isolates the gradient path from grid-snap noise
         let cfg = MvqConfig::new(8, 16, 4, 16).unwrap().with_codebook_bits(None);
-        let mut compressed = ModelCompressor::new(cfg).compress(&mut model, &mut rng).unwrap();
+        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig {
             epochs: 3,
             batch_size: 32,
@@ -199,10 +224,10 @@ mod tests {
         let data = SyntheticClassification::generate(3, 32, 16, 8, &mut rng);
         let mut model = tiny_cnn(3, 8, &mut rng);
         let cfg = MvqConfig::new(8, 16, 4, 16).unwrap();
-        let mut compressed = ModelCompressor::new(cfg).compress(&mut model, &mut rng).unwrap();
+        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig { epochs: 1, batch_size: 16, ..Default::default() };
         finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).unwrap();
-        for cb in &compressed.codebooks {
+        for cb in codebooks(&compressed) {
             let s = cb.scale().expect("quantized");
             for &v in cb.centers().data() {
                 let steps = v / s;
@@ -217,26 +242,52 @@ mod tests {
         let data = SyntheticClassification::generate(3, 32, 16, 8, &mut rng);
         let mut model = tiny_cnn(3, 8, &mut rng);
         let cfg = MvqConfig::new(8, 16, 8, 16).unwrap();
-        let mut compressed = ModelCompressor::new(cfg).compress(&mut model, &mut rng).unwrap();
+        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig { epochs: 1, batch_size: 16, ..Default::default() };
         finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).unwrap();
         // model weights equal the decoded representation
         let mut weights = Vec::new();
         model.visit_convs_mut(&mut |c| weights.push(c.weight.value.clone()));
-        for (idx, e) in compressed.entries.iter().enumerate() {
-            let w = compressed.reconstruct_entry(e).unwrap();
-            assert_eq!(w.data(), weights[e.conv_index].data(), "entry {idx}");
+        for layer in &compressed.layers {
+            let w = layer.artifact.reconstruct().unwrap();
+            assert_eq!(w.data(), weights[layer.conv_index].data(), "conv {}", layer.conv_index);
         }
     }
 
     #[test]
-    fn rejects_zero_epochs() {
+    fn crosslayer_codebook_copies_stay_equal_through_finetune() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let data = SyntheticClassification::generate(3, 32, 16, 8, &mut rng);
+        let mut model = tiny_cnn(3, 8, &mut rng);
+        // fp32 codebook: Adam's small steps would snap back to the int8 grid
+        let cfg = MvqConfig::new(8, 16, 4, 16).unwrap().with_codebook_bits(None);
+        let mut compressed =
+            MvqCompressor::new(cfg).compress_model_crosslayer(&mut model, &mut rng).unwrap();
+        let before = codebooks(&compressed)[0].clone();
+        let ft = CodebookFinetuneConfig { epochs: 1, batch_size: 16, ..Default::default() };
+        finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).unwrap();
+        let after = codebooks(&compressed);
+        assert_eq!(after.len(), 2);
+        assert_ne!(after[0], &before, "fine-tuning should move the shared codebook");
+        assert!(after.iter().all(|cb| *cb == after[0]), "shared codebook copies diverged");
+        assert_eq!(compressed.codebook_groups(), vec![vec![0, 1]]);
+    }
+
+    #[test]
+    fn rejects_zero_epochs_and_unmasked_artifacts() {
         let mut rng = StdRng::seed_from_u64(3);
         let data = SyntheticClassification::generate(2, 8, 4, 8, &mut rng);
         let mut model = tiny_cnn(2, 8, &mut rng);
         let cfg = MvqConfig::new(4, 16, 4, 16).unwrap();
-        let mut compressed = ModelCompressor::new(cfg).compress(&mut model, &mut rng).unwrap();
+        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig { epochs: 0, batch_size: 16, ..Default::default() };
         assert!(finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).is_err());
+
+        // vq-a stores no mask, so Eq. 6 has nothing to average over
+        let vq = by_name("vq-a", &PipelineSpec::default().with_k(4)).unwrap();
+        let mut dense = vq.compress_model(&mut model, &mut rng).unwrap();
+        let ft = CodebookFinetuneConfig { epochs: 1, batch_size: 16, ..Default::default() };
+        let err = finetune_codebooks(&mut model, &mut dense, &data, &ft, &mut rng).unwrap_err();
+        assert!(matches!(err, MvqError::InvalidConfig(_)), "{err}");
     }
 }

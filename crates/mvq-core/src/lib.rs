@@ -114,7 +114,6 @@ mod mask_lut;
 mod masked_kmeans;
 mod metrics;
 mod mixed_nm;
-mod model_compress;
 pub mod pipeline;
 mod pruning;
 pub mod store;
@@ -138,9 +137,6 @@ pub use masked_kmeans::{
 };
 pub use metrics::{mvq_compression_ratio, vq_compression_ratio, StorageBreakdown};
 pub use mixed_nm::{search_mixed_nm, LayerPattern, MixedNmPlan};
-pub use model_compress::{
-    ClusterScope, CompressedModel, LayerCodebook, ModelCompressor, Parallelism,
-};
 pub use pipeline::{CompressedArtifact, Compressor, LayerArtifact, ModelArtifacts, PipelineSpec};
 pub use pruning::{
     prune_matrix_nm, prune_model, sparse_finetune, PruneMethod, SparseFinetuneConfig,

@@ -1,15 +1,10 @@
 //! The unified compression pipeline: one algorithm-agnostic API over MVQ
-//! and every VQ baseline the paper compares against.
-//!
-//! Historically each algorithm had a bespoke entry point (`bgd_compress`,
-//! `pqf_compress`, `dkm_compress`, `pvq_quantize`, `vq_case_a/b/c`,
-//! [`MvqCompressor::compress_matrix`]) and its own result struct, so every
-//! consumer — the `paper` benchmark tables, the examples, the accelerator
-//! simulator — hand-wired all six methods. This module unifies them behind
-//! two abstractions:
+//! and every VQ baseline the paper compares against, built on two
+//! abstractions:
 //!
 //! * [`Compressor`] — `compress_matrix` + `compress_model`, implemented by
-//!   every algorithm (the existing entry points remain as the internals);
+//!   every algorithm (MVQ's crosslayer codebook scope is the one extra
+//!   model entry point, [`MvqCompressor::compress_model_crosslayer`]);
 //! * [`CompressedArtifact`] — the common compressed representation:
 //!   codebook + assignments, optional N:M mask, original dims, and a
 //!   uniform `reconstruct()` / `storage()` / `compression_ratio()` surface.
@@ -49,7 +44,7 @@
 use mvq_nn::layers::Sequential;
 use mvq_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use rayon::prelude::*;
 
 use crate::baselines::bgd::bgd_compress;
@@ -63,6 +58,7 @@ use crate::error::MvqError;
 use crate::grouping::GroupingStrategy;
 use crate::kernels::KernelStrategy;
 use crate::mask::NmMask;
+use crate::masked_kmeans::{masked_kmeans, masked_kmeans_minibatch_chunked, masked_sse};
 use crate::metrics::{StorageBreakdown, FULL_PRECISION_BITS};
 use crate::pruning::prune_matrix_nm;
 
@@ -194,8 +190,38 @@ pub struct LayerArtifact {
     pub artifact: CompressedArtifact,
 }
 
-/// Whole-model output of [`Compressor::compress_model`]: one artifact per
+impl LayerArtifact {
+    /// The layer as an MVQ [`CompressedMatrix`]; masked SSE and codebook
+    /// fine-tuning need the mask, so other representations are rejected.
+    pub(crate) fn as_masked(&self) -> Result<&CompressedMatrix, MvqError> {
+        match &self.artifact {
+            CompressedArtifact::Masked(m) => Ok(m),
+            _ => Err(not_masked(self.conv_index)),
+        }
+    }
+
+    /// Mutable [`LayerArtifact::as_masked`].
+    pub(crate) fn as_masked_mut(&mut self) -> Result<&mut CompressedMatrix, MvqError> {
+        match &mut self.artifact {
+            CompressedArtifact::Masked(m) => Ok(m),
+            _ => Err(not_masked(self.conv_index)),
+        }
+    }
+}
+
+fn not_masked(conv_index: usize) -> MvqError {
+    MvqError::InvalidConfig(format!(
+        "conv {conv_index} is not a masked (codebook + N:M mask) artifact"
+    ))
+}
+
+/// Whole-model output of [`Compressor::compress_model`] (or
+/// [`MvqCompressor::compress_model_crosslayer`]): one artifact per
 /// compressed conv, plus the indices of skipped (incompatible) convs.
+///
+/// Layers may share a codebook (the crosslayer scope stores one copy per
+/// layer); a model stores each distinct codebook once, where distinct
+/// means compared by value.
 #[derive(Debug, Clone)]
 pub struct ModelArtifacts {
     /// Algorithm name (from [`Compressor::name`]).
@@ -207,7 +233,8 @@ pub struct ModelArtifacts {
 }
 
 impl ModelArtifacts {
-    /// Whole-model storage breakdown (sum over layers).
+    /// Whole-model storage breakdown: the sum over layers, with each
+    /// distinct codebook counted once.
     pub fn storage(&self) -> StorageBreakdown {
         let mut total = StorageBreakdown {
             original_bits: 0,
@@ -218,7 +245,31 @@ impl ModelArtifacts {
         for layer in &self.layers {
             total = total.merge(&layer.artifact.storage());
         }
+        for group in self.codebook_groups() {
+            let shared =
+                self.layers[group[0]].artifact.codebook().map_or(0, Codebook::storage_bits);
+            total.codebook_bits -= (group.len() as u64 - 1) * shared;
+        }
         total
+    }
+
+    /// Indices into [`ModelArtifacts::layers`] grouped by codebook value,
+    /// groups ordered by their first layer and members in layer order.
+    /// Layers without a codebook belong to no group. This is the sharing
+    /// rule: storage counts one codebook per group, and codebook
+    /// fine-tuning keeps one optimizer slot per group.
+    pub(crate) fn codebook_groups(&self) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, layer) in self.layers.iter().enumerate() {
+            let Some(codebook) = layer.artifact.codebook() else { continue };
+            let shared =
+                groups.iter_mut().find(|g| self.layers[g[0]].artifact.codebook() == Some(codebook));
+            match shared {
+                Some(group) => group.push(i),
+                None => groups.push(vec![i]),
+            }
+        }
+        groups
     }
 
     /// Compression ratio over all compressed layers.
@@ -251,6 +302,32 @@ impl ModelArtifacts {
             total += layer.artifact.sse()? as f64;
         }
         Some(total)
+    }
+
+    /// Sum of masked SSE (paper Table 3/5) over all layers against the
+    /// conv weights of `reference`, taken with the layers' final (e.g.
+    /// int8) codebooks — unlike [`ModelArtifacts::total_sse`], which is
+    /// recorded at clustering time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvqError::InvalidConfig`] for a layer that is not
+    /// [`CompressedArtifact::Masked`] or a conv `reference` lacks, and
+    /// propagates grouping errors.
+    pub fn total_masked_sse(&self, reference: &Sequential) -> Result<f32, MvqError> {
+        let mut weights: Vec<Tensor> = Vec::new();
+        reference.visit_convs(&mut |conv| weights.push(conv.weight.value.clone()));
+        let mut sse = 0.0f32;
+        for layer in &self.layers {
+            let m = layer.as_masked()?;
+            let w = weights.get(layer.conv_index).ok_or_else(|| {
+                MvqError::InvalidConfig(format!("reference model has no conv {}", layer.conv_index))
+            })?;
+            let grouped = m.grouping().group(w, m.mask().d())?;
+            let pruned = m.mask().apply(&grouped)?;
+            sse += masked_sse(&pruned, m.mask(), m.codebook(), m.assignments())?;
+        }
+        Ok(sse)
     }
 
     /// Per-conv reconstructions indexed by conv position (`None` for
@@ -362,82 +439,11 @@ pub trait Compressor: Send + Sync {
     }
 }
 
-/// Successful per-layer outcomes (`(conv_index, value)` in conv order)
-/// plus the skipped conv indices.
-pub(crate) type LayerFanOut<T> = (Vec<(usize, T)>, Vec<usize>);
-
-/// Per-layer fan-out shared by the [`Compressor`] model path and
-/// [`crate::ModelCompressor`]: draws one seed per conv serially from
-/// `rng`, compresses eligible layers (serial or rayon — bit-identical),
-/// and partitions the outcomes into compressed layers and skipped conv
-/// indices. Skips depthwise convs (when asked), shapes the grouping
-/// rejects, and dead all-zero layers.
-///
-/// # Errors
-///
-/// Propagates the first non-shape compression error.
-pub(crate) fn compress_layers<T, R, F>(
-    model: &Sequential,
-    rng: &mut R,
-    parallelism: crate::Parallelism,
-    skip_depthwise: bool,
-    compress_one: F,
-) -> Result<LayerFanOut<T>, MvqError>
-where
-    T: Send,
-    R: Rng,
-    F: Fn(&Tensor, &mut StdRng) -> Result<T, MvqError> + Sync,
-{
-    let mut weights: Vec<Tensor> = Vec::new();
-    let mut depthwise: Vec<bool> = Vec::new();
-    model.visit_convs(&mut |conv| {
-        weights.push(conv.weight.value.clone());
-        depthwise.push(conv.is_depthwise());
-    });
-    // Seeds are drawn serially up front so the parallel fan-out below is
-    // bit-identical to a serial walk.
-    let jobs: Vec<(usize, Tensor, u64)> = weights
-        .into_iter()
-        .enumerate()
-        .map(|(idx, w)| {
-            let seed = rng.next_u64();
-            (idx, w, seed)
-        })
-        .collect();
-    type Outcome<T> = (usize, Option<Result<T, MvqError>>);
-    let run = |(idx, w, seed): (usize, Tensor, u64)| -> Outcome<T> {
-        if skip_depthwise && depthwise[idx] {
-            return (idx, None);
-        }
-        // dead layer: nothing to cluster or quantize
-        if w.data().iter().all(|&x| x == 0.0) {
-            return (idx, None);
-        }
-        let mut layer_rng = StdRng::seed_from_u64(seed);
-        match compress_one(&w, &mut layer_rng) {
-            Ok(value) => (idx, Some(Ok(value))),
-            Err(MvqError::IncompatibleShape { .. }) => (idx, None),
-            Err(e) => (idx, Some(Err(e))),
-        }
-    };
-    let outcomes: Vec<Outcome<T>> = match parallelism {
-        crate::Parallelism::Serial => jobs.into_iter().map(run).collect(),
-        crate::Parallelism::Rayon => jobs.into_par_iter().map(run).collect(),
-    };
-    let mut items = Vec::new();
-    let mut skipped = Vec::new();
-    for (idx, outcome) in outcomes {
-        match outcome {
-            Some(Ok(value)) => items.push((idx, value)),
-            Some(Err(e)) => return Err(e),
-            None => skipped.push(idx),
-        }
-    }
-    Ok((items, skipped))
-}
-
 /// Shared implementation behind [`Compressor::compress_model_artifacts`]:
-/// the internal layer fan-out packaged as [`ModelArtifacts`].
+/// draws one seed per conv serially from `rng`, compresses the eligible
+/// layers rayon-parallel (bit-identical to a serial walk), and collects
+/// the outcomes in conv order. Skips depthwise convs (when asked), shapes
+/// the grouping rejects, and dead all-zero layers.
 ///
 /// # Errors
 ///
@@ -448,14 +454,32 @@ pub fn compress_model_with<C: Compressor + ?Sized>(
     rng: &mut StdRng,
     skip_depthwise: bool,
 ) -> Result<ModelArtifacts, MvqError> {
-    let (items, skipped) =
-        compress_layers(model, rng, crate::Parallelism::Rayon, skip_depthwise, |w, r| {
-            comp.compress_matrix(w, r)
-        })?;
-    let layers: Vec<LayerArtifact> = items
-        .into_iter()
-        .map(|(conv_index, artifact)| LayerArtifact { conv_index, artifact })
+    let mut jobs: Vec<(usize, Tensor, bool, u64)> = Vec::new();
+    model.visit_convs(&mut |conv| {
+        jobs.push((jobs.len(), conv.weight.value.clone(), conv.is_depthwise(), rng.next_u64()));
+    });
+    let outcomes: Vec<(usize, Result<Option<CompressedArtifact>, MvqError>)> = jobs
+        .into_par_iter()
+        .map(|(idx, w, depthwise, seed)| {
+            // depthwise or dead layer: nothing to cluster or quantize
+            if (skip_depthwise && depthwise) || w.data().iter().all(|&x| x == 0.0) {
+                return (idx, Ok(None));
+            }
+            match comp.compress_matrix(&w, &mut StdRng::seed_from_u64(seed)) {
+                Ok(artifact) => (idx, Ok(Some(artifact))),
+                Err(MvqError::IncompatibleShape { .. }) => (idx, Ok(None)),
+                Err(e) => (idx, Err(e)),
+            }
+        })
         .collect();
+    let mut layers = Vec::new();
+    let mut skipped = Vec::new();
+    for (conv_index, outcome) in outcomes {
+        match outcome? {
+            Some(artifact) => layers.push(LayerArtifact { conv_index, artifact }),
+            None => skipped.push(conv_index),
+        }
+    }
     if layers.is_empty() {
         return Err(no_compressible_layer_error(comp.name(), &skipped));
     }
@@ -499,6 +523,94 @@ impl Compressor for MvqCompressor {
     ) -> Result<CompressedArtifact, MvqError> {
         // resolves to the inherent (generic-RNG) method
         MvqCompressor::compress_matrix(self, weight, rng).map(CompressedArtifact::Masked)
+    }
+}
+
+impl MvqCompressor {
+    /// The crosslayer clustering scope (paper Fig. 11/13): groups and
+    /// prunes every compressible conv of `model`, clusters all of them
+    /// into **one** codebook, and writes the reconstructions back. Each
+    /// layer is a [`CompressedArtifact::Masked`] holding a copy of the
+    /// shared codebook, which [`ModelArtifacts::storage`] counts once.
+    /// [`Compressor::compress_model`] is the layerwise scope.
+    ///
+    /// Skips the same convs as the layerwise path. With the
+    /// [`KernelStrategy::Minibatch`] kernel the sampled batches are drawn
+    /// straight from the per-layer chunks, so the concatenated matrix is
+    /// never materialized.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvqError::InvalidConfig`] when no layer is compressible,
+    /// and propagates clustering errors.
+    pub fn compress_model_crosslayer(
+        &self,
+        model: &mut Sequential,
+        rng: &mut StdRng,
+    ) -> Result<ModelArtifacts, MvqError> {
+        let cfg = self.config();
+        let mut convs: Vec<(Tensor, bool)> = Vec::new();
+        model.visit_convs(&mut |conv| convs.push((conv.weight.value.clone(), conv.is_depthwise())));
+        let mut eligible: Vec<(usize, Tensor, NmMask, Vec<usize>)> = Vec::new();
+        let mut skipped = Vec::new();
+        for (idx, (w, depthwise)) in convs.into_iter().enumerate() {
+            if depthwise || w.data().iter().all(|&x| x == 0.0) {
+                skipped.push(idx);
+                continue;
+            }
+            let grouped = match cfg.grouping.group(&w, cfg.d) {
+                Ok(g) => g,
+                Err(MvqError::IncompatibleShape { .. }) => {
+                    skipped.push(idx);
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            let (pruned, mask) = prune_matrix_nm(&grouped, cfg.keep_n, cfg.m)?;
+            eligible.push((idx, pruned, mask, w.dims().to_vec()));
+        }
+        if eligible.is_empty() {
+            return Err(no_compressible_layer_error(self.name(), &skipped));
+        }
+        let mut res = if cfg.kernel == KernelStrategy::Minibatch {
+            let chunks: Vec<(&Tensor, &NmMask)> =
+                eligible.iter().map(|(_, pruned, mask, _)| (pruned, mask)).collect();
+            masked_kmeans_minibatch_chunked(&chunks, &cfg.kmeans(), None, rng)?
+        } else {
+            // full-batch kernels need every row per iteration: concatenate
+            let total_ng: usize = eligible.iter().map(|(_, _, mask, _)| mask.ng()).sum();
+            let mut data = Vec::with_capacity(total_ng * cfg.d);
+            let mut bits = Vec::with_capacity(total_ng * cfg.d);
+            for (_, pruned, mask, _) in &eligible {
+                data.extend_from_slice(pruned.data());
+                bits.extend_from_slice(mask.bits());
+            }
+            let all = Tensor::from_vec(vec![total_ng, cfg.d], data)?;
+            let all_mask = NmMask::from_bits(total_ng, cfg.d, cfg.keep_n, cfg.m, bits)?;
+            masked_kmeans(&all, &all_mask, &cfg.kmeans(), rng)?
+        };
+        if let Some(b) = cfg.codebook_bits {
+            res.codebook.quantize(b)?;
+        }
+        let mut layers = Vec::with_capacity(eligible.len());
+        let mut offset = 0usize;
+        for (conv_index, _, mask, orig_dims) in eligible {
+            let ng = mask.ng();
+            let slice = res.assignments.indices()[offset..offset + ng].to_vec();
+            offset += ng;
+            let assignments = Assignments::new(slice, res.codebook.k())?;
+            let matrix = CompressedMatrix::from_parts(
+                res.codebook.clone(),
+                assignments,
+                mask,
+                orig_dims,
+                cfg.grouping,
+            )?;
+            layers.push(LayerArtifact { conv_index, artifact: CompressedArtifact::Masked(matrix) });
+        }
+        let artifacts = ModelArtifacts { algorithm: self.name(), layers, skipped };
+        artifacts.apply_to(model)?;
+        Ok(artifacts)
     }
 }
 
@@ -1245,6 +1357,80 @@ mod tests {
             assert_eq!(canonical_name(name), Some(name));
         }
         assert_eq!(canonical_name("vqgan"), None);
+    }
+
+    /// MVQ on a fresh seeded tiny CNN in either clustering scope.
+    fn compress_tiny(crosslayer: bool, cfg: MvqConfig, seed: u64) -> ModelArtifacts {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model = tiny_cnn(4, 8, &mut rng);
+        let comp = MvqCompressor::new(cfg);
+        let artifacts = if crosslayer {
+            comp.compress_model_crosslayer(&mut model, &mut rng)
+        } else {
+            comp.compress_model(&mut model, &mut rng)
+        };
+        artifacts.unwrap()
+    }
+
+    fn cfg(k: usize) -> MvqConfig {
+        MvqConfig::new(k, 16, 4, 16).unwrap()
+    }
+
+    #[test]
+    fn crosslayer_shares_one_codebook() {
+        let cl = compress_tiny(true, cfg(8), 1);
+        assert_eq!(cl.layers.len(), 2);
+        assert!(cl.layers.iter().all(|l| l.artifact.mask().is_some()));
+        assert_eq!(cl.codebook_groups(), vec![vec![0, 1]]);
+        assert_eq!(compress_tiny(false, cfg(8), 1).codebook_groups(), vec![vec![0], vec![1]]);
+    }
+
+    #[test]
+    fn crosslayer_codebook_counted_once_in_storage() {
+        let lw = compress_tiny(false, cfg(8), 2);
+        let cl = compress_tiny(true, cfg(8), 2);
+        let shared = cl.layers[0].artifact.codebook().unwrap();
+        assert_eq!(cl.storage().codebook_bits, shared.storage_bits());
+        assert!(cl.storage().codebook_bits < lw.storage().codebook_bits);
+        assert_eq!(cl.storage().assignment_bits, lw.storage().assignment_bits);
+    }
+
+    #[test]
+    fn blocked_kernel_matches_naive_in_both_scopes() {
+        for crosslayer in [false, true] {
+            let run = |kernel| {
+                compress_tiny(crosslayer, cfg(8).with_kernel(kernel), 31).fingerprint().unwrap()
+            };
+            assert_eq!(run(KernelStrategy::Naive), run(KernelStrategy::Blocked), "{crosslayer}");
+        }
+    }
+
+    #[test]
+    fn minibatch_kernel_is_deterministic_in_both_scopes() {
+        for crosslayer in [false, true] {
+            let run = || {
+                compress_tiny(crosslayer, cfg(8).with_kernel(KernelStrategy::Minibatch), 33)
+                    .fingerprint()
+                    .unwrap()
+            };
+            assert_eq!(run(), run(), "crosslayer={crosslayer}");
+        }
+    }
+
+    #[test]
+    fn total_masked_sse_is_measured_against_the_reference() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut model = tiny_cnn(4, 8, &mut rng);
+        let reference = model.clone();
+        let arts = MvqCompressor::new(cfg(16)).compress_model(&mut model, &mut rng).unwrap();
+        let sse = arts.total_masked_sse(&reference).unwrap();
+        assert!(sse.is_finite() && sse > 0.0, "{sse}");
+        // against the reconstructed model the SSE is ~0
+        let sse_self = arts.total_masked_sse(&model).unwrap();
+        assert!(sse_self < 1e-6, "self-SSE {sse_self}");
+        let vq = by_name("vq-a", &PipelineSpec::default().with_k(8)).unwrap();
+        let dense = vq.compress_model_artifacts(&reference, &mut rng).unwrap();
+        assert!(matches!(dense.total_masked_sse(&reference), Err(MvqError::InvalidConfig(_))));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! The streamed result is **bit-identical** to the in-memory path for
 //! every registry algorithm: per-conv seeds are drawn serially up front
 //! from `StdRng::seed_from_u64(model_key.seed)` (the same draws
-//! `compress_layers` makes), each admitted layer is compressed with
+//! `compress_model_with` makes), each admitted layer is compressed with
 //! `StdRng::seed_from_u64(seed)`, and the skip rules replicate the
 //! oracle's exactly — depthwise convs (unless the algorithm opts in via
 //! [`Compressor::skips_depthwise`]), all-zero layers, and shapes the
@@ -676,7 +676,9 @@ mod tests {
 
     /// Satellite: the streamed path is bit-identical to the in-memory
     /// oracle for every registry algorithm — byte-identical layer blobs
-    /// and an identical `ModelArtifacts` fingerprint.
+    /// and an identical `ModelArtifacts` fingerprint. The one-worker
+    /// stream is a serial walk, so this also pins the rayon-parallel
+    /// oracle to serial execution.
     #[test]
     fn streamed_matches_in_memory_oracle_for_every_algorithm() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -687,34 +689,32 @@ mod tests {
             let mut oracle_rng = StdRng::seed_from_u64(17);
             let oracle = comp.compress_model_artifacts(&model, &mut oracle_rng).unwrap();
 
-            let cache = mem_cache();
-            let key = model_cache_key(name, &model, &spec, 17).unwrap();
-            let report = stream_compress_model(
-                comp.as_ref(),
-                &model,
-                &cache,
-                &key,
-                &StreamConfig::default(),
-                None,
-            )
-            .unwrap();
-            let loaded = load_streamed_model(&cache, &key).unwrap().unwrap();
+            for config in [StreamConfig::default(), StreamConfig::default().with_workers(1)] {
+                let workers = config.workers;
+                let cache = mem_cache();
+                let key = model_cache_key(name, &model, &spec, 17).unwrap();
+                let report =
+                    stream_compress_model(comp.as_ref(), &model, &cache, &key, &config, None)
+                        .unwrap();
+                let loaded = load_streamed_model(&cache, &key).unwrap().unwrap();
 
-            assert_eq!(
-                loaded.fingerprint().unwrap(),
-                oracle.fingerprint().unwrap(),
-                "streamed `{name}` diverges from the in-memory oracle"
-            );
-            // layer blobs are byte-identical to an encode of the oracle's
-            for layer in &oracle.layers {
-                let blob = cache
-                    .get_raw_kind(&key.layer_key(layer.conv_index), BlobKind::Layer)
-                    .unwrap()
-                    .unwrap();
-                assert_eq!(&blob[..], &layer.to_bytes().unwrap()[..], "conv {}", layer.conv_index);
+                assert_eq!(
+                    loaded.fingerprint().unwrap(),
+                    oracle.fingerprint().unwrap(),
+                    "streamed `{name}` ({workers} workers) diverges from the in-memory oracle"
+                );
+                // layer blobs are byte-identical to an encode of the oracle's
+                for layer in &oracle.layers {
+                    let blob = cache
+                        .get_raw_kind(&key.layer_key(layer.conv_index), BlobKind::Layer)
+                        .unwrap()
+                        .unwrap();
+                    let conv = layer.conv_index;
+                    assert_eq!(&blob[..], &layer.to_bytes().unwrap()[..], "conv {conv}");
+                }
+                assert_eq!(report.index.layers.len(), oracle.layers.len());
+                assert_eq!(report.index.skipped, oracle.skipped);
             }
-            assert_eq!(report.index.layers.len(), oracle.layers.len());
-            assert_eq!(report.index.skipped, oracle.skipped);
         }
     }
 

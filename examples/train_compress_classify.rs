@@ -7,8 +7,8 @@
 //! ```
 
 use mvq::core::{
-    finetune_codebooks, prune_model, sparse_finetune, CodebookFinetuneConfig, GroupingStrategy,
-    ModelCompressor, MvqConfig, PruneMethod, SparseFinetuneConfig,
+    finetune_codebooks, prune_model, sparse_finetune, CodebookFinetuneConfig, Compressor,
+    GroupingStrategy, MvqCompressor, MvqConfig, PruneMethod, SparseFinetuneConfig,
 };
 use mvq::nn::data::SyntheticClassification;
 use mvq::nn::models::resnet18_lite;
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. masked k-means + int8 codebook
     let cfg = MvqConfig::new(64, 16, 4, 16)?;
-    let mut compressed = ModelCompressor::new(cfg).compress(&mut model, &mut rng)?;
+    let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng)?;
     let clustered_acc = evaluate_classifier(&mut model, &data)?;
     println!(
         "after masked k-means:     {:.1}%  (CR {:.1}x)",

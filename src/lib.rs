@@ -65,9 +65,10 @@
 //! ```
 //!
 //! Whole models compress the same way ([`core::Compressor::compress_model`]
-//! walks a network's convs rayon-parallel with per-layer seeded RNGs), and
-//! [`core::ModelCompressor`] adds MVQ's layerwise/crosslayer codebook
-//! scopes on top.
+//! walks a network's convs rayon-parallel with per-layer seeded RNGs, one
+//! codebook per layer), and
+//! [`core::MvqCompressor::compress_model_crosslayer`] clusters every layer
+//! against one shared codebook instead.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

@@ -7,7 +7,7 @@
 
 use mvq::core::pipeline::{by_name, registry, PipelineSpec, ALGORITHM_NAMES};
 use mvq::core::store::CacheBudget;
-use mvq::core::{CompressedArtifact, KernelStrategy, ModelCompressor, MvqConfig, Parallelism};
+use mvq::core::{CompressedArtifact, KernelStrategy, MvqConfig};
 use mvq::serve::{CachePolicy, CompressionRequest, CompressionService, JobOutcome, Ticket};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -565,19 +565,4 @@ fn disk_backed_service_survives_restart_bit_identically() {
         "disk round-trip changed the artifact"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn parallel_model_compression_matches_serial_integration() {
-    let run = |parallelism| {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut model = mvq::nn::models::tiny_cnn(4, 8, &mut rng);
-        let cfg = MvqConfig::new(16, 16, 4, 16).unwrap();
-        ModelCompressor::new(cfg)
-            .with_parallelism(parallelism)
-            .compress(&mut model, &mut rng)
-            .unwrap()
-            .storage()
-    };
-    assert_eq!(run(Parallelism::Serial), run(Parallelism::Rayon));
 }

@@ -2,8 +2,8 @@
 //! (mvq-nn training → mvq-core compression → accuracy bookkeeping).
 
 use mvq::core::{
-    finetune_codebooks, prune_model, ClusterScope, CodebookFinetuneConfig, GroupingStrategy,
-    ModelCompressor, MvqConfig,
+    finetune_codebooks, prune_model, CodebookFinetuneConfig, Compressor, GroupingStrategy,
+    MvqCompressor, MvqConfig,
 };
 use mvq::nn::data::SyntheticClassification;
 use mvq::nn::models::tiny_cnn;
@@ -32,7 +32,7 @@ fn full_pipeline_recovers_accuracy() {
     // moderate compression: 2:4 within d=16 (50% sparsity), 16 codewords
     let cfg = MvqConfig::new(16, 16, 8, 16).unwrap();
     let mut compressed =
-        ModelCompressor::new(cfg).compress(&mut compressed_model, &mut rng).unwrap();
+        MvqCompressor::new(cfg).compress_model(&mut compressed_model, &mut rng).unwrap();
     let after_cluster = evaluate_classifier(&mut compressed_model, &data).unwrap();
     let ft =
         CodebookFinetuneConfig { epochs: 3, batch_size: 32, optimizer: OptimizerKind::adam(2e-3) };
@@ -51,24 +51,25 @@ fn pruned_positions_stay_zero_through_finetuning() {
     let mut rng = StdRng::seed_from_u64(3);
     let mut m = model.clone();
     let cfg = MvqConfig::new(8, 16, 4, 16).unwrap();
-    let mut compressed = ModelCompressor::new(cfg).compress(&mut m, &mut rng).unwrap();
+    let mut compressed = MvqCompressor::new(cfg).compress_model(&mut m, &mut rng).unwrap();
     let ft = CodebookFinetuneConfig { epochs: 2, batch_size: 32, ..Default::default() };
     finetune_codebooks(&mut m, &mut compressed, &data, &ft, &mut rng).unwrap();
     // every compressed conv must hold exactly 75% zeros at the masked
     // positions after fine-tuning
     let mut weights = Vec::new();
     m.visit_convs(&mut |c| weights.push(c.weight.value.clone()));
-    for entry in &compressed.entries {
+    for layer in &compressed.layers {
+        let mask = layer.artifact.mask().expect("mvq stores the mask");
         let grouped =
-            GroupingStrategy::OutputChannelWise.group(&weights[entry.conv_index], 16).unwrap();
-        for j in 0..entry.mask.ng() {
+            GroupingStrategy::OutputChannelWise.group(&weights[layer.conv_index], 16).unwrap();
+        for j in 0..mask.ng() {
             for t in 0..16 {
-                if !entry.mask.row(j)[t] {
+                if !mask.row(j)[t] {
                     assert_eq!(
                         grouped.at(&[j, t]).unwrap(),
                         0.0,
                         "conv {} subvector {j} lane {t} not zero",
-                        entry.conv_index
+                        layer.conv_index
                     );
                 }
             }
@@ -81,22 +82,26 @@ fn layerwise_beats_crosslayer_sse_at_equal_k() {
     // The paper finds layerwise clustering superior (Fig. 13): per-layer
     // codebooks specialize, so total masked SSE is lower.
     let (model, _, _) = trained_tiny(4);
-    let run = |scope: ClusterScope| {
+    let run = |crosslayer: bool| {
         let mut rng = StdRng::seed_from_u64(5);
         let mut m = model.clone();
         let reference = model.clone();
-        let cfg = MvqConfig::new(16, 16, 4, 16).unwrap();
-        let c = ModelCompressor::new(cfg).with_scope(scope).compress(&mut m, &mut rng).unwrap();
-        c.total_masked_sse(&reference).unwrap()
+        let comp = MvqCompressor::new(MvqConfig::new(16, 16, 4, 16).unwrap());
+        let c = if crosslayer {
+            comp.compress_model_crosslayer(&mut m, &mut rng)
+        } else {
+            comp.compress_model(&mut m, &mut rng)
+        };
+        c.unwrap().total_masked_sse(&reference).unwrap()
     };
-    let lw = run(ClusterScope::LayerWise);
-    let cl = run(ClusterScope::CrossLayer);
+    let lw = run(false);
+    let cl = run(true);
     assert!(lw < cl, "layerwise {lw} should beat crosslayer {cl}");
 }
 
 #[test]
 fn prune_then_compress_is_consistent_with_compress() {
-    // prune_model + ModelCompressor::compress find the same masks
+    // prune_model + MVQ model compression find the same masks
     // (magnitude pruning is deterministic).
     let (model, _, _) = trained_tiny(6);
     let mut pruned = model.clone();
@@ -104,10 +109,11 @@ fn prune_then_compress_is_consistent_with_compress() {
     let mut compressed_model = model.clone();
     let mut rng = StdRng::seed_from_u64(7);
     let cfg = MvqConfig::new(8, 16, 4, 16).unwrap();
-    let compressed = ModelCompressor::new(cfg).compress(&mut compressed_model, &mut rng).unwrap();
-    for (entry, mask) in compressed.entries.iter().zip(masks.iter()) {
+    let compressed =
+        MvqCompressor::new(cfg).compress_model(&mut compressed_model, &mut rng).unwrap();
+    for (layer, mask) in compressed.layers.iter().zip(masks.iter()) {
         let mask = mask.as_ref().expect("tiny_cnn convs all compressible");
-        assert_eq!(entry.mask.bits(), mask.bits());
+        assert_eq!(layer.artifact.mask().expect("mvq stores the mask").bits(), mask.bits());
     }
 }
 
@@ -120,7 +126,7 @@ fn compression_ratio_grows_with_sparsity_knob() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut m = model.clone();
         let cfg = MvqConfig::new(8, 16, keep, 16).unwrap();
-        ModelCompressor::new(cfg).compress(&mut m, &mut rng).unwrap().compression_ratio()
+        MvqCompressor::new(cfg).compress_model(&mut m, &mut rng).unwrap().compression_ratio()
     };
     let r1 = ratio(1);
     let r8 = ratio(8);
