@@ -1,5 +1,5 @@
 //! Criterion bench: masked-distance kernels — the naive per-row oracle vs
-//! the cache-blocked LUT-masked kernel vs minibatch clustering.
+//! the center-major LUT-masked kernel vs minibatch clustering.
 //!
 //! The blocked kernel must win on time while staying bit-identical to the
 //! oracle (`tests/properties.rs` enforces the equality); minibatch trades

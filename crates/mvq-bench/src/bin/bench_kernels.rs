@@ -10,7 +10,9 @@
 //!   loop; minibatch swaps the loop itself).
 //!
 //! The binary also asserts the kernel contracts on every layer before
-//! timing anything — blocked bit-identical to the naive oracle, simd
+//! timing anything — blocked bit-identical to the naive oracle
+//! (assignments and SSE bits, on whichever backend the CPU dispatches
+//! to, recorded as `blocked_backend` / `simd_backend`), simd
 //! assignment-identical with SSE inside the pinned ULP bound — a bench
 //! that drifted from the oracle would be measuring the wrong thing.
 //!
@@ -23,8 +25,8 @@ use std::time::Instant;
 use mvq_bench::report::BenchReport;
 use mvq_core::differential::ulp_distance;
 use mvq_core::{
-    masked_assign_naive, masked_assign_with, masked_kmeans, masked_sse_with, prune_matrix_nm,
-    GroupingStrategy, KernelStrategy, KmeansConfig, NmMask, REASSOC_SSE_ULP_BOUND,
+    dispatched_backend, masked_assign_naive, masked_assign_with, masked_kmeans, masked_sse_with,
+    prune_matrix_nm, GroupingStrategy, KernelStrategy, KmeansConfig, NmMask, REASSOC_SSE_ULP_BOUND,
 };
 use mvq_nn::models::Arch;
 use mvq_tensor::Tensor;
@@ -75,11 +77,26 @@ fn main() {
                 continue;
             }
             let got = masked_assign_with(strategy, pruned, mask, c).expect("valid workload");
-            assert_eq!(naive, got, "{} kernel diverged from the naive oracle", strategy.name());
+            assert_eq!(
+                naive,
+                got,
+                "{} kernel diverged from the naive oracle on the {} backend",
+                strategy.name(),
+                dispatched_backend(strategy)
+            );
+        }
+        let sse_naive = masked_sse_with(KernelStrategy::Naive, pruned, mask, c, &naive).unwrap();
+        if strategies.contains(&KernelStrategy::Blocked) {
+            let sse_blocked =
+                masked_sse_with(KernelStrategy::Blocked, pruned, mask, c, &naive).unwrap();
+            assert_eq!(
+                sse_naive.to_bits(),
+                sse_blocked.to_bits(),
+                "blocked SSE diverged from the naive oracle on the {} backend",
+                dispatched_backend(KernelStrategy::Blocked)
+            );
         }
         if strategies.contains(&KernelStrategy::Simd) {
-            let sse_naive =
-                masked_sse_with(KernelStrategy::Naive, pruned, mask, c, &naive).unwrap();
             let sse_simd = masked_sse_with(KernelStrategy::Simd, pruned, mask, c, &naive).unwrap();
             let ulp = ulp_distance(sse_naive, sse_simd);
             assert!(
@@ -157,7 +174,8 @@ fn main() {
         .field_u64("k", K as u64)
         .field_str("nm", &format!("{KEEP_N}:{M}"))
         .field_u64("reps", REPS as u64)
-        .field_str("simd_backend", simd_backend());
+        .field_str("blocked_backend", dispatched_backend(KernelStrategy::Blocked))
+        .field_str("simd_backend", dispatched_backend(KernelStrategy::Simd));
     for &(strategy, secs) in &assign {
         report.field_f64(&format!("assign_{}_ms", strategy.name()), ms(secs), 3);
         report.field_f64(&format!("assign_{}_speedup", strategy.name()), assign_naive / secs, 2);
@@ -182,17 +200,6 @@ fn main() {
         report.field_u64("simd_sse_ulp_bound", u64::from(REASSOC_SSE_ULP_BOUND));
     }
     report.write();
-}
-
-/// Which backend `KernelStrategy::Simd` dispatched to in this build.
-fn simd_backend() -> &'static str {
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx") {
-            return "avx";
-        }
-    }
-    "portable-chunked"
 }
 
 /// Minimum wall time over `REPS` runs, after one warm-up run.

@@ -132,14 +132,18 @@ pub fn ulp_distance(a: f32, b: f32) -> u32 {
 
 /// One randomized case: data, mask, codebook, and (when a tie was
 /// injected) the `(low, high)` duplicate codeword pair.
-struct Case {
-    data: Tensor,
-    mask: crate::NmMask,
-    centers: Tensor,
+pub(crate) struct Case {
+    pub(crate) data: Tensor,
+    pub(crate) mask: crate::NmMask,
+    pub(crate) centers: Tensor,
     dup: Option<(u32, u32)>,
 }
 
-fn build_case(cfg: &DiffConfig, index: usize, rng: &mut StdRng) -> Result<Case, MvqError> {
+pub(crate) fn build_case(
+    cfg: &DiffConfig,
+    index: usize,
+    rng: &mut StdRng,
+) -> Result<Case, MvqError> {
     let (n, m, d) = cfg.shapes[index % cfg.shapes.len()];
     let ng = rng.gen_range(1..=cfg.max_ng);
     let k = rng.gen_range(1..=cfg.max_k);

@@ -11,16 +11,29 @@
 //!   is the *oracle*: every other kernel is validated against it, and its
 //!   fixed left-to-right f32 accumulation order defines the bit pattern
 //!   the order-preserving strategies must reproduce.
-//! * **`Blocked`** — cache-blocked tiles over subvectors × codewords with a
-//!   branch-free masked inner loop. The mask is applied through the
-//!   existing [`MaskLut`] path: each subvector's M-groups are encoded to
-//!   LUT indices once, deduplicated into distinct patterns, and decoded
-//!   back into 0.0/1.0 lane multipliers (a [`MaskedDistancePlan`]).
-//!   Independent accumulator chains across the codeword tile restore
-//!   instruction-level parallelism that the naive kernel's single
-//!   accumulator chain forfeits — while each `(subvector, codeword)` pair
-//!   still accumulates its lanes in exactly the naive order, so
-//!   assignments and SSE are **bit-identical** to the oracle.
+//! * **`Blocked`** — the center-major kernel, vectorized *across
+//!   codewords*. The mask is applied branch-free through the existing
+//!   [`MaskLut`] path: each subvector's M-groups are encoded to LUT
+//!   indices once, deduplicated into distinct patterns, and decoded back
+//!   into 0.0/1.0 lane multipliers (a [`MaskedDistancePlan`]). Once per
+//!   assignment pass the `k × d` codebook is transposed into blocks of eight
+//!   codewords, so lane `t` of a block is one `[f32; 8]` holding lane `t`
+//!   of eight codewords. For each row the kernel then runs
+//!   `acc[l] += (w[t] − c[t][l]·m[t])²` over `t` ascending, one vector op
+//!   per step covering eight codewords, four accumulator vectors in flight
+//!   per pass (four blocks of one row, or four rows when `k ≤ 8`).
+//!   **Why this is bit-identical to the oracle:** vector lane `l` *is*
+//!   one `(subvector, codeword)` distance, and it adds that distance's
+//!   lane terms in exactly the oracle's order (`t` ascending, from
+//!   `+0.0`), with separate mul, sub, mul and add steps — no FMA (Rust
+//!   never contracts a mul and an add) and no reassociation. The argmin
+//!   keeps a per-lane running minimum over blocks in ascending order with
+//!   strict `<`, then takes the lowest index among the lanes tied at the
+//!   minimum: the oracle's first minimizer. Assignments and SSE are
+//!   therefore 0-ULP identical. The body is one generic function compiled
+//!   twice: portable, and with `#[target_feature(enable = "avx2")]`,
+//!   picked once per process by run-time CPU detection
+//!   ([`dispatched_backend`] reports which ran).
 //! * **`Simd`** — explicitly lane-parallel kernels: each distance runs
 //!   [`SIMD_CHUNK`] (8) per-lane f32 accumulator chains over 8-lane blocks
 //!   of the subvector, reduced by a fixed pairwise tree at the end. The
@@ -31,7 +44,7 @@
 //!   the portable chunked path — see the `avx` module). Lane-parallel
 //!   accumulation **reassociates** f32 adds, so this strategy is *not*
 //!   bit-identical to the oracle; see the validation convention below.
-//! * **`Minibatch`** — the assignment kernel is the blocked one; the
+//! * **`Minibatch`** — the full-pass assignment kernel is the blocked one; the
 //!   strategy additionally switches the k-means *loop* to per-iteration
 //!   sampled minibatches (see [`crate::masked_kmeans_minibatch`]).
 //!
@@ -85,7 +98,10 @@ pub enum KernelStrategy {
     /// Per-row reference kernels — the oracle all others are tested
     /// against.
     Naive,
-    /// Cache-blocked, LUT-masked kernels; bit-identical to `Naive`.
+    /// Center-major, LUT-masked kernels vectorized across codewords, with
+    /// a run-time-detected AVX2 instantiation. Each codeword's distance
+    /// still adds its lanes in ascending order, so assignments and SSE are
+    /// bit-identical to `Naive` on every backend.
     #[default]
     Blocked,
     /// Blocked kernels plus minibatch-sampled k-means iterations
@@ -139,6 +155,30 @@ impl FromStr for KernelStrategy {
     }
 }
 
+/// The backend `strategy`'s assignment kernel runs on this CPU in this
+/// build — what the run-time dispatch actually picks, so benches and
+/// reports record the code that ran rather than guess it from their own
+/// build flags.
+pub fn dispatched_backend(strategy: KernelStrategy) -> &'static str {
+    match strategy {
+        KernelStrategy::Naive => "scalar",
+        KernelStrategy::Blocked | KernelStrategy::Minibatch => {
+            #[cfg(target_arch = "x86_64")]
+            if x86::avx2_available() {
+                return "avx2";
+            }
+            "portable"
+        }
+        KernelStrategy::Simd => {
+            #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
+            if avx::available() {
+                return "avx";
+            }
+            "portable-chunked"
+        }
+    }
+}
+
 /// f32 lanes per chunk of the SIMD kernels: one 256-bit vector of per-lane
 /// accumulators (or two 128-bit vectors on SSE-only targets).
 pub const SIMD_CHUNK: usize = 8;
@@ -152,14 +192,12 @@ pub const SIMD_CHUNK: usize = 8;
 /// [`crate::differential`].
 pub const REASSOC_SSE_ULP_BOUND: u32 = 8;
 
-/// Rows per tile of the blocked kernels: the row tile's data plus its lane
-/// multipliers stay resident in L1 while a codeword tile streams past.
-const ROW_TILE: usize = 64;
-/// Codewords per tile; `CENTER_TILE × d` f32 lanes is well under L1 even
-/// at d = 64.
-const CENTER_TILE: usize = 16;
-/// Accumulator chains kept in flight per row of a tile (ILP width).
-const LANES: usize = 4;
+/// Codewords per block of the center-major codebook: one 256-bit vector
+/// of f32 distance accumulators.
+const CENTER_BLOCK: usize = 8;
+/// Accumulator vectors in flight per pass over the lanes (rows × codeword
+/// blocks): enough independent add chains to hide the add latency.
+const ACCS_PER_PASS: usize = 4;
 
 /// Precomputed mask state for the blocked kernels: every subvector's
 /// M-groups encoded through the [`MaskLut`], deduplicated into distinct
@@ -381,92 +419,249 @@ pub(crate) fn masked_assign_step(
 
 /// The blocked masked-assignment kernel.
 ///
-/// Tiles `ROW_TILE` subvectors × `CENTER_TILE` codewords so a codeword
-/// tile stays L1-resident across the row tile, runs `LANES` independent
-/// accumulator chains per row for ILP, and applies the mask branch-free
-/// through the plan's LUT-decoded multipliers. Codewords are visited in
-/// ascending index within and across tiles, and each `(j, i)` distance
-/// accumulates lanes left-to-right, so the result is bit-identical to
-/// [`masked_assign_naive`] (ties break to the lowest index in both).
+/// Transposes the codebook center-major once per call ([`center_major`]),
+/// then measures [`CENTER_BLOCK`] codewords per vector of accumulators,
+/// [`ACCS_PER_PASS`] vectors (rows × blocks) per pass over the lanes.
+/// Each `(j, i)` distance still adds its lane terms in ascending `t` with
+/// separate mul/sub/mul/add steps, and the argmin visits codewords in
+/// ascending index with strict `<`, so the result is bit-identical to
+/// [`masked_assign_naive`]. Runs the AVX2 instantiation of the same body
+/// when the CPU has it (detected once), the portable one otherwise.
 pub(crate) fn masked_assign_blocked_into(
     data: &Tensor,
     plan: &MaskedDistancePlan,
     centers: &Tensor,
     assign: &mut [u32],
 ) -> usize {
-    let ng = data.dims()[0];
-    let d = data.dims()[1];
+    let ct = center_major(centers);
     let k = centers.dims()[0];
-    let mut changed = 0usize;
-    let mut dist = [0.0f32; CENTER_TILE];
-    for row0 in (0..ng).step_by(ROW_TILE) {
-        let row1 = (row0 + ROW_TILE).min(ng);
-        let mut best = [0u32; ROW_TILE];
-        let mut best_v = [f32::INFINITY; ROW_TILE];
-        for c0 in (0..k).step_by(CENTER_TILE) {
-            let c1 = (c0 + CENTER_TILE).min(k);
-            for j in row0..row1 {
-                let row = data.row(j);
-                let mm = plan.multiplier_row(j);
-                // LANES independent accumulator chains: each codeword owns
-                // one accumulator, and each accumulator adds its lane terms
-                // in ascending t — the oracle's exact order per codeword.
-                let mut i = c0;
-                while i + LANES <= c1 {
-                    let c_a = centers.row(i);
-                    let c_b = centers.row(i + 1);
-                    let c_c = centers.row(i + 2);
-                    let c_d = centers.row(i + 3);
-                    let (mut acc_a, mut acc_b, mut acc_c, mut acc_d) =
-                        (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                    for t in 0..d {
-                        let (w, m) = (row[t], mm[t]);
-                        let e_a = w - c_a[t] * m;
-                        let e_b = w - c_b[t] * m;
-                        let e_c = w - c_c[t] * m;
-                        let e_d = w - c_d[t] * m;
-                        acc_a += e_a * e_a;
-                        acc_b += e_b * e_b;
-                        acc_c += e_c * e_c;
-                        acc_d += e_d * e_d;
-                    }
-                    dist[i - c0] = acc_a;
-                    dist[i + 1 - c0] = acc_b;
-                    dist[i + 2 - c0] = acc_c;
-                    dist[i + 3 - c0] = acc_d;
-                    i += LANES;
-                }
-                while i < c1 {
-                    let c = centers.row(i);
-                    let mut acc = 0.0f32;
-                    for t in 0..d {
-                        let e = row[t] - c[t] * mm[t];
-                        acc += e * e;
-                    }
-                    dist[i - c0] = acc;
-                    i += 1;
-                }
-                // compare in ascending codeword order: strict `<` keeps the
-                // lowest index on ties, matching the oracle
-                let jj = j - row0;
-                for i in c0..c1 {
-                    let v = dist[i - c0];
-                    if v < best_v[jj] {
-                        best_v[jj] = v;
-                        best[jj] = i as u32;
-                    }
-                }
-            }
+    #[cfg(target_arch = "x86_64")]
+    if x86::avx2_available() {
+        // SAFETY: `avx2_available()` verified the `avx2` target feature at
+        // runtime on this CPU.
+        return unsafe { x86::assign_center_major_avx2(data, plan, &ct, k, assign) };
+    }
+    assign_center_major(data, plan, &ct, k, assign)
+}
+
+/// The `k × d` codebook transposed center-major: entry `b·d + t` holds lane
+/// `t` of codewords `8b..8b+8`, so one vector load feeds eight codewords.
+/// The last block is zero-padded past `k`; padded lanes are never compared.
+fn center_major(centers: &Tensor) -> Vec<[f32; CENTER_BLOCK]> {
+    let (k, d) = (centers.dims()[0], centers.dims()[1]);
+    let mut ct = vec![[0.0f32; CENTER_BLOCK]; k.div_ceil(CENTER_BLOCK) * d];
+    for i in 0..k {
+        let (b, l) = (i / CENTER_BLOCK, i % CENTER_BLOCK);
+        for (t, &c) in centers.row(i).iter().enumerate() {
+            ct[b * d + t][l] = c;
         }
-        for j in row0..row1 {
-            let b = best[j - row0];
-            if assign[j] != b {
-                assign[j] = b;
-                changed += 1;
+    }
+    ct
+}
+
+/// The center-major assignment body shared by the portable and AVX2
+/// instantiations. Returns the number of changed assignments. Each pass
+/// keeps [`ACCS_PER_PASS`] accumulator vectors in flight: codeword blocks
+/// of one row when the codebook is large, several rows against the same
+/// blocks when it is small (k ≤ 8 runs four rows at once).
+#[inline(always)]
+fn assign_center_major(
+    data: &Tensor,
+    plan: &MaskedDistancePlan,
+    ct: &[[f32; CENTER_BLOCK]],
+    k: usize,
+    assign: &mut [u32],
+) -> usize {
+    let blocks = ct.len() / data.dims()[1];
+    if blocks == 1 {
+        assign_rows::<ACCS_PER_PASS>(data, plan, ct, k, assign)
+    } else {
+        assign_rows::<1>(data, plan, ct, k, assign)
+    }
+}
+
+/// [`assign_center_major`] over groups of `R` rows, the remainder one row
+/// at a time.
+#[inline(always)]
+fn assign_rows<const R: usize>(
+    data: &Tensor,
+    plan: &MaskedDistancePlan,
+    ct: &[[f32; CENTER_BLOCK]],
+    k: usize,
+    assign: &mut [u32],
+) -> usize {
+    let mut changed = 0usize;
+    let mut update = |slot: &mut u32, best: u32| {
+        if *slot != best {
+            *slot = best;
+            changed += 1;
+        }
+    };
+    let tail = assign.len() - assign.len() % R;
+    let (groups, rest) = assign.split_at_mut(tail);
+    for (g, slots) in groups.chunks_exact_mut(R).enumerate() {
+        let best = rows_argmin::<R>(data, plan, ct, k, g * R);
+        for (slot, best) in slots.iter_mut().zip(best) {
+            update(slot, best);
+        }
+    }
+    for (j, slot) in rest.iter_mut().enumerate() {
+        update(slot, rows_argmin::<1>(data, plan, ct, k, tail + j)[0]);
+    }
+    changed
+}
+
+/// Nearest codeword of rows `j0..j0 + R`: passes of up to
+/// `ACCS_PER_PASS / R` codeword blocks, then each row's ascending
+/// strict-`<` argmin.
+#[inline(always)]
+fn rows_argmin<const R: usize>(
+    data: &Tensor,
+    plan: &MaskedDistancePlan,
+    ct: &[[f32; CENTER_BLOCK]],
+    k: usize,
+    j0: usize,
+) -> [u32; R] {
+    let d = data.dims()[1];
+    let blocks = ct.len() / d;
+    let (mut rows, mut mms) = ([&[][..]; R], [&[][..]; R]);
+    for r in 0..R {
+        (rows[r], mms[r]) = (&data.row(j0 + r)[..d], &plan.multiplier_row(j0 + r)[..d]);
+    }
+    let mut best = [LaneMin::new(); R];
+    let mut b = 0;
+    while b < blocks {
+        let n = (blocks - b).min((ACCS_PER_PASS / R).max(1));
+        let pass = &ct[b * d..(b + n) * d];
+        match n {
+            4 => argmin_pass::<R, 4>(&rows, &mms, pass, b, k, &mut best),
+            3 => argmin_pass::<R, 3>(&rows, &mms, pass, b, k, &mut best),
+            2 => argmin_pass::<R, 2>(&rows, &mms, pass, b, k, &mut best),
+            _ => argmin_pass::<R, 1>(&rows, &mms, pass, b, k, &mut best),
+        }
+        b += n;
+    }
+    let mut out = [0u32; R];
+    for (out, best) in out.iter_mut().zip(&best) {
+        *out = best.first_min();
+    }
+    out
+}
+
+/// Distances from `R` rows to the `N` codeword blocks of `pass` (starting
+/// at block `b0`), folded into each row's running minimum in ascending
+/// codeword order. Lane `l` of accumulator `[r][n]` is the distance from
+/// row `r` to codeword `8(b0 + n) + l`, and it adds its terms over `t`
+/// ascending — the oracle's order, vectorized across codewords instead
+/// of across lanes.
+#[inline(always)]
+fn argmin_pass<const R: usize, const N: usize>(
+    rows: &[&[f32]; R],
+    mms: &[&[f32]; R],
+    pass: &[[f32; CENTER_BLOCK]],
+    b0: usize,
+    k: usize,
+    best: &mut [LaneMin; R],
+) {
+    let d = rows[0].len();
+    let pass = &pass[..N * d];
+    let mut acc = [[[0.0f32; CENTER_BLOCK]; N]; R];
+    for t in 0..d {
+        for r in 0..R {
+            let (w, m) = (rows[r][t], mms[r][t]);
+            for n in 0..N {
+                let c = &pass[n * d + t];
+                for l in 0..CENTER_BLOCK {
+                    let e = w - c[l] * m;
+                    acc[r][n][l] += e * e;
+                }
             }
         }
     }
-    changed
+    for (acc, best) in acc.iter_mut().zip(best) {
+        for (n, a) in acc.iter_mut().enumerate() {
+            let base = (b0 + n) * CENTER_BLOCK;
+            // padded codewords past `k` must never win
+            for v in a.iter_mut().skip(k.saturating_sub(base)) {
+                *v = f32::INFINITY;
+            }
+            best.fold(a, base as u32);
+        }
+    }
+}
+
+/// Per-lane running minimum over codeword blocks: lane `l` keeps the
+/// smallest distance among codewords `≡ l (mod 8)` seen so far and the
+/// lowest index that reached it (strict `<`, blocks folded in ascending
+/// order).
+#[derive(Clone, Copy)]
+struct LaneMin {
+    dist: [f32; CENTER_BLOCK],
+    index: [u32; CENTER_BLOCK],
+}
+
+impl LaneMin {
+    #[inline(always)]
+    fn new() -> LaneMin {
+        LaneMin { dist: [f32::INFINITY; CENTER_BLOCK], index: [0; CENTER_BLOCK] }
+    }
+
+    /// Folds in one block of distances for codewords `base..base + 8`.
+    #[inline(always)]
+    fn fold(&mut self, block: &[f32; CENTER_BLOCK], base: u32) {
+        for l in 0..CENTER_BLOCK {
+            let better = block[l] < self.dist[l];
+            self.dist[l] = if better { block[l] } else { self.dist[l] };
+            self.index[l] = if better { base + l as u32 } else { self.index[l] };
+        }
+    }
+
+    /// The oracle's argmin: the lowest codeword index holding the smallest
+    /// distance, or 0 when no distance beat `+inf` (a lane never updated
+    /// keeps `+inf` and index 0). Each lane already holds its own lowest
+    /// minimizing index, so the lowest index among the lanes tied at the
+    /// minimum is the first minimizer overall. Branch-free: both folds
+    /// compile to selects.
+    #[inline(always)]
+    fn first_min(&self) -> u32 {
+        let min = self.dist.iter().fold(f32::INFINITY, |m, &v| if v < m { v } else { m });
+        self.dist
+            .iter()
+            .zip(&self.index)
+            .fold(u32::MAX, |b, (&v, &i)| if v == min && i < b { i } else { b })
+    }
+}
+
+/// The AVX2 instantiation of the center-major body. Same Rust source, so
+/// the same operation order: `target_feature` only widens the vectors the
+/// compiler may use, and Rust never contracts a mul and an add into an FMA.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use mvq_tensor::Tensor;
+
+    use super::{assign_center_major, MaskedDistancePlan, CENTER_BLOCK};
+
+    /// Whether this CPU supports AVX2 (checked once).
+    pub(super) fn avx2_available() -> bool {
+        static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+    }
+
+    /// `assign_center_major` compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support (see [`avx2_available`]).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn assign_center_major_avx2(
+        data: &Tensor,
+        plan: &MaskedDistancePlan,
+        ct: &[[f32; CENTER_BLOCK]],
+        k: usize,
+        assign: &mut [u32],
+    ) -> usize {
+        assign_center_major(data, plan, ct, k, assign)
+    }
 }
 
 /// Blocked masked SSE: a single f64 accumulator visited in exactly the
@@ -889,17 +1084,101 @@ mod tests {
         prune_matrix_nm(&w, n, m).unwrap()
     }
 
+    /// Every center-major instantiation this CPU can run: the portable
+    /// body always, the AVX2 one when detected. Slots start at `u32::MAX`
+    /// so each path must write (and count as changed) every row.
+    fn center_major_paths(
+        data: &Tensor,
+        plan: &MaskedDistancePlan,
+        centers: &Tensor,
+    ) -> Vec<(&'static str, Vec<u32>)> {
+        let (ng, k) = (data.dims()[0], centers.dims()[0]);
+        let ct = center_major(centers);
+        let mut portable = vec![u32::MAX; ng];
+        assert_eq!(assign_center_major(data, plan, &ct, k, &mut portable), ng);
+        #[allow(unused_mut)]
+        let mut paths = vec![("portable", portable)];
+        #[cfg(target_arch = "x86_64")]
+        if x86::avx2_available() {
+            let mut avx2 = vec![u32::MAX; ng];
+            // SAFETY: guarded by `avx2_available()`, so the target-feature
+            // contract holds.
+            let changed = unsafe { x86::assign_center_major_avx2(data, plan, &ct, k, &mut avx2) };
+            assert_eq!(changed, ng);
+            paths.push(("avx2", avx2));
+        }
+        paths
+    }
+
+    /// Both dispatch paths against both oracles, masked and dense.
+    fn assert_paths_match_oracles(data: &Tensor, mask: &NmMask, centers: &Tensor, ctx: &str) {
+        let naive = masked_assign_naive(data, mask, centers);
+        let plan = MaskedDistancePlan::new(mask).unwrap();
+        for (path, got) in center_major_paths(data, &plan, centers) {
+            assert_eq!(got, naive, "{path} masked, {ctx}");
+        }
+        let dense_naive = dense_assign_naive(data, centers);
+        let dense = MaskedDistancePlan::dense(data.dims()[1]);
+        for (path, got) in center_major_paths(data, &dense, centers) {
+            assert_eq!(got, dense_naive, "{path} dense, {ctx}");
+        }
+    }
+
     #[test]
-    fn blocked_matches_naive_across_tile_boundaries() {
-        // sizes straddling ROW_TILE / CENTER_TILE / LANES edges
-        for &(ng, k) in &[(1usize, 1usize), (63, 15), (64, 16), (65, 17), (130, 37)] {
-            let (data, mask) = pruned_random(ng, 8, 2, 4, ng as u64 + k as u64);
-            let mut rng = StdRng::seed_from_u64(9);
-            let centers = mvq_tensor::uniform(vec![k, 8], -1.0, 1.0, &mut rng);
-            let naive = masked_assign_naive(&data, &mask, &centers);
-            let blocked =
-                masked_assign_with(KernelStrategy::Blocked, &data, &mask, &centers).unwrap();
-            assert_eq!(naive, blocked, "ng={ng} k={k}");
+    fn every_dispatch_path_matches_the_oracles_under_the_differential_cases() {
+        let cfg = crate::differential::DiffConfig::default();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        for case_no in 0..cfg.cases {
+            let case = crate::differential::build_case(&cfg, case_no, &mut rng).unwrap();
+            assert_paths_match_oracles(
+                &case.data,
+                &case.mask,
+                &case.centers,
+                &format!("case {case_no}"),
+            );
+        }
+    }
+
+    #[test]
+    fn every_dispatch_path_matches_the_oracles_across_block_edges() {
+        // k straddling CENTER_BLOCK and ACCS_PER_PASS, d straddling a
+        // vector's width
+        for &k in &[1usize, 7, 8, 9, 16, 17, 64, 65] {
+            for &d in &[4usize, 8, 12, 16, 24] {
+                let (data, mask) = pruned_random(70, d, 2, 4, (k * 31 + d) as u64);
+                let mut rng = StdRng::seed_from_u64(k as u64);
+                let centers = mvq_tensor::uniform(vec![k, d], -1.0, 1.0, &mut rng);
+                assert_paths_match_oracles(&data, &mask, &centers, &format!("k={k} d={d}"));
+            }
+        }
+    }
+
+    #[test]
+    fn every_dispatch_path_keeps_ties_that_only_the_oracle_order_produces() {
+        // Codeword `hi` is codeword `lo` with lanes 0 and 1 swapped. Against
+        // a zero row the oracle's sums `(x² + y²) + …` and `(y² + x²) + …`
+        // are bit-equal, so it picks `lo`. A fused multiply-add or any
+        // reassociated sum rounds the two differently in a large share of
+        // cases and would pick `hi` about half of those times.
+        let d = 8;
+        let mut rng = StdRng::seed_from_u64(41);
+        let bits = vec![true; 5 * d];
+        let mask = NmMask::from_bits(5, d, 4, 4, bits).unwrap();
+        let zeros = Tensor::zeros(vec![5, d]);
+        for case in 0..500 {
+            // (k, lo, hi): one block (four-row passes), and a tie across
+            // blocks and lanes
+            for &(k, lo, hi) in &[(8usize, 1usize, 6usize), (12, 3, 11)] {
+                let mut centers = Tensor::full(vec![k, d], 100.0);
+                let a = mvq_tensor::uniform(vec![1, d], -2.0, 2.0, &mut rng);
+                centers.row_mut(lo).copy_from_slice(a.row(0));
+                centers.row_mut(hi).copy_from_slice(a.row(0));
+                centers.row_mut(hi).swap(0, 1);
+                assert_paths_match_oracles(&zeros, &mask, &centers, &format!("case {case} k={k}"));
+                assert!(masked_assign_naive(&zeros, &mask, &centers)
+                    .iter()
+                    .all(|&i| i == lo as u32));
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Standard k-means clustering (paper §3) with k-means++ initialization,
 //! optional per-subvector importance weights (used by the BGD baseline),
 //! and assignment dispatched through the [`crate::kernels`] strategies
-//! (naive oracle / cache-blocked / minibatch) selected by
+//! (naive oracle / center-major blocked / minibatch) selected by
 //! [`KmeansConfig::kernel`].
 
 use mvq_tensor::Tensor;

@@ -22,7 +22,8 @@
 //!
 //! * `Naive` — the per-row reference kernels. These are the **oracle**:
 //!   deliberately simple, fixed left-to-right accumulation, no tricks.
-//! * `Blocked` (default) — cache-blocked, LUT-masked kernels that are
+//! * `Blocked` (default) — center-major, LUT-masked kernels vectorized
+//!   across codewords (run-time-detected AVX2 instantiation) that are
 //!   **bit-identical** to the oracle: same assignments, 0-ULP-identical
 //!   SSE, hence identical artifacts for every registry algorithm.
 //! * `Simd` — explicitly lane-parallel kernels (8-lane f32 chunks with
@@ -125,8 +126,9 @@ pub use error::MvqError;
 pub use finetune::{finetune_codebooks, CodebookFinetuneConfig};
 pub use grouping::GroupingStrategy;
 pub use kernels::{
-    default_minibatch_size, dense_assign_naive, dense_assign_with, masked_assign_with,
-    masked_sse_with, KernelStrategy, MaskedDistancePlan, REASSOC_SSE_ULP_BOUND, SIMD_CHUNK,
+    default_minibatch_size, dense_assign_naive, dense_assign_with, dispatched_backend,
+    masked_assign_with, masked_sse_with, KernelStrategy, MaskedDistancePlan, REASSOC_SSE_ULP_BOUND,
+    SIMD_CHUNK,
 };
 pub use kmeans::{kmeans, KmeansConfig, KmeansResult};
 pub use mask::NmMask;

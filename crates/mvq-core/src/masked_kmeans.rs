@@ -13,7 +13,7 @@
 //! ## Kernel dispatch
 //!
 //! The assignment/SSE hot loops run through [`crate::kernels`], selected
-//! by [`KmeansConfig::kernel`]: the per-row naive oracle, the cache-blocked
+//! by [`KmeansConfig::kernel`]: the per-row naive oracle, the center-major
 //! LUT-masked kernel (bit-identical to the oracle, the default), the
 //! lane-parallel SIMD kernel (assignment-identical, SSE within the pinned
 //! ULP bound), or minibatch iterations ([`masked_kmeans_minibatch`]) that
@@ -499,11 +499,16 @@ fn masked_update<R: Rng>(
         members[i] += 1;
         let row = data.row(j);
         let m = mask.row(j);
+        // Branch-free and, for finite data, bit-identical to adding only
+        // the kept lanes: a pruned lane adds `row[t] · 0.0 = ±0.0` to a
+        // sum that starts at +0.0 (x + ±0.0 == x for x ≠ 0, and
+        // +0.0 + ±0.0 == +0.0), and the counts are small integers, exact
+        // in f64.
+        let (sums, counts) = (&mut sums[i * d..(i + 1) * d], &mut counts[i * d..(i + 1) * d]);
         for t in 0..d {
-            if m[t] {
-                sums[i * d + t] += row[t] as f64;
-                counts[i * d + t] += 1.0;
-            }
+            let mk = m[t] as u8 as f64;
+            sums[t] += row[t] as f64 * mk;
+            counts[t] += mk;
         }
     }
     for i in 0..k {

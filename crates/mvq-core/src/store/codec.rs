@@ -43,7 +43,7 @@ pub const MAGIC: [u8; 4] = *b"MVQA";
 
 /// Current serialization format version. Bump on any layout change and
 /// keep a decode test for the old version (see module docs).
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Header size: magic (4) + version (2) + kind (1) + payload length (8) +
 /// payload checksum (8). Public so wire consumers (the `mvq-net`
@@ -391,6 +391,57 @@ const TAG_MASKED: u8 = 0;
 const TAG_DENSE: u8 = 1;
 const TAG_PERMUTED: u8 = 2;
 const TAG_SCALAR: u8 = 3;
+/// v2: [`TAG_PERMUTED`]'s fields with the permutation stored sparsely —
+/// only the positions it moves (see [`put_sparse_permutation`]).
+const TAG_PERMUTED_SPARSE: u8 = 4;
+
+/// A permutation as its length, the count of positions it moves, and one
+/// `(position, source)` pair per moved position in ascending position
+/// order. PQF's hill-climb moves at most two positions per accepted swap,
+/// so this is a few hundred bytes where the dense form costs 8 bytes per
+/// scalar of the layer.
+fn put_sparse_permutation(out: &mut Vec<u8>, permutation: &[usize]) {
+    let moved: Vec<(usize, usize)> =
+        permutation.iter().copied().enumerate().filter(|&(p, src)| p != src).collect();
+    put_u64(out, permutation.len() as u64);
+    put_u64(out, moved.len() as u64);
+    for (p, src) in moved {
+        put_u64(out, p as u64);
+        put_u64(out, src as u64);
+    }
+}
+
+/// Inverse of [`put_sparse_permutation`]: the identity over `len`
+/// positions with the stored pairs applied. `len` must equal `expected`
+/// (the artifact's grouped positions) before anything is allocated, the
+/// moved count may not exceed it, and positions must be in range and
+/// strictly ascending; whether the result is a bijection is left to
+/// [`PqfCompressed::from_parts`].
+fn read_sparse_permutation(r: &mut Reader<'_>, expected: usize) -> Result<Vec<usize>, MvqError> {
+    let len = r.usize()?;
+    if len != expected {
+        return Err(MvqError::Codec(format!(
+            "permutation length {len} != grouped positions {expected}"
+        )));
+    }
+    let moved = r.usize()?;
+    if moved > len {
+        return Err(MvqError::Codec(format!("{moved} moved positions in a permutation of {len}")));
+    }
+    let mut permutation: Vec<usize> = (0..len).collect();
+    let mut next = 0usize;
+    for _ in 0..moved {
+        let (p, src) = (r.usize()?, r.usize()?);
+        if p < next || p >= len {
+            return Err(MvqError::Codec(format!(
+                "moved position {p} out of order or out of range 0..{len}"
+            )));
+        }
+        permutation[p] = src;
+        next = p + 1;
+    }
+    Ok(permutation)
+}
 
 fn put_artifact(out: &mut Vec<u8>, artifact: &CompressedArtifact) -> Result<(), MvqError> {
     match artifact {
@@ -413,17 +464,14 @@ fn put_artifact(out: &mut Vec<u8>, artifact: &CompressedArtifact) -> Result<(), 
             put_f32(out, v.sse);
         }
         CompressedArtifact::Permuted(p) => {
-            put_u8(out, TAG_PERMUTED);
+            put_u8(out, TAG_PERMUTED_SPARSE);
             put_codebook(out, p.codebook())?;
             put_assignments(out, p.assignments());
             put_dims(out, p.orig_dims())?;
             put_u8(out, grouping_tag(p.grouping()));
             put_u64(out, p.d() as u64);
             put_f32(out, p.sse);
-            put_u64(out, p.permutation().len() as u64);
-            for &i in p.permutation() {
-                put_u64(out, i as u64);
-            }
+            put_sparse_permutation(out, p.permutation());
         }
         CompressedArtifact::Scalar(s) => {
             put_u8(out, TAG_SCALAR);
@@ -469,18 +517,23 @@ fn read_artifact(r: &mut Reader<'_>) -> Result<CompressedArtifact, MvqError> {
                 .map(CompressedArtifact::Dense)
                 .map_err(|e| MvqError::Codec(format!("dense artifact: {e}")))
         }
-        TAG_PERMUTED => {
+        tag @ (TAG_PERMUTED | TAG_PERMUTED_SPARSE) => {
             let codebook = read_codebook(r)?;
             let assignments = read_assignments(r, codebook.k())?;
             let orig_dims = r.dims()?;
             let grouping = grouping_from_tag(r.u8()?)?;
             let d = r.usize()?;
             let sse = r.f32()?;
-            let len = r.usize()?;
-            let mut permutation = Vec::with_capacity(len.min(1 << 24));
-            for _ in 0..len {
-                permutation.push(r.usize()?);
-            }
+            let permutation = if tag == TAG_PERMUTED {
+                let len = r.usize()?;
+                let mut permutation = Vec::with_capacity(len.min(1 << 24));
+                for _ in 0..len {
+                    permutation.push(r.usize()?);
+                }
+                permutation
+            } else {
+                read_sparse_permutation(r, assignments.len().saturating_mul(d))?
+            };
             PqfCompressed::from_parts(
                 permutation,
                 codebook,

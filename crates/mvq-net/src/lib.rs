@@ -42,7 +42,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "MVQA"
-//! 4       2     u16 le FORMAT_VERSION (currently 1; future versions
+//! 4       2     u16 le FORMAT_VERSION (currently 2; future versions
 //!               are refused, never guessed at)
 //! 6       1     BlobKind tag: 4 = WireRequest, 5 = WireResponse,
 //!               0 = Artifact (response bodies), 7 = StatsRequest,

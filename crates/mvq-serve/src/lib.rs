@@ -268,10 +268,15 @@ mod tests {
     }
 
     /// A request slow enough to keep the single worker busy while the
-    /// test arranges the queue behind it.
+    /// test arranges the queue behind it. A 32×16 weight converges in
+    /// microseconds whatever `swap_trials` says (mvq never reads it), so
+    /// the blocker is a genuinely large codebook problem, the same one
+    /// `tests/net.rs` uses.
     fn blocker_request(name: &str) -> CompressionRequest {
-        CompressionRequest::builder(name, weight(40), "mvq")
-            .spec(PipelineSpec { k: 8, swap_trials: 20_000, ..PipelineSpec::default() })
+        let mut rng = StdRng::seed_from_u64(40);
+        let w = mvq_tensor::kaiming_normal(vec![1024, 64], 64, &mut rng);
+        CompressionRequest::builder(name, w, "mvq")
+            .spec(PipelineSpec { k: 256, ..PipelineSpec::default() })
             .seed(1)
             .build()
             .unwrap()

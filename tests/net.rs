@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use mvq::core::pipeline::PipelineSpec;
-use mvq::core::store::CacheKey;
+use mvq::core::store::{CacheKey, FORMAT_VERSION};
 use mvq::net::{NetClient, NetError, NetRequest, NetServer, WireErrorKind, WireRequest};
 use mvq::serve::{CacheMode, CompressionService, Priority};
 use mvq::tensor::Tensor;
@@ -158,7 +158,7 @@ fn future_format_version_is_refused_not_guessed_at() {
     let server = one_worker_server();
     let mut frame = valid_request_frame(14);
     // bytes 4..6 are the u16 le format version; claim one from the future
-    frame[4..6].copy_from_slice(&2u16.to_le_bytes());
+    frame[4..6].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
     {
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         write_raw(&mut stream, &frame);

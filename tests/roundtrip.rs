@@ -7,13 +7,16 @@
 //! reassociation bugs are precisely the class that only shows under
 //! optimizations.
 
+use mvq::core::baselines::pqf::PqfCompressed;
 use mvq::core::pipeline::{by_name, PipelineSpec, ALGORITHM_NAMES};
-use mvq::core::store::{Persist, FORMAT_VERSION, MAGIC};
-use mvq::core::{CompressedArtifact, GroupingStrategy, LayerArtifact, ModelArtifacts};
+use mvq::core::store::{frame_blob, BlobKind, Persist, FORMAT_VERSION, HEADER_LEN};
+use mvq::core::{
+    Assignments, Codebook, CompressedArtifact, GroupingStrategy, LayerArtifact, ModelArtifacts,
+};
 use mvq::tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
@@ -162,20 +165,12 @@ proptest! {
     }
 }
 
-/// Golden-blob regression pin for format v1: a hand-assembled scalar
-/// artifact whose exact bytes are pinned. If the layout ever changes this
-/// fails, which is the signal to bump `FORMAT_VERSION`, re-pin against
-/// the new version, and keep this old-version decode path working.
+/// Golden-blob decode pin for format v1: a hand-assembled scalar
+/// artifact written by the v1 encoder. Encoders now write the current
+/// version, but v1 blobs in existing caches must keep decoding to the
+/// same values.
 #[test]
 fn format_v1_golden_blob_decodes() {
-    let quantized = Tensor::from_vec(vec![2, 2], vec![0.5, -0.5, 1.0, 0.0]).unwrap();
-    let artifact = CompressedArtifact::Scalar(mvq::core::pipeline::ScalarQuantized {
-        result: mvq::core::baselines::pvq::PvqResult { quantized, scale: 0.5, bits: 2, sse: 0.25 },
-    });
-    let encoded = artifact.to_bytes().expect("encode");
-    // header: magic + version + kind(artifact) + payload_len + checksum
-    assert_eq!(&encoded[0..4], &MAGIC);
-    assert_eq!(u16::from_le_bytes(encoded[4..6].try_into().unwrap()), FORMAT_VERSION);
     let golden: Vec<u8> = vec![
         // magic "MVQA", version 1, kind 0
         0x4d, 0x56, 0x51, 0x41, 0x01, 0x00, 0x00, //
@@ -195,10 +190,247 @@ fn format_v1_golden_blob_decodes() {
         0x00, 0x00, 0x00, 0x3f, 0x02, 0x00, 0x00, 0x00, //
         0x00, 0x00, 0x80, 0x3e,
     ];
-    assert_eq!(
-        encoded, golden,
-        "format v1 layout drifted — bump FORMAT_VERSION and keep this blob decodable"
-    );
     let decoded = CompressedArtifact::from_bytes(&golden).expect("golden v1 blob must decode");
+    let CompressedArtifact::Scalar(s) = &decoded else { panic!("decoded {decoded:?}") };
+    assert_eq!(
+        bits(&s.result.quantized),
+        bits(&Tensor::from_vec(vec![2, 2], vec![0.5, -0.5, 1.0, 0.0]).unwrap())
+    );
+    assert_eq!((s.result.scale, s.result.bits, s.result.sse), (0.5, 2, 0.25));
+}
+
+/// A hand-built PQF artifact over a `[2, 2]` weight with `d = 2`, `k = 2`
+/// and the permutation `[1, 0, 2, 3]` (positions 0 and 1 moved).
+fn tiny_permuted() -> CompressedArtifact {
+    let centers = Tensor::from_vec(vec![2, 2], vec![0.5, -0.5, 1.0, 0.0]).unwrap();
+    let pqf = PqfCompressed::from_parts(
+        vec![1, 0, 2, 3],
+        Codebook::new(centers).unwrap(),
+        Assignments::new(vec![1, 0], 2).unwrap(),
+        vec![2, 2],
+        GroupingStrategy::OutputChannelWise,
+        2,
+        0.25,
+    )
+    .unwrap();
+    CompressedArtifact::Permuted(pqf)
+}
+
+/// Golden-blob regression pin for format v2's sparse permutation
+/// (`TAG_PERMUTED_SPARSE`). If the layout ever changes this fails: bump
+/// `FORMAT_VERSION`, re-pin, and keep this blob decodable.
+const V2_PERMUTED_GOLDEN: [u8; 153] = [
+    // magic "MVQA", version 2, kind 0
+    0x4d, 0x56, 0x51, 0x41, 0x02, 0x00, 0x00, //
+    // payload length 130
+    0x82, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    // FNV-1a payload checksum
+    0x1e, 0x42, 0x6d, 0xa7, 0xc0, 0x4c, 0x34, 0x79, //
+    // payload: variant tag 4 (permuted, sparse permutation)
+    0x04, //
+    // codebook centers: rank 2, [2, 2], then 0.5, -0.5, 1.0, 0.0
+    0x02, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x3f, 0x00, 0x00, 0x00, 0xbf, //
+    0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x00, //
+    // codebook scale: none; bits: none
+    0x00, 0x00, //
+    // assignments: 2 of them, [1, 0]
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    // orig dims: rank 2, [2, 2]
+    0x02, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    // grouping tag 1 (output-channel-wise), d = 2, sse 0.25
+    0x01, //
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x00, 0x00, 0x80, 0x3e, //
+    // permutation: length 4, 2 moved
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    // (position 0, source 1), (position 1, source 0)
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+];
+
+#[test]
+fn format_v2_permuted_golden_blob_is_pinned() {
+    let artifact = tiny_permuted();
+    let encoded = artifact.to_bytes().expect("encode");
+    assert_eq!(u16::from_le_bytes(encoded[4..6].try_into().unwrap()), FORMAT_VERSION);
+    assert_eq!(
+        encoded, V2_PERMUTED_GOLDEN,
+        "format v2 layout drifted — bump FORMAT_VERSION and keep this blob decodable"
+    );
+    let decoded = CompressedArtifact::from_bytes(&V2_PERMUTED_GOLDEN).expect("golden v2 decodes");
+    let CompressedArtifact::Permuted(p) = &decoded else { panic!("decoded {decoded:?}") };
+    assert_eq!(p.permutation(), &[1, 0, 2, 3]);
     assert_eq!(bits(&decoded.reconstruct().unwrap()), bits(&artifact.reconstruct().unwrap()));
 }
+
+#[test]
+fn format_v1_dense_permutation_still_decodes() {
+    // v1 wrote PQF under TAG_PERMUTED (2) with every scalar's source
+    // index: the v2 golden's fields up to the permutation, then length 4
+    // and [1, 0, 2, 3] in full
+    let fields = &V2_PERMUTED_GOLDEN[HEADER_LEN..HEADER_LEN + 90];
+    let mut payload = vec![2u8];
+    payload.extend_from_slice(&fields[1..]);
+    for v in [1u64, 0, 2, 3] {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut blob = frame_blob(BlobKind::Artifact, payload);
+    blob[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let decoded = CompressedArtifact::from_bytes(&blob).expect("v1 permuted blob must decode");
+    let CompressedArtifact::Permuted(p) = &decoded else { panic!("decoded {decoded:?}") };
+    assert_eq!(p.permutation(), &[1, 0, 2, 3]);
+    assert_eq!(
+        bits(&decoded.reconstruct().unwrap()),
+        bits(&tiny_permuted().reconstruct().unwrap())
+    );
+}
+
+#[test]
+fn fully_moved_permutations_round_trip() {
+    let (ng, d) = (24usize, 4usize);
+    let mut rng = StdRng::seed_from_u64(17);
+    let centers = mvq::tensor::uniform(vec![3, d], -1.0, 1.0, &mut rng);
+    let assign: Vec<u32> = (0..ng as u32).map(|j| j % 3).collect();
+    let n = ng * d;
+    // a rotation moves every position; a seeded shuffle moves almost all
+    let mut shuffled: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        shuffled.swap(i, rng.gen_range(0..=i));
+    }
+    for perm in [(0..n).map(|p| (p + 1) % n).collect::<Vec<_>>(), shuffled] {
+        let artifact = CompressedArtifact::Permuted(
+            PqfCompressed::from_parts(
+                perm.clone(),
+                Codebook::new(centers.clone()).unwrap(),
+                Assignments::new(assign.clone(), 3).unwrap(),
+                vec![ng * d / 8, 8],
+                GroupingStrategy::OutputChannelWise,
+                d,
+                1.5,
+            )
+            .unwrap(),
+        );
+        let decoded = CompressedArtifact::from_bytes(&artifact.to_bytes().unwrap()).unwrap();
+        let CompressedArtifact::Permuted(p) = &decoded else { panic!("decoded {decoded:?}") };
+        assert_eq!(p.permutation(), perm.as_slice());
+        assert_eq!(bits(&decoded.reconstruct().unwrap()), bits(&artifact.reconstruct().unwrap()));
+    }
+}
+
+#[test]
+fn corrupt_sparse_permutations_are_codec_errors() {
+    // re-frame each edit with a valid checksum, so the sparse-permutation
+    // decoder itself must catch it
+    let payload = &V2_PERMUTED_GOLDEN[HEADER_LEN..];
+    let u64_at = |bytes: &mut Vec<u8>, at: usize, v: u64| {
+        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    };
+    // payload offsets of the permutation fields
+    let (moved, pos0, pos1, src1) = (90, 98, 114, 122);
+    let cases: [(&str, Vec<(usize, u64)>); 4] = [
+        ("more moved positions than the length", vec![(moved, 5)]),
+        ("a position out of range", vec![(pos1, 4)]),
+        ("positions out of order", vec![(pos0, 1), (pos1, 0)]),
+        ("a duplicate source", vec![(src1, 1)]),
+    ];
+    for (what, edits) in cases {
+        let mut bad = payload.to_vec();
+        for (at, v) in edits {
+            u64_at(&mut bad, at, v);
+        }
+        let blob = frame_blob(BlobKind::Artifact, bad);
+        let err = CompressedArtifact::from_bytes(&blob).unwrap_err();
+        assert!(matches!(err, mvq::core::MvqError::Codec(_)), "{what}: {err:?}");
+    }
+}
+
+/// Digest of one decoded artifact: FNV-1a over its reconstruction bit
+/// patterns followed by its assignment indices (when it has any).
+fn decoded_digest(artifact: &CompressedArtifact) -> u64 {
+    let decoded =
+        CompressedArtifact::from_bytes(&artifact.to_bytes().expect("encode")).expect("decode");
+    let mut h = mvq::core::store::Fnv1a::new();
+    for v in decoded.reconstruct().expect("reconstruct").data() {
+        h.update(&v.to_bits().to_le_bytes());
+    }
+    if let Some(assign) = decoded.assignments() {
+        for &a in assign.indices() {
+            h.update(&a.to_le_bytes());
+        }
+    }
+    h.finish()
+}
+
+/// Decode-level pins for every registry algorithm on two ResNet-18-lite
+/// convs under the benchmark's stream spec (k=8, d=8, 2:8) and wire spec
+/// (k=16, d=16, 4:16, 100 swap trials). The kernel and the k-means update
+/// must not move a single bit of any reconstruction or assignment; the
+/// oracle-vs-kernel suites cannot see drift in code every strategy shares
+/// (the masked update), these digests can.
+#[test]
+fn decoded_artifacts_are_pinned_per_algorithm() {
+    let model = mvq::nn::models::Arch::ResNet18.build(8, &mut StdRng::seed_from_u64(0));
+    let mut convs = Vec::new();
+    model.visit_convs(&mut |conv| convs.push(conv.weight.value.clone()));
+    let specs = [
+        ("stream", PipelineSpec { k: 8, d: 8, keep_n: 2, m: 8, ..PipelineSpec::default() }),
+        ("wire", PipelineSpec { k: 16, swap_trials: 100, ..PipelineSpec::default() }),
+    ];
+    let mut got = Vec::new();
+    for (spec_name, spec) in &specs {
+        for conv in [3usize, 10] {
+            for algo in ALGORITHM_NAMES {
+                let comp = by_name(algo, spec).expect("registry algorithm");
+                let mut rng = StdRng::seed_from_u64(conv as u64);
+                let artifact = comp.compress_matrix(&convs[conv], &mut rng).expect("compress");
+                got.push(format!("{spec_name}/{conv}/{algo}={:016x}", decoded_digest(&artifact)));
+            }
+        }
+    }
+    let pinned: Vec<String> = PINNED_DIGESTS.iter().map(|s| s.to_string()).collect();
+    assert_eq!(got, pinned, "decoded artifacts drifted:\n{}", got.join("\n"));
+}
+
+/// A kernel or k-means update that moves any of these digests has changed
+/// artifacts that existing caches hold under the same keys.
+const PINNED_DIGESTS: [&str; 32] = [
+    "stream/3/mvq=dce2e0dbc687c04f",
+    "stream/3/vq-a=093b7f351b67f810",
+    "stream/3/vq-b=3d69e8181ebb163b",
+    "stream/3/vq-c=aae0ef6034f31fe5",
+    "stream/3/pqf=c5ab35b6a2634d6b",
+    "stream/3/bgd=0caf484bb8460147",
+    "stream/3/dkm=98a39c61feef0a17",
+    "stream/3/pvq=0910716f549373d6",
+    "stream/10/mvq=832050f157dbd185",
+    "stream/10/vq-a=9fb4fa03f96f346f",
+    "stream/10/vq-b=cba76f24ae72e58a",
+    "stream/10/vq-c=052356c04afa7524",
+    "stream/10/pqf=a071865f83a7fdf5",
+    "stream/10/bgd=b4142299ffdee6c0",
+    "stream/10/dkm=65da6436fabb8dd9",
+    "stream/10/pvq=312106ef64e576d6",
+    "wire/3/mvq=feee659cf115e2ca",
+    "wire/3/vq-a=fa9539f944559fc2",
+    "wire/3/vq-b=71f19b38bdfa39b0",
+    "wire/3/vq-c=48f2b99a9b65c226",
+    "wire/3/pqf=7286540702df3a89",
+    "wire/3/bgd=574fa8512d0a6b88",
+    "wire/3/dkm=90a17e2e208f17d7",
+    "wire/3/pvq=0910716f549373d6",
+    "wire/10/mvq=7c32d34650274a3e",
+    "wire/10/vq-a=debc914af2ae6043",
+    "wire/10/vq-b=6bb0ef12c76eb15d",
+    "wire/10/vq-c=5ebdd44907b8afe6",
+    "wire/10/pqf=d22f226925de6b1a",
+    "wire/10/bgd=4d6ec6548b25574d",
+    "wire/10/dkm=0c9d4a17c4e5f60e",
+    "wire/10/pvq=312106ef64e576d6",
+];
