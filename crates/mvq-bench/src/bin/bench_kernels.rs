@@ -9,6 +9,10 @@
 //! * a full `masked_kmeans` run to convergence (the kernel inside the
 //!   loop; minibatch swaps the loop itself).
 //!
+//! Each timing is the median of `REPS` runs after one warm-up, with the
+//! lower and upper quartiles beside it (`*_ms_p25` / `*_ms_p75`), and
+//! the report header names the host (CPU model, logical cores).
+//!
 //! The binary also asserts the kernel contracts on every layer before
 //! timing anything — blocked bit-identical to the naive oracle
 //! (assignments and SSE bits, on whichever backend the CPU dispatches
@@ -110,7 +114,7 @@ fn main() {
     // one assignment pass per strategy (minibatch's assignment kernel is
     // the blocked one, so it is skipped here — its loop is what differs)
     let assign_secs = |strategy: KernelStrategy| {
-        time_min(|| {
+        time_quartiles(|| {
             for ((pruned, mask), c) in layers.iter().zip(&centers) {
                 std::hint::black_box(
                     masked_assign_with(strategy, pruned, mask, c).expect("valid workload"),
@@ -118,18 +122,16 @@ fn main() {
             }
         })
     };
-    let mut assign: Vec<(KernelStrategy, f64)> = Vec::new();
-    for &strategy in &strategies {
-        if strategy == KernelStrategy::Minibatch {
-            continue;
-        }
-        assign.push((strategy, assign_secs(strategy)));
-    }
+    let assign: Vec<(KernelStrategy, Quartiles)> = strategies
+        .iter()
+        .filter(|&&s| s != KernelStrategy::Minibatch)
+        .map(|&s| (s, assign_secs(s)))
+        .collect();
 
     // full clustering runs
     let kmeans_with = |kernel: KernelStrategy| {
         let mut sse = 0.0f64;
-        let secs = time_min(|| {
+        let secs = time_quartiles(|| {
             sse = 0.0;
             for (i, (pruned, mask)) in layers.iter().enumerate() {
                 let cfg = KmeansConfig::new(K).with_kernel(kernel);
@@ -138,13 +140,10 @@ fn main() {
                 sse += res.sse as f64;
             }
         });
-        (secs, sse)
+        (kernel, secs, sse)
     };
-    let mut kmeans: Vec<(KernelStrategy, f64, f64)> = Vec::new();
-    for &strategy in &strategies {
-        let (secs, sse) = kmeans_with(strategy);
-        kmeans.push((strategy, secs, sse));
-    }
+    let kmeans: Vec<(KernelStrategy, Quartiles, f64)> =
+        strategies.iter().map(|&s| kmeans_with(s)).collect();
     let km_of = |s: KernelStrategy| kmeans.iter().find(|(k, _, _)| *k == s);
     if let (Some((_, _, sse_naive)), Some((_, _, sse_blocked))) =
         (km_of(KernelStrategy::Naive), km_of(KernelStrategy::Blocked))
@@ -159,12 +158,11 @@ fn main() {
     let assign_naive = assign
         .iter()
         .find(|(s, _)| *s == KernelStrategy::Naive)
-        .map(|&(_, secs)| secs)
+        .map(|&(_, secs)| secs.median)
         .expect("naive always runs");
     let km_naive =
-        km_of(KernelStrategy::Naive).map(|&(_, secs, _)| secs).expect("naive always runs");
+        km_of(KernelStrategy::Naive).map(|&(_, secs, _)| secs.median).expect("naive always runs");
 
-    let ms = |s: f64| s * 1e3;
     let mut report = BenchReport::new("kernels");
     report
         .field_str("workload", "resnet18-lite")
@@ -177,23 +175,21 @@ fn main() {
         .field_str("blocked_backend", dispatched_backend(KernelStrategy::Blocked))
         .field_str("simd_backend", dispatched_backend(KernelStrategy::Simd));
     for &(strategy, secs) in &assign {
-        report.field_f64(&format!("assign_{}_ms", strategy.name()), ms(secs), 3);
-        report.field_f64(&format!("assign_{}_speedup", strategy.name()), assign_naive / secs, 2);
+        let name = strategy.name();
+        secs.write_ms(&mut report, &format!("assign_{name}"));
+        report.field_f64(&format!("assign_{name}_speedup"), assign_naive / secs.median, 2);
     }
-    if let (Some(&(_, simd_secs)), Some(&(_, blocked_secs))) = (
+    if let (Some(&(_, simd)), Some(&(_, blocked))) = (
         assign.iter().find(|(s, _)| *s == KernelStrategy::Simd),
         assign.iter().find(|(s, _)| *s == KernelStrategy::Blocked),
     ) {
-        report.field_f64("assign_simd_vs_blocked_speedup", blocked_secs / simd_secs, 2);
+        report.field_f64("assign_simd_vs_blocked_speedup", blocked.median / simd.median, 2);
     }
     for &(strategy, secs, sse) in &kmeans {
-        report.field_f64(&format!("kmeans_{}_ms", strategy.name()), ms(secs), 3);
-        report.field_f64(
-            &format!("kmeans_{}_speedup_vs_naive", strategy.name()),
-            km_naive / secs,
-            2,
-        );
-        report.field_f64(&format!("sse_{}", strategy.name()), sse, 4);
+        let name = strategy.name();
+        secs.write_ms(&mut report, &format!("kmeans_{name}"));
+        report.field_f64(&format!("kmeans_{name}_speedup_vs_naive"), km_naive / secs.median, 2);
+        report.field_f64(&format!("sse_{name}"), sse, 4);
     }
     if strategies.contains(&KernelStrategy::Simd) {
         report.field_u64("simd_sse_ulp_max", u64::from(simd_sse_ulp_max));
@@ -202,14 +198,34 @@ fn main() {
     report.write();
 }
 
-/// Minimum wall time over `REPS` runs, after one warm-up run.
-fn time_min(mut f: impl FnMut()) -> f64 {
+/// One timing's median and quartiles over `REPS` runs, in seconds.
+#[derive(Debug, Clone, Copy)]
+struct Quartiles {
+    p25: f64,
+    median: f64,
+    p75: f64,
+}
+
+impl Quartiles {
+    /// Appends `<key>_ms` (the median) and `<key>_ms_p25` / `<key>_ms_p75`.
+    fn write_ms(self, report: &mut BenchReport, key: &str) {
+        for (suffix, secs) in [("", self.median), ("_p25", self.p25), ("_p75", self.p75)] {
+            report.field_f64(&format!("{key}_ms{suffix}"), secs * 1e3, 3);
+        }
+    }
+}
+
+/// Wall time of `REPS` runs after one warm-up run: the median and the
+/// lower and upper quartiles.
+fn time_quartiles(mut f: impl FnMut()) -> Quartiles {
     f();
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
+    let mut secs = [0.0f64; REPS];
+    for s in &mut secs {
         let t0 = Instant::now();
         f();
-        best = best.min(t0.elapsed().as_secs_f64());
+        *s = t0.elapsed().as_secs_f64();
     }
-    best
+    secs.sort_by(f64::total_cmp);
+    let at = |p: f64| secs[((REPS - 1) as f64 * p).round() as usize];
+    Quartiles { p25: at(0.25), median: at(0.5), p75: at(0.75) }
 }

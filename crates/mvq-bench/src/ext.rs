@@ -1,5 +1,4 @@
-//! Extension experiments beyond the paper's evaluation — the ablations
-//! DESIGN.md calls out:
+//! Extension experiments beyond the paper's evaluation:
 //!
 //! * `ext1` — **mixed layerwise N:M** (DominoSearch-style, the paper's
 //!   reference \[34\]) vs uniform N:M at matched overall sparsity;

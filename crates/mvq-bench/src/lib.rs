@@ -4,8 +4,10 @@
 //! returns a rendered text table so the experiments are also callable (and
 //! testable) as a library. Hardware experiments are exact re-runs of the
 //! `mvq-accel` simulator; algorithm experiments train the scaled-down
-//! model zoo of `mvq-nn` on synthetic data (see DESIGN.md for the
-//! substitution argument) and run the real compression pipeline.
+//! model zoo of `mvq-nn` on synthetic data and run the real compression
+//! pipeline. The synthetic data stands in for ImageNet, so absolute
+//! accuracies are not the paper's; what reproduces is the comparisons
+//! between methods on the same data.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

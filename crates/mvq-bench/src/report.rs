@@ -1,22 +1,18 @@
-//! The one writer every `BENCH_*.json` artifact goes through.
+//! The writer for `BENCH_kernels.json`, the kernel microbench's artifact.
 //!
-//! Each `bench_*` binary used to hand-format its own JSON blob; the
-//! files drifted (no version stamp, no build provenance, ad-hoc field
-//! ordering). [`BenchReport`] normalizes them: every report leads with
-//! the same header — `schema_version`, the bench's name, and the build
-//! flags that make a number comparable or not (`target_arch`,
-//! `debug_assertions`, the SIMD cfg) — followed by the bench's own
-//! fields in insertion order. [`BenchReport::write`] prints the blob to
-//! stdout and lands it at `BENCH_<name>.json`, exactly like the old
-//! emitters did by hand.
+//! [`BenchReport`] leads every report with the same header:
+//! `schema_version`, the bench's name, the build flags that make a
+//! number comparable or not (`target_arch`, `debug_assertions`, the SIMD
+//! cfg) and the host it ran on (CPU model, logical cores), followed by
+//! the bench's own fields in insertion order. [`BenchReport::write`]
+//! prints the blob to stdout and lands it at `BENCH_<name>.json`.
 //!
 //! Values are rendered at append time with the precision the caller
-//! chose, so migrating a bench is a mechanical swap of `format!` pieces
-//! for `field_*` calls — byte-identical numbers, shared envelope.
+//! chooses.
 
 /// The report envelope's schema version. Bump when the header fields
 /// change meaning; consumers (CI trend scripts) key on it.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// An ordered JSON object under the standard bench envelope.
 #[derive(Debug)]
@@ -36,6 +32,9 @@ impl BenchReport {
         report.field_str("target_arch", std::env::consts::ARCH);
         report.field_bool("debug_assertions", cfg!(debug_assertions));
         report.field_bool("simd_intrinsics", cfg!(feature = "simd-intrinsics"));
+        report.field_str("cpu_model", &cpu_model());
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        report.field_u64("logical_cores", cores as u64);
         report.name = name;
         report
     }
@@ -65,13 +64,6 @@ impl BenchReport {
         self
     }
 
-    /// Appends a list-of-strings field (each element JSON-escaped).
-    pub fn field_str_list(&mut self, key: &str, values: &[&str]) -> &mut BenchReport {
-        let items: Vec<String> = values.iter().map(|v| format!("\"{}\"", escape(v))).collect();
-        self.push(key, format!("[{}]", items.join(", ")));
-        self
-    }
-
     fn push(&mut self, key: &str, rendered: String) {
         self.fields.push((key.to_string(), rendered));
     }
@@ -95,6 +87,19 @@ impl BenchReport {
         std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");
     }
+}
+
+/// The CPU model string from `/proc/cpuinfo`, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Minimal JSON string escaping: the bench vocabulary is ASCII names
@@ -124,7 +129,6 @@ mod tests {
     fn report_leads_with_the_envelope_and_keeps_insertion_order() {
         let mut report = BenchReport::new("unit");
         report.field_str("workload", "toy").field_u64("jobs", 7).field_f64("p50_us", 244.05, 1);
-        report.field_str_list("algorithms", &["mvq", "pqf"]);
         let json = report.json();
         let keys: Vec<&str> = json
             .lines()
@@ -138,16 +142,17 @@ mod tests {
                 "target_arch",
                 "debug_assertions",
                 "simd_intrinsics",
+                "cpu_model",
+                "logical_cores",
                 "workload",
                 "jobs",
-                "p50_us",
-                "algorithms"
+                "p50_us"
             ]
         );
-        assert!(json.contains("\"schema_version\": 1"));
+        assert!(json.contains("\"schema_version\": 2"));
         assert!(json.contains("\"bench\": \"unit\""));
         assert!(json.contains("\"p50_us\": 244.1"), "precision is the caller's: {json}");
-        assert!(json.contains("\"algorithms\": [\"mvq\", \"pqf\"]"));
+        assert!(!json.contains("\"cpu_model\": \"\""), "the host stamp names a CPU: {json}");
         assert!(json.ends_with("}\n"));
     }
 

@@ -4,7 +4,7 @@
 //! dataset, then runs the real compression code paths from `mvq-core`.
 //! Absolute accuracies are synthetic-task accuracies, not ImageNet; what
 //! reproduces is the *comparisons* — who wins, how orderings move with the
-//! knobs — per DESIGN.md.
+//! knobs.
 
 use mvq_core::pipeline::{by_name, Compressor, PipelineSpec};
 use mvq_core::{
@@ -503,10 +503,15 @@ pub fn fig11(cfg: &ExperimentConfig) -> String {
 }
 
 /// Fig. 13: compression-ratio / accuracy frontier vs PQF and BGD.
+///
+/// The `bgd` registry entry is a weight-space stand-in (importance =
+/// squared subvector norm, no activations), so its column is labelled
+/// `BGD (proxy)` rather than read as Stock et al.'s activation-aware BGD.
 pub fn fig13(cfg: &ExperimentConfig) -> String {
     let mut out = String::from(
         "Fig. 13 — CR-accuracy frontier (acc in %, all methods BN-recalibrated;\n\
-         MVQ additionally reports codebook-fine-tuned accuracy):\n",
+         MVQ additionally reports codebook-fine-tuned accuracy; BGD (proxy) weights\n\
+         k-means by subvector norm, not by activations):\n",
     );
     for arch in [Arch::ResNet18, Arch::ResNet50] {
         let trained = train_arch(arch, cfg);
@@ -538,7 +543,10 @@ pub fn fig13(cfg: &ExperimentConfig) -> String {
             ]);
         }
         out += &format!("\n{} (dense {:.1}%):\n", arch.name(), trained.dense_acc * 100.0);
-        out += &render_table(&["k", "CR", "layerwise-MVQ", "crosslayer-MVQ", "PQF", "BGD"], &rows);
+        out += &render_table(
+            &["k", "CR", "layerwise-MVQ", "crosslayer-MVQ", "PQF", "BGD (proxy)"],
+            &rows,
+        );
     }
     out
 }

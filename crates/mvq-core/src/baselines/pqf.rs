@@ -10,7 +10,7 @@
 //! This implementation performs the same search with a random-restart
 //! hill-climb: candidate swaps of two scalar positions across subvectors
 //! are accepted when they reduce the total within-subvector scatter
-//! `Σ_j Σ_t (w_jt − mean_j)²` — PQF's determinant criterion collapsed to
+//! `Σ_j Σ_t (w_jt − mean_j)²` — PQF's determinant objective collapsed to
 //! its diagonal, which preserves the search's behaviour at a fraction of
 //! the cost.
 

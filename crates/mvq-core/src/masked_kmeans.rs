@@ -451,7 +451,7 @@ pub(crate) fn masked_sse_naive(
 /// Naive reference for the masked assignment (Eq. 2), O(NG·k·d) with
 /// explicit masking and fixed left-to-right f32 accumulation — the oracle
 /// the blocked kernel is property-tested against, and the `naive` arm of
-/// the `masked_kmeans` Criterion bench.
+/// the `bench_kernels` microbench.
 pub fn masked_assign_naive(data: &Tensor, mask: &NmMask, centers: &Tensor) -> Vec<u32> {
     let ng = data.dims()[0];
     let d = data.dims()[1];

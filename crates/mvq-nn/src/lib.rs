@@ -15,7 +15,7 @@
 //! * [`models`] — scaled-down ("-lite") versions of every model family in
 //!   the paper's evaluation;
 //! * [`data`] — procedurally generated classification and segmentation
-//!   datasets that stand in for ImageNet / COCO / VOC (see DESIGN.md);
+//!   datasets that stand in for ImageNet / COCO / VOC;
 //! * [`train`] — training and evaluation loops (top-1 accuracy, mIoU);
 //! * [`flops`] — dense and sparsity-aware FLOPs accounting.
 //!

@@ -2,61 +2,30 @@
 //! protocol garbage must close one connection and never the server,
 //! dead clients' queued work must be discarded before it occupies a
 //! worker, queue deadlines must be honored, and a graceful drain must
-//! flush every accepted in-flight response.
+//! flush every accepted in-flight response. Served bytes are checked
+//! end to end: concurrent warm-hit connections must agree with the
+//! server's own counters, and a restarted or budget-pruned disk cache
+//! must serve exactly the cold-compressed bits.
 //!
 //! The tests spin on [`NetServer::stats`] counters instead of sleeping,
 //! with a generous wall-clock ceiling as the failure signal.
 
+mod common;
+
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use common::{blocker_request, quick_spec, wait_until, weight};
 use mvq::core::pipeline::PipelineSpec;
 use mvq::core::store::{CacheKey, FORMAT_VERSION};
 use mvq::net::{NetClient, NetError, NetRequest, NetServer, WireErrorKind, WireRequest};
-use mvq::serve::{CacheMode, CompressionService, Priority};
-use mvq::tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn weight(seed: u64) -> Tensor {
-    let mut rng = StdRng::seed_from_u64(seed);
-    mvq::tensor::kaiming_normal(vec![32, 16], 16, &mut rng)
-}
-
-fn quick_spec() -> PipelineSpec {
-    PipelineSpec { k: 8, swap_trials: 100, ..PipelineSpec::default() }
-}
-
-/// A request that keeps the single worker busy for north of a second
-/// (measured ~1.5 s on the CI box): long enough for a test to arrange
-/// queue state behind it, with margin over the µs-scale race windows
-/// even on a much faster machine. The tiny 32×16 requests converge in
-/// well under a millisecond, so `swap_trials` alone cannot block — the
-/// blocker needs a genuinely large codebook problem.
-fn blocker_request(seed: u64) -> mvq::serve::CompressionRequest {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let w = mvq::tensor::kaiming_normal(vec![1024, 64], 64, &mut rng);
-    mvq::serve::CompressionRequest::builder("blocker", w, "mvq")
-        .spec(PipelineSpec { k: 256, swap_trials: 500_000, ..PipelineSpec::default() })
-        .seed(1)
-        .build()
-        .expect("build blocker")
-}
+use mvq::serve::{CacheMode, CachePolicy, CompressionService, Priority};
 
 fn one_worker_server() -> NetServer {
     let service =
         CompressionService::builder().workers(1).queue_capacity(8).build().expect("build service");
     NetServer::bind("127.0.0.1:0", service).expect("bind server")
-}
-
-/// Spins until `cond` holds, panicking with `what` after 60 s.
-fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for: {what}");
-        std::thread::yield_now();
-    }
 }
 
 /// Writes one length-prefixed message the way the protocol does.
@@ -86,13 +55,9 @@ fn valid_request_frame(id: u64) -> Vec<u8> {
 /// Asserts the server still serves fresh connections end to end.
 fn assert_server_alive(server: &NetServer, seed: u64) {
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
-    let mut request = NetRequest::new("liveness-probe", weight(seed), "mvq");
-    request.spec = quick_spec();
-    request.seed = Some(seed);
-    let outcome = client.submit(&request).expect("the server must survive other connections dying");
+    let probe = seeded_request("liveness-probe".into(), seed, "mvq");
+    let (outcome, _) = submit_bits(&mut client, &probe);
     assert_eq!(outcome.name, "liveness-probe");
-    let artifact = outcome.artifact().expect("decode artifact");
-    assert_eq!(artifact.reconstruct().expect("reconstruct").dims(), &[32, 16]);
 }
 
 #[test]
@@ -296,4 +261,110 @@ fn drain_under_load_flushes_every_accepted_response() {
     let stats = server.stats();
     assert_eq!(stats.responses_ok, 3, "every accepted job's response must flush before close");
     assert_eq!(stats.cancelled_disconnect, 0, "a drain must not masquerade as client disconnects");
+}
+
+/// Submits `request` and returns the outcome with its reconstruction's
+/// bits, asserting the served artifact has the submitted shape.
+fn submit_bits(client: &mut NetClient, request: &NetRequest) -> (mvq::net::NetOutcome, Vec<u32>) {
+    let outcome = client.submit(request).unwrap_or_else(|e| panic!("{}: {e}", request.name));
+    let dense = outcome.artifact().expect("decode").reconstruct().expect("reconstruct");
+    assert_eq!(dense.dims(), request.weight.dims(), "{}: served shape", request.name);
+    (outcome, dense.data().iter().map(|v| v.to_bits()).collect())
+}
+
+fn seeded_request(name: String, seed: u64, algo: &str) -> NetRequest {
+    let mut request = NetRequest::new(name, weight(seed), algo);
+    request.spec = quick_spec();
+    request.seed = Some(seed);
+    request
+}
+
+#[test]
+fn eight_connections_of_warm_hits_agree_with_the_server_counters() {
+    const CONNECTIONS: usize = 8;
+    const ROUNDS: usize = 20;
+    const COLD_JOBS: u64 = 3;
+    let service = CompressionService::builder().build().expect("build service");
+    let mut server = NetServer::bind("127.0.0.1:0", service).expect("bind server");
+    let addr = server.local_addr();
+    let mut client = NetClient::connect(addr).expect("connect");
+    let (primed, primed_bits) = submit_bits(&mut client, &seeded_request("warm".into(), 50, "mvq"));
+    assert!(!primed.from_cache, "the priming submission must compress fresh");
+
+    std::thread::scope(|scope| {
+        for c in 0..CONNECTIONS {
+            let primed_bits = &primed_bits;
+            scope.spawn(move || {
+                let mut client = NetClient::connect(addr).expect("connect");
+                let warm = seeded_request(format!("hit-{c}"), 50, "mvq");
+                for round in 0..ROUNDS {
+                    let (outcome, bits) = submit_bits(&mut client, &warm);
+                    assert!(outcome.from_cache, "connection {c} round {round} recompressed");
+                    assert!(bits == *primed_bits, "connection {c} round {round} changed bits");
+                }
+            });
+        }
+    });
+    for j in 0..COLD_JOBS {
+        let (outcome, _) =
+            submit_bits(&mut client, &seeded_request(format!("cold-{j}"), 60 + j, "mvq"));
+        assert!(!outcome.from_cache && !outcome.deduped, "cold job {j} must compress fresh");
+    }
+    drop(client);
+
+    server.shutdown();
+    let stats = server.stats();
+    let expected_ok = 1 + (CONNECTIONS * ROUNDS) as u64 + COLD_JOBS;
+    assert_eq!(stats.responses_ok, expected_ok, "server accounting disagrees with the clients");
+    assert_eq!((stats.responses_err, stats.protocol_errors), (0, 0));
+}
+
+#[test]
+fn disk_restart_and_half_budget_eviction_serve_cold_bits_over_the_wire() {
+    let dir = std::env::temp_dir().join(format!("mvq-net-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let requests: Vec<NetRequest> = ["mvq", "vq-a", "bgd"]
+        .iter()
+        .flat_map(|algo| (0..2).map(move |i| seeded_request(format!("{algo}-{i}"), 70 + i, algo)))
+        .collect();
+    // serves `order` from a server over `service`: (recompressions, bits
+    // per request name, disk bytes afterwards)
+    let pass = |service: CompressionService, order: Vec<&NetRequest>| {
+        let mut server = NetServer::bind("127.0.0.1:0", service).expect("bind server");
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        let (mut fresh, mut bits) = (0, std::collections::HashMap::new());
+        for request in order {
+            let (outcome, served) = submit_bits(&mut client, request);
+            fresh += usize::from(!outcome.from_cache && !outcome.deduped);
+            bits.insert(request.name.clone(), served);
+        }
+        drop(client);
+        server.shutdown();
+        (fresh, bits, server.service().cache().disk_bytes())
+    };
+    let on_disk = || CompressionService::with_cache_dir(&dir).expect("cache dir");
+
+    let (fresh, cold, disk_bytes) = pass(on_disk(), requests.iter().collect());
+    assert_eq!(fresh, requests.len(), "cold must compress each distinct key once");
+    let (fresh, disk, _) = pass(on_disk(), requests.iter().collect());
+    assert_eq!(fresh, 0, "a restart over the same directory must serve every key from disk");
+    assert_eq!(disk, cold, "disk serves diverge from cold compression");
+
+    // restart under half the blob bytes: the scan prunes, evicted keys
+    // recompress to the cold bits, and the budget holds throughout
+    let budget = disk_bytes / 2;
+    let service = CompressionService::builder()
+        .cache_dir(&dir)
+        .cache_policy(CachePolicy::UNBOUNDED.with_disk_budget(budget))
+        .build()
+        .expect("cache dir");
+    assert!(service.cache_stats().disk_evictions > 0, "the restart prune evicted nothing");
+    assert!(service.cache().disk_bytes() <= budget);
+    // newest blobs (the survivors) first, so recompressions cannot evict
+    // them before their turn
+    let (fresh, evicted, disk_after) = pass(service, requests.iter().rev().collect());
+    assert!(fresh > 0, "evicted keys must recompress");
+    assert!(disk_after <= budget, "disk budget exceeded: {disk_after} > {budget}");
+    assert_eq!(evicted, cold, "evicted serves diverge from cold compression");
+    let _ = std::fs::remove_dir_all(&dir);
 }

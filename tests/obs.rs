@@ -5,46 +5,14 @@
 //! while queued must leave a monotonic trace whose never-ran stages are
 //! absent — not zero.
 
-use std::time::{Duration, Instant};
+mod common;
 
-use mvq::core::pipeline::PipelineSpec;
+use std::time::Duration;
+
+use common::{blocker_request, quick_spec, wait_until, weight};
 use mvq::net::{NetClient, NetError, NetRequest, NetServer, WireErrorKind, WireMetricValue};
 use mvq::obs::{names as metric, Stage, TraceOutcome};
 use mvq::serve::{CompressionRequest, CompressionService};
-use mvq::tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-fn weight(seed: u64) -> Tensor {
-    let mut rng = StdRng::seed_from_u64(seed);
-    mvq::tensor::kaiming_normal(vec![32, 16], 16, &mut rng)
-}
-
-fn quick_spec() -> PipelineSpec {
-    PipelineSpec { k: 8, swap_trials: 100, ..PipelineSpec::default() }
-}
-
-/// A request that occupies a worker for north of a second — long enough
-/// for a test to arrange queue state behind it (same shape as the
-/// blocker in `tests/net.rs`).
-fn blocker_request(seed: u64) -> CompressionRequest {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let w = mvq::tensor::kaiming_normal(vec![1024, 64], 64, &mut rng);
-    CompressionRequest::builder("blocker", w, "mvq")
-        .spec(PipelineSpec { k: 256, swap_trials: 500_000, ..PipelineSpec::default() })
-        .seed(1)
-        .build()
-        .expect("build blocker")
-}
-
-/// Spins until `cond` holds, panicking with `what` after 60 s.
-fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for: {what}");
-        std::thread::yield_now();
-    }
-}
 
 #[test]
 fn warm_hit_over_tcp_yields_a_queryable_trace_with_five_stages() {
