@@ -1,24 +1,23 @@
 //! Measures the masked-distance kernel strategies (naive oracle vs
-//! blocked vs simd vs minibatch) on the ResNet-18-lite workload and
-//! records the result in `BENCH_kernels.json`.
+//! blocked) on the ResNet-18-lite workload and records the result in
+//! `BENCH_kernels.json`.
 //!
 //! Two measurements per strategy, summed over every compressible conv of
 //! the model at the paper's ResNet operating point (d = 16, 4:16, k = 64):
 //!
 //! * one masked assignment pass (the kernel in isolation);
 //! * a full `masked_kmeans` run to convergence (the kernel inside the
-//!   loop; minibatch swaps the loop itself).
+//!   loop).
 //!
 //! Each timing is the median of `REPS` runs after one warm-up, with the
 //! lower and upper quartiles beside it (`*_ms_p25` / `*_ms_p75`), and
 //! the report header names the host (CPU model, logical cores).
 //!
-//! The binary also asserts the kernel contracts on every layer before
+//! The binary also asserts the kernel contract on every layer before
 //! timing anything — blocked bit-identical to the naive oracle
 //! (assignments and SSE bits, on whichever backend the CPU dispatches
-//! to, recorded as `blocked_backend` / `simd_backend`), simd
-//! assignment-identical with SSE inside the pinned ULP bound — a bench
-//! that drifted from the oracle would be measuring the wrong thing.
+//! to, recorded as `blocked_backend`) — a bench that drifted from the
+//! oracle would be measuring the wrong thing.
 //!
 //! Usage: `cargo run --release -p mvq-bench --bin bench_kernels
 //! [strategy ...]` — optional strategy names (case-insensitive, parsed by
@@ -27,10 +26,9 @@
 use std::time::Instant;
 
 use mvq_bench::report::BenchReport;
-use mvq_core::differential::ulp_distance;
 use mvq_core::{
     dispatched_backend, masked_assign_naive, masked_assign_with, masked_kmeans, masked_sse_with,
-    prune_matrix_nm, GroupingStrategy, KernelStrategy, KmeansConfig, NmMask, REASSOC_SSE_ULP_BOUND,
+    prune_matrix_nm, GroupingStrategy, KernelStrategy, KmeansConfig, NmMask,
 };
 use mvq_nn::models::Arch;
 use mvq_tensor::Tensor;
@@ -71,9 +69,7 @@ fn main() {
         layers.iter().map(|_| mvq_tensor::kaiming_normal(vec![K, D], D, &mut rng)).collect();
 
     // contract sanity on this exact workload before any timing: blocked
-    // must be bit-identical to the oracle, simd assignment-identical with
-    // ULP-bounded SSE
-    let mut simd_sse_ulp_max = 0u32;
+    // must be bit-identical to the oracle
     for ((pruned, mask), c) in layers.iter().zip(&centers) {
         let naive = masked_assign_naive(pruned, mask, c);
         for &strategy in &strategies {
@@ -100,19 +96,9 @@ fn main() {
                 dispatched_backend(KernelStrategy::Blocked)
             );
         }
-        if strategies.contains(&KernelStrategy::Simd) {
-            let sse_simd = masked_sse_with(KernelStrategy::Simd, pruned, mask, c, &naive).unwrap();
-            let ulp = ulp_distance(sse_naive, sse_simd);
-            assert!(
-                ulp <= REASSOC_SSE_ULP_BOUND,
-                "simd SSE diverged by {ulp} ULPs (bound {REASSOC_SSE_ULP_BOUND})"
-            );
-            simd_sse_ulp_max = simd_sse_ulp_max.max(ulp);
-        }
     }
 
-    // one assignment pass per strategy (minibatch's assignment kernel is
-    // the blocked one, so it is skipped here — its loop is what differs)
+    // one assignment pass per strategy
     let assign_secs = |strategy: KernelStrategy| {
         time_quartiles(|| {
             for ((pruned, mask), c) in layers.iter().zip(&centers) {
@@ -122,11 +108,8 @@ fn main() {
             }
         })
     };
-    let assign: Vec<(KernelStrategy, Quartiles)> = strategies
-        .iter()
-        .filter(|&&s| s != KernelStrategy::Minibatch)
-        .map(|&s| (s, assign_secs(s)))
-        .collect();
+    let assign: Vec<(KernelStrategy, Quartiles)> =
+        strategies.iter().map(|&s| (s, assign_secs(s))).collect();
 
     // full clustering runs
     let kmeans_with = |kernel: KernelStrategy| {
@@ -172,28 +155,17 @@ fn main() {
         .field_u64("k", K as u64)
         .field_str("nm", &format!("{KEEP_N}:{M}"))
         .field_u64("reps", REPS as u64)
-        .field_str("blocked_backend", dispatched_backend(KernelStrategy::Blocked))
-        .field_str("simd_backend", dispatched_backend(KernelStrategy::Simd));
+        .field_str("blocked_backend", dispatched_backend(KernelStrategy::Blocked));
     for &(strategy, secs) in &assign {
         let name = strategy.name();
         secs.write_ms(&mut report, &format!("assign_{name}"));
         report.field_f64(&format!("assign_{name}_speedup"), assign_naive / secs.median, 2);
-    }
-    if let (Some(&(_, simd)), Some(&(_, blocked))) = (
-        assign.iter().find(|(s, _)| *s == KernelStrategy::Simd),
-        assign.iter().find(|(s, _)| *s == KernelStrategy::Blocked),
-    ) {
-        report.field_f64("assign_simd_vs_blocked_speedup", blocked.median / simd.median, 2);
     }
     for &(strategy, secs, sse) in &kmeans {
         let name = strategy.name();
         secs.write_ms(&mut report, &format!("kmeans_{name}"));
         report.field_f64(&format!("kmeans_{name}_speedup_vs_naive"), km_naive / secs.median, 2);
         report.field_f64(&format!("sse_{name}"), sse, 4);
-    }
-    if strategies.contains(&KernelStrategy::Simd) {
-        report.field_u64("simd_sse_ulp_max", u64::from(simd_sse_ulp_max));
-        report.field_u64("simd_sse_ulp_bound", u64::from(REASSOC_SSE_ULP_BOUND));
     }
     report.write();
 }

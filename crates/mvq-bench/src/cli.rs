@@ -364,7 +364,7 @@ mod tests {
             "--algo",
             "mvq,pqf,vq",
             "--kernel",
-            "SIMD",
+            "NAIVE",
             "--arch",
             "resnet18",
             "--k",
@@ -382,7 +382,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(parsed.algos, vec!["mvq", "pqf", "vq"]);
-        assert_eq!(parsed.kernel, Some(KernelStrategy::Simd));
+        assert_eq!(parsed.kernel, Some(KernelStrategy::Naive));
         assert_eq!(parsed.arch, "resnet18");
         assert_eq!(parsed.k, Some(16));
         assert_eq!(parsed.seed, Some(9));

@@ -2,8 +2,8 @@
 //!
 //! [`BenchReport`] leads every report with the same header:
 //! `schema_version`, the bench's name, the build flags that make a
-//! number comparable or not (`target_arch`, `debug_assertions`, the SIMD
-//! cfg) and the host it ran on (CPU model, logical cores), followed by
+//! number comparable or not (`target_arch`, `debug_assertions`) and the
+//! host it ran on (CPU model, logical cores), followed by
 //! the bench's own fields in insertion order. [`BenchReport::write`]
 //! prints the blob to stdout and lands it at `BENCH_<name>.json`.
 //!
@@ -12,7 +12,7 @@
 
 /// The report envelope's schema version. Bump when the header fields
 /// change meaning; consumers (CI trend scripts) key on it.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// An ordered JSON object under the standard bench envelope.
 #[derive(Debug)]
@@ -31,7 +31,6 @@ impl BenchReport {
         report.field_str("bench", &name);
         report.field_str("target_arch", std::env::consts::ARCH);
         report.field_bool("debug_assertions", cfg!(debug_assertions));
-        report.field_bool("simd_intrinsics", cfg!(feature = "simd-intrinsics"));
         report.field_str("cpu_model", &cpu_model());
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         report.field_u64("logical_cores", cores as u64);
@@ -141,7 +140,6 @@ mod tests {
                 "bench",
                 "target_arch",
                 "debug_assertions",
-                "simd_intrinsics",
                 "cpu_model",
                 "logical_cores",
                 "workload",
@@ -149,7 +147,7 @@ mod tests {
                 "p50_us"
             ]
         );
-        assert!(json.contains("\"schema_version\": 2"));
+        assert!(json.contains("\"schema_version\": 3"));
         assert!(json.contains("\"bench\": \"unit\""));
         assert!(json.contains("\"p50_us\": 244.1"), "precision is the caller's: {json}");
         assert!(!json.contains("\"cpu_model\": \"\""), "the host stamp names a CPU: {json}");

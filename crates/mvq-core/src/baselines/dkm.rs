@@ -119,7 +119,7 @@ pub fn dkm_cluster<R: Rng>(
         tau *= cfg.anneal;
     }
     // harden through the selected kernel (naive oracle or blocked —
-    // bit-identical; minibatch hardens with the blocked kernel)
+    // bit-identical)
     let mut assign = vec![0u32; ng];
     dense_assign_step(cfg.kernel, data, &centers, &mut assign);
     let sse = sse_of(data, &centers, &assign);

@@ -1,21 +1,19 @@
 //! Differential oracle harness for the distance/assignment kernels.
 //!
-//! PR 2's validation convention pinned every kernel to the naive oracle at
-//! 0 ULP, which only order-preserving kernels can satisfy. The SIMD
-//! kernels reassociate f32 adds, so the contract splits into two tiers
-//! (see [`crate::kernels`]): **exact assignment equality** (with ties
-//! broken to the lowest codeword index) for every strategy, plus either
-//! **0-ULP SSE** (order-preserving kernels) or **SSE within a pinned ULP
-//! bound** ([`crate::kernels::REASSOC_SSE_ULP_BOUND`], reassociating
-//! kernels).
+//! The validation convention has one contract tier (see
+//! [`crate::kernels`]): a kernel must match the naive oracle with **exact
+//! assignment equality** (ties broken to the lowest codeword index) and
+//! **0-ULP SSE**. A future reassociating kernel (FMA, say) would re-add a
+//! looser tier alongside a newly appended tag pin.
 //!
 //! This module is the reusable machinery behind that convention: it runs
-//! any kernel pair over randomized shapes/masks/seeds — with constructed
-//! duplicate-codeword ties injected at a fixed cadence — and reports
-//! assignment mismatches, tie-breaking violations, and the maximum ULP
-//! divergence of the reported SSE. `tests/properties.rs` drives it as the
-//! acceptance gate; `bench_kernels` reuses [`ulp_distance`] so the
-//! recorded numbers share the harness's definition of divergence.
+//! a candidate kernel against the oracle over randomized
+//! shapes/masks/seeds — with constructed duplicate-codeword ties injected
+//! at a fixed cadence — and reports assignment mismatches, tie-breaking
+//! violations, and the maximum ULP divergence of the reported SSE.
+//! `tests/properties.rs` drives it as the acceptance gate;
+//! `bench_kernels` reuses [`ulp_distance`] so the recorded numbers share
+//! the harness's definition of divergence.
 //!
 //! ```
 //! use mvq_core::differential::{compare_masked, DiffConfig};
@@ -23,7 +21,7 @@
 //!
 //! let report = compare_masked(KernelStrategy::Blocked, &DiffConfig::quick())?;
 //! assert_eq!(report.assignment_mismatches, 0);
-//! assert_eq!(report.max_sse_ulp, 0); // blocked is order-preserving
+//! assert_eq!(report.max_sse_ulp, 0);
 //! # Ok::<(), mvq_core::MvqError>(())
 //! ```
 
@@ -49,8 +47,8 @@ pub struct DiffConfig {
     /// Codebook sizes are drawn from `1..=max_k`.
     pub max_k: usize,
     /// `(keep_n, m, d)` shape triples cases cycle through; `d` values
-    /// should straddle the SIMD chunk width (not divide it, equal it,
-    /// exceed it) and `m` need not divide `d` evenly into chunks.
+    /// should straddle a vector's width (not divide it, equal it, exceed
+    /// it).
     pub shapes: Vec<(usize, usize, usize)>,
     /// Every `tie_every`-th case duplicates one codeword at a higher
     /// index — a constructed exact tie that checks lowest-index breaking
@@ -62,7 +60,7 @@ pub struct DiffConfig {
 
 impl Default for DiffConfig {
     /// The registry acceptance configuration: 256 cases over shapes that
-    /// straddle every chunk/tile boundary, ties injected every 8th case.
+    /// straddle every vector/block boundary, ties injected every 8th case.
     fn default() -> DiffConfig {
         DiffConfig {
             cases: 256,
@@ -83,7 +81,7 @@ impl DiffConfig {
     }
 }
 
-/// Outcome of a differential run over one kernel pair.
+/// Outcome of a differential run of one kernel against the oracle.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
     /// Cases executed.
@@ -94,7 +92,7 @@ pub struct DiffReport {
     /// failure messages.
     pub first_divergence: Option<String>,
     /// Maximum [`ulp_distance`] between the two kernels' SSEs across all
-    /// cases (0 means bit-identical everywhere).
+    /// cases (0 means bit-identical everywhere, the contract).
     pub max_sse_ulp: u32,
     /// Rows (counted once per row) where either kernel resolved an
     /// injected duplicate-codeword tie to one of the duplicates.
@@ -212,18 +210,16 @@ fn record(
     report.max_sse_ulp = report.max_sse_ulp.max(ulp_distance(sse_a, sse_b));
 }
 
-/// Runs `cfg.cases` randomized masked cases through kernels `a` and `b`
-/// and reports assignment equality, tie-breaking, and SSE ULP divergence.
+/// Runs `cfg.cases` randomized masked cases through the naive oracle and
+/// `candidate`, and reports assignment equality, tie-breaking, and SSE
+/// ULP divergence — the registry acceptance entry point.
 ///
 /// # Errors
 ///
 /// Propagates kernel validation errors (the generated cases are always
 /// well-formed, so an error here is a harness bug).
-pub fn compare_masked_pair(
-    a: KernelStrategy,
-    b: KernelStrategy,
-    cfg: &DiffConfig,
-) -> Result<DiffReport, MvqError> {
+pub fn compare_masked(candidate: KernelStrategy, cfg: &DiffConfig) -> Result<DiffReport, MvqError> {
+    let (a, b) = (KernelStrategy::Naive, candidate);
     let mut report = DiffReport::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for case_no in 0..cfg.cases {
@@ -240,46 +236,23 @@ pub fn compare_masked_pair(
     Ok(report)
 }
 
-/// Runs `cfg.cases` randomized *dense* cases (no mask) through kernels `a`
-/// and `b`. SSE is not part of the dense kernel surface, so the report's
-/// `max_sse_ulp` stays 0.
+/// Runs `cfg.cases` randomized *dense* cases (no mask) through the naive
+/// oracle and `candidate`. SSE is not part of the dense kernel surface,
+/// so the report's `max_sse_ulp` stays 0.
 ///
 /// # Errors
 ///
 /// Propagates kernel validation errors.
-pub fn compare_dense_pair(
-    a: KernelStrategy,
-    b: KernelStrategy,
-    cfg: &DiffConfig,
-) -> Result<DiffReport, MvqError> {
+pub fn compare_dense(candidate: KernelStrategy, cfg: &DiffConfig) -> Result<DiffReport, MvqError> {
     let mut report = DiffReport::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for case_no in 0..cfg.cases {
         let case = build_case(cfg, case_no, &mut rng)?;
-        let assign_a = dense_assign_with(a, &case.data, &case.centers)?;
-        let assign_b = dense_assign_with(b, &case.data, &case.centers)?;
+        let assign_a = dense_assign_with(KernelStrategy::Naive, &case.data, &case.centers)?;
+        let assign_b = dense_assign_with(candidate, &case.data, &case.centers)?;
         record(&mut report, case_no, "dense", &assign_a, &assign_b, 0.0, 0.0, case.dup);
     }
     Ok(report)
-}
-
-/// [`compare_masked_pair`] against the naive oracle — the registry
-/// acceptance entry point.
-///
-/// # Errors
-///
-/// See [`compare_masked_pair`].
-pub fn compare_masked(candidate: KernelStrategy, cfg: &DiffConfig) -> Result<DiffReport, MvqError> {
-    compare_masked_pair(KernelStrategy::Naive, candidate, cfg)
-}
-
-/// [`compare_dense_pair`] against the naive oracle.
-///
-/// # Errors
-///
-/// See [`compare_dense_pair`].
-pub fn compare_dense(candidate: KernelStrategy, cfg: &DiffConfig) -> Result<DiffReport, MvqError> {
-    compare_dense_pair(KernelStrategy::Naive, candidate, cfg)
 }
 
 #[cfg(test)]

@@ -1,24 +1,24 @@
-//! Blocked and SIMD mask-aware distance/assignment kernels — the hot loop
+//! The center-major mask-aware distance/assignment kernel — the hot loop
 //! of every clustering-based compressor in the registry.
 //!
 //! Masked k-means (and the dense k-means the baselines run) spend almost
 //! all of their time computing `argmin_i ‖w_j − c_i ∘ bm_j‖²` over all
-//! subvectors × codewords. This module provides four interchangeable
+//! subvectors × codewords. This module provides two interchangeable
 //! implementations selected by [`KernelStrategy`]:
 //!
 //! * **`Naive`** — the per-row reference ([`crate::masked_assign_naive`]
 //!   for the masked case, [`dense_assign_naive`] for the dense case). This
-//!   is the *oracle*: every other kernel is validated against it, and its
+//!   is the *oracle*: the fast kernel is validated against it, and its
 //!   fixed left-to-right f32 accumulation order defines the bit pattern
-//!   the order-preserving strategies must reproduce.
-//! * **`Blocked`** — the center-major kernel, vectorized *across
-//!   codewords*. The mask is applied branch-free through the existing
-//!   [`MaskLut`] path: each subvector's M-groups are encoded to LUT
-//!   indices once, deduplicated into distinct patterns, and decoded back
-//!   into 0.0/1.0 lane multipliers (a [`MaskedDistancePlan`]). Once per
-//!   assignment pass the `k × d` codebook is transposed into blocks of eight
-//!   codewords, so lane `t` of a block is one `[f32; 8]` holding lane `t`
-//!   of eight codewords. For each row the kernel then runs
+//!   that kernel must reproduce.
+//! * **`Blocked`** (the default) — the center-major kernel, vectorized
+//!   *across codewords*. The mask is applied branch-free through the
+//!   existing [`MaskLut`] path: each subvector's M-groups are encoded to
+//!   LUT indices once, deduplicated into distinct patterns, and decoded
+//!   back into 0.0/1.0 lane multipliers (a [`MaskedDistancePlan`]). Once
+//!   per assignment pass the `k × d` codebook is transposed into blocks of
+//!   eight codewords, so lane `t` of a block is one `[f32; 8]` holding lane
+//!   `t` of eight codewords. For each row the kernel then runs
 //!   `acc[l] += (w[t] − c[t][l]·m[t])²` over `t` ascending, one vector op
 //!   per step covering eight codewords, four accumulator vectors in flight
 //!   per pass (four blocks of one row, or four rows when `k ≤ 8`).
@@ -34,19 +34,6 @@
 //!   twice: portable, and with `#[target_feature(enable = "avx2")]`,
 //!   picked once per process by run-time CPU detection
 //!   ([`dispatched_backend`] reports which ran).
-//! * **`Simd`** — explicitly lane-parallel kernels: each distance runs
-//!   [`SIMD_CHUNK`] (8) per-lane f32 accumulator chains over 8-lane blocks
-//!   of the subvector, reduced by a fixed pairwise tree at the end. The
-//!   code is written so stable Rust's autovectorizer emits packed SIMD for
-//!   the chunk loop (fixed-size `[f32; 8]` blocks, no bounds checks in
-//!   the hot path); an optional `std::arch` AVX path lives behind the
-//!   `simd-intrinsics` cargo feature (runtime-detected, bit-identical to
-//!   the portable chunked path — see the `avx` module). Lane-parallel
-//!   accumulation **reassociates** f32 adds, so this strategy is *not*
-//!   bit-identical to the oracle; see the validation convention below.
-//! * **`Minibatch`** — the full-pass assignment kernel is the blocked one; the
-//!   strategy additionally switches the k-means *loop* to per-iteration
-//!   sampled minibatches (see [`crate::masked_kmeans_minibatch`]).
 //!
 //! ## Why `c[t] * multiplier[t]` is bit-identical to the branchy oracle
 //!
@@ -55,7 +42,7 @@
 //! subtraction `w − ±0.0` can then differ from the oracle's `w − 0.0` only
 //! in the sign of a zero, and squaring erases that sign. Every term added
 //! to the accumulator is therefore bit-equal to the oracle's term; only
-//! the *order* the terms are added in can distinguish strategies.
+//! the *order* the terms are added in could tell the two apart.
 //!
 //! ## Validation convention
 //!
@@ -64,24 +51,10 @@
 //! `tests/properties.rs`) over randomized shapes, masks and seeds, in both
 //! debug and `--release` builds (the release run and the CI
 //! `target-cpu=native` leg are what catch fast-math / target-feature
-//! reassociation regressions). Two contract tiers:
-//!
-//! * **order-preserving kernels** (`Blocked`): exact assignment equality
-//!   *and* 0-ULP SSE equality against the naive oracle;
-//! * **reassociating kernels** (`Simd`): exact assignment equality, ties
-//!   broken to the lowest codeword index, and SSE within the pinned
-//!   [`REASSOC_SSE_ULP_BOUND`] ULPs of the oracle. (Per-lane accumulation
-//!   changes *which* f32 roundings happen, not determinism: results are
-//!   identical across debug/release/opt levels, just not bit-equal to the
-//!   sequential order.) Assignment equality for a reassociating kernel is
-//!   an *empirical* contract enforced by the harness, not a theorem: two
-//!   codewords whose true distances differ by less than the reassociation
-//!   rounding could in principle order differently under the two sums.
-//!   Exact ties (bit-equal distance computations, e.g. duplicated
-//!   codewords) are safe by construction — both orders produce the same
-//!   bits and strict `<` picks the lowest index; the sub-rounding near-tie
-//!   is what the ≥ 256-case randomized sweep plus the full-clustering
-//!   conformance runs guard against.
+//! reassociation regressions). There is one contract: exact assignment
+//! equality *and* 0-ULP SSE equality against the naive oracle. A future
+//! reassociating kernel (an FMA tier, say) re-adds its own looser tier
+//! together with a newly appended tag and pin.
 
 use std::str::FromStr;
 
@@ -104,33 +77,18 @@ pub enum KernelStrategy {
     /// bit-identical to `Naive` on every backend.
     #[default]
     Blocked,
-    /// Blocked kernels plus minibatch-sampled k-means iterations
-    /// (deterministic for a fixed seed, not bit-identical to full-batch
-    /// runs).
-    Minibatch,
-    /// Lane-parallel SIMD kernels (8-lane f32 chunks, per-lane
-    /// accumulators): assignment-identical to `Naive` with SSE within
-    /// [`REASSOC_SSE_ULP_BOUND`] ULPs (f32 adds are reassociated).
-    Simd,
 }
 
 impl KernelStrategy {
     /// Every strategy, in tag order — the canonical iteration set for
     /// tests and benches.
-    pub const ALL: [KernelStrategy; 4] = [
-        KernelStrategy::Naive,
-        KernelStrategy::Blocked,
-        KernelStrategy::Minibatch,
-        KernelStrategy::Simd,
-    ];
+    pub const ALL: [KernelStrategy; 2] = [KernelStrategy::Naive, KernelStrategy::Blocked];
 
-    /// Registry-style name (`naive` / `blocked` / `minibatch` / `simd`).
+    /// Registry-style name (`naive` / `blocked`).
     pub fn name(self) -> &'static str {
         match self {
             KernelStrategy::Naive => "naive",
             KernelStrategy::Blocked => "blocked",
-            KernelStrategy::Minibatch => "minibatch",
-            KernelStrategy::Simd => "simd",
         }
     }
 }
@@ -162,35 +120,15 @@ impl FromStr for KernelStrategy {
 pub fn dispatched_backend(strategy: KernelStrategy) -> &'static str {
     match strategy {
         KernelStrategy::Naive => "scalar",
-        KernelStrategy::Blocked | KernelStrategy::Minibatch => {
+        KernelStrategy::Blocked => {
             #[cfg(target_arch = "x86_64")]
             if x86::avx2_available() {
                 return "avx2";
             }
             "portable"
         }
-        KernelStrategy::Simd => {
-            #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-            if avx::available() {
-                return "avx";
-            }
-            "portable-chunked"
-        }
     }
 }
-
-/// f32 lanes per chunk of the SIMD kernels: one 256-bit vector of per-lane
-/// accumulators (or two 128-bit vectors on SSE-only targets).
-pub const SIMD_CHUNK: usize = 8;
-
-/// Pinned ULP bound for the SSE a reassociating kernel ([`KernelStrategy::
-/// Simd`]) reports, measured against the naive oracle's sequential f64
-/// accumulation. The per-row sums run in 8 f64 lane chains reduced by a
-/// fixed tree, so the divergence is a handful of f64 roundings — far below
-/// one f32 ULP in practice; the bound leaves headroom for adversarial
-/// cancellation. Enforced by `tests/properties.rs` through
-/// [`crate::differential`].
-pub const REASSOC_SSE_ULP_BOUND: u32 = 8;
 
 /// Codewords per block of the center-major codebook: one 256-bit vector
 /// of f32 distance accumulators.
@@ -302,12 +240,11 @@ fn validate_assign_inputs(
 }
 
 /// Masked nearest-codeword assignment via the kernel selected by
-/// `strategy` (`Minibatch` uses the blocked kernel — minibatching applies
-/// to the k-means loop, not to a single assignment pass).
+/// `strategy`.
 ///
 /// The equivalence guarantees assume finite codeword values: a ±inf/NaN
 /// codeword lane that the mask prunes contributes `NaN` under the
-/// multiplier kernels' (`Blocked`, `Simd`) `c * 0.0` but `0.0` under the
+/// multiplier kernel's (`Blocked`) `c * 0.0` but `0.0` under the
 /// oracle's branch, so the strategies may then disagree on that codeword.
 /// Every codebook this crate produces is finite; shapes are validated
 /// here, finiteness is not.
@@ -325,26 +262,18 @@ pub fn masked_assign_with(
     validate_assign_inputs(data, centers, Some(mask))?;
     match strategy {
         KernelStrategy::Naive => Ok(masked_assign_naive(data, mask, centers)),
-        KernelStrategy::Blocked | KernelStrategy::Minibatch => {
+        KernelStrategy::Blocked => {
             let plan = MaskedDistancePlan::new(mask)?;
             let mut assign = vec![0u32; data.dims()[0]];
             masked_assign_blocked_into(data, &plan, centers, &mut assign);
-            Ok(assign)
-        }
-        KernelStrategy::Simd => {
-            let plan = MaskedDistancePlan::new(mask)?;
-            let mut assign = vec![0u32; data.dims()[0]];
-            masked_assign_simd_into(data, &plan, centers, &mut assign);
             Ok(assign)
         }
     }
 }
 
 /// Masked SSE `Σ_j ‖w_j − c_{a_j} ∘ bm_j‖²` via the kernel selected by
-/// `strategy`. The order-preserving strategies (`Naive`, `Blocked`,
-/// `Minibatch`) are 0-ULP identical (f64 accumulation in row order);
-/// `Simd` accumulates per-lane and is within [`REASSOC_SSE_ULP_BOUND`]
-/// ULPs of the oracle.
+/// `strategy`. Both strategies are 0-ULP identical (f64 accumulation in
+/// row order).
 ///
 /// # Errors
 ///
@@ -371,13 +300,9 @@ pub fn masked_sse_with(
         KernelStrategy::Naive => {
             Ok(crate::masked_kmeans::masked_sse_naive(data, mask, centers, assign))
         }
-        KernelStrategy::Blocked | KernelStrategy::Minibatch => {
+        KernelStrategy::Blocked => {
             let plan = MaskedDistancePlan::new(mask)?;
             Ok(masked_sse_blocked(data, &plan, centers, assign))
-        }
-        KernelStrategy::Simd => {
-            let plan = MaskedDistancePlan::new(mask)?;
-            Ok(masked_sse_simd(data, &plan, centers, assign))
         }
     }
 }
@@ -385,7 +310,7 @@ pub fn masked_sse_with(
 /// One masked assignment pass writing into `assign`; returns the number of
 /// changed assignments. Shapes must be pre-validated (the k-means loops
 /// own validation); `plan` is only required — and only read — for the
-/// blocked strategies.
+/// blocked strategy.
 pub(crate) fn masked_assign_step(
     strategy: KernelStrategy,
     data: &Tensor,
@@ -406,13 +331,9 @@ pub(crate) fn masked_assign_step(
             }
             changed
         }
-        KernelStrategy::Blocked | KernelStrategy::Minibatch => {
-            let plan = plan.expect("blocked strategies require a mask plan");
+        KernelStrategy::Blocked => {
+            let plan = plan.expect("the blocked strategy requires a mask plan");
             masked_assign_blocked_into(data, plan, centers, assign)
-        }
-        KernelStrategy::Simd => {
-            let plan = plan.expect("the simd strategy requires a mask plan");
-            masked_assign_simd_into(data, plan, centers, assign)
         }
     }
 }
@@ -673,304 +594,19 @@ pub(crate) fn masked_sse_blocked(
     centers: &Tensor,
     assign: &[u32],
 ) -> f32 {
-    let mut sse = 0.0f64;
-    masked_sse_blocked_acc(data, plan, centers, assign, &mut sse);
-    sse as f32
-}
-
-/// [`masked_sse_blocked`]'s loop folding into a caller-owned f64: the
-/// chunked crosslayer path threads one accumulator across per-layer
-/// chunks so the total is 0 ULP from a run over their concatenation.
-pub(crate) fn masked_sse_blocked_acc(
-    data: &Tensor,
-    plan: &MaskedDistancePlan,
-    centers: &Tensor,
-    assign: &[u32],
-    sse: &mut f64,
-) {
     let ng = data.dims()[0];
     let d = data.dims()[1];
+    let mut sse = 0.0f64;
     for j in 0..ng {
         let row = data.row(j);
         let mm = plan.multiplier_row(j);
         let c = centers.row(assign[j] as usize);
         for t in 0..d {
             let e = row[t] - c[t] * mm[t];
-            *sse += (e * e) as f64;
+            sse += (e * e) as f64;
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// SIMD kernels: lane-parallel accumulation in fixed 8-lane chunks
-// ---------------------------------------------------------------------
-
-/// Reduces [`SIMD_CHUNK`] per-lane accumulators with a fixed pairwise
-/// tree. Every SIMD path — portable and intrinsics — must end its distance
-/// in exactly this order so the strategy's results do not depend on which
-/// backend ran.
-#[inline]
-fn reduce_chunk(acc: [f32; SIMD_CHUNK]) -> f32 {
-    // fold-by-half: lane l meets lane l+4, then l+2, then l+1 — the
-    // vector-friendly tree (each level is one packed add on half-width
-    // shuffles)
-    let s0 = acc[0] + acc[4];
-    let s1 = acc[1] + acc[5];
-    let s2 = acc[2] + acc[6];
-    let s3 = acc[3] + acc[7];
-    (s0 + s2) + (s1 + s3)
-}
-
-/// f64 twin of [`reduce_chunk`] for the SSE kernel.
-#[inline]
-fn reduce_chunk_f64(acc: [f64; SIMD_CHUNK]) -> f64 {
-    let s0 = acc[0] + acc[4];
-    let s1 = acc[1] + acc[5];
-    let s2 = acc[2] + acc[6];
-    let s3 = acc[3] + acc[7];
-    (s0 + s2) + (s1 + s3)
-}
-
-/// Masked distance of one subvector to one codeword: per-lane f32
-/// accumulators over 8-lane chunks (lane `l` owns every `t ≡ l (mod 8)`),
-/// the `d % 8` tail folded into lanes `0..d % 8` after the full chunks,
-/// then the [`reduce_chunk`] tree. Each term is bit-equal to the oracle's
-/// (`w − c·m` then square); only the summation order differs.
-#[inline]
-fn masked_distance_simd(row: &[f32], mm: &[f32], c: &[f32]) -> f32 {
-    let d = row.len();
-    let full = d - d % SIMD_CHUNK;
-    let mut acc = [0.0f32; SIMD_CHUNK];
-    // iterator zips over fixed-width chunks: no bounds checks in the lane
-    // loop, which is what lets the autovectorizer emit packed ops
-    for ((r8, m8), c8) in row[..full]
-        .chunks_exact(SIMD_CHUNK)
-        .zip(mm[..full].chunks_exact(SIMD_CHUNK))
-        .zip(c[..full].chunks_exact(SIMD_CHUNK))
-    {
-        for l in 0..SIMD_CHUNK {
-            let e = r8[l] - c8[l] * m8[l];
-            acc[l] += e * e;
-        }
-    }
-    for t in full..d {
-        let e = row[t] - c[t] * mm[t];
-        acc[t - full] += e * e;
-    }
-    reduce_chunk(acc)
-}
-
-/// [`masked_distance_simd`] for two consecutive codewords at once: the
-/// row/multiplier chunk is loaded once and two independent accumulator
-/// blocks keep the vector pipelines full without spilling registers on
-/// 16-register targets (2 × 8 accumulators + operands fit; four blocks do
-/// not). Each codeword's association is exactly the single-codeword one,
-/// so results do not depend on where a codeword falls relative to the
-/// pair.
-#[inline]
-fn masked_distance_simd_x2(row: &[f32], mm: &[f32], c0: &[f32], c1: &[f32]) -> [f32; 2] {
-    let d = row.len();
-    let full = d - d % SIMD_CHUNK;
-    let mut acc0 = [0.0f32; SIMD_CHUNK];
-    let mut acc1 = [0.0f32; SIMD_CHUNK];
-    for (((r8, m8), c08), c18) in row[..full]
-        .chunks_exact(SIMD_CHUNK)
-        .zip(mm[..full].chunks_exact(SIMD_CHUNK))
-        .zip(c0[..full].chunks_exact(SIMD_CHUNK))
-        .zip(c1[..full].chunks_exact(SIMD_CHUNK))
-    {
-        for l in 0..SIMD_CHUNK {
-            let (w, m) = (r8[l], m8[l]);
-            let e0 = w - c08[l] * m;
-            let e1 = w - c18[l] * m;
-            acc0[l] += e0 * e0;
-            acc1[l] += e1 * e1;
-        }
-    }
-    for t in full..d {
-        let (w, m) = (row[t], mm[t]);
-        let l = t - full;
-        let e0 = w - c0[t] * m;
-        let e1 = w - c1[t] * m;
-        acc0[l] += e0 * e0;
-        acc1[l] += e1 * e1;
-    }
-    [reduce_chunk(acc0), reduce_chunk(acc1)]
-}
-
-/// Best codeword for one row under the portable chunked path: codewords in
-/// ascending index (pairs, then the tail), strict `<` so ties break to the
-/// lowest index — the oracle's rule.
-fn best_codeword_portable(row: &[f32], mm: &[f32], centers: &Tensor, k: usize) -> u32 {
-    let mut best = 0u32;
-    let mut best_v = f32::INFINITY;
-    let mut i = 0;
-    while i + 2 <= k {
-        let d2 = masked_distance_simd_x2(row, mm, centers.row(i), centers.row(i + 1));
-        for (o, &v) in d2.iter().enumerate() {
-            if v < best_v {
-                best_v = v;
-                best = (i + o) as u32;
-            }
-        }
-        i += 2;
-    }
-    if i < k {
-        let v = masked_distance_simd(row, mm, centers.row(i));
-        if v < best_v {
-            best = i as u32;
-        }
-    }
-    best
-}
-
-/// Best codeword for one row, dispatching to the runtime-detected AVX
-/// backend when the `simd-intrinsics` feature is enabled (bit-identical to
-/// the portable path by construction) and the portable chunked path
-/// otherwise.
-#[inline]
-fn best_codeword_simd(row: &[f32], mm: &[f32], centers: &Tensor, k: usize) -> u32 {
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    if avx::available() {
-        // SAFETY: `available()` verified the `avx` target feature at
-        // runtime on this CPU.
-        return unsafe { avx::best_codeword(row, mm, centers, k) };
-    }
-    best_codeword_portable(row, mm, centers, k)
-}
-
-/// The SIMD masked-assignment kernel: per row, [`best_codeword_simd`] over
-/// the plan's LUT-decoded multipliers. Returns the number of changed
-/// assignments.
-pub(crate) fn masked_assign_simd_into(
-    data: &Tensor,
-    plan: &MaskedDistancePlan,
-    centers: &Tensor,
-    assign: &mut [u32],
-) -> usize {
-    let ng = data.dims()[0];
-    let k = centers.dims()[0];
-    let mut changed = 0usize;
-    for j in 0..ng {
-        let best = best_codeword_simd(data.row(j), plan.multiplier_row(j), centers, k);
-        if assign[j] != best {
-            assign[j] = best;
-            changed += 1;
-        }
-    }
-    changed
-}
-
-/// SIMD masked SSE: per row, 8 f64 lane accumulators (each f32 term is
-/// squared in f32 and widened, exactly like the oracle's terms) reduced by
-/// [`reduce_chunk_f64`], row results summed in row order. Reassociates the
-/// f64 adds, hence within [`REASSOC_SSE_ULP_BOUND`] ULPs of the naive SSE
-/// rather than 0.
-pub(crate) fn masked_sse_simd(
-    data: &Tensor,
-    plan: &MaskedDistancePlan,
-    centers: &Tensor,
-    assign: &[u32],
-) -> f32 {
-    let ng = data.dims()[0];
-    let d = data.dims()[1];
-    let full = d - d % SIMD_CHUNK;
-    let mut total = 0.0f64;
-    for j in 0..ng {
-        let row = data.row(j);
-        let mm = plan.multiplier_row(j);
-        let c = centers.row(assign[j] as usize);
-        let mut acc = [0.0f64; SIMD_CHUNK];
-        let mut base = 0;
-        while base < full {
-            let r8: &[f32; SIMD_CHUNK] = row[base..base + SIMD_CHUNK].try_into().expect("chunk");
-            let m8: &[f32; SIMD_CHUNK] = mm[base..base + SIMD_CHUNK].try_into().expect("chunk");
-            let c8: &[f32; SIMD_CHUNK] = c[base..base + SIMD_CHUNK].try_into().expect("chunk");
-            for l in 0..SIMD_CHUNK {
-                let e = r8[l] - c8[l] * m8[l];
-                acc[l] += (e * e) as f64;
-            }
-            base += SIMD_CHUNK;
-        }
-        for t in full..d {
-            let e = row[t] - c[t] * mm[t];
-            acc[t - full] += (e * e) as f64;
-        }
-        total += reduce_chunk_f64(acc);
-    }
-    total as f32
-}
-
-/// Runtime-detected AVX backend for the SIMD kernels, behind the
-/// `simd-intrinsics` cargo feature (stable `std::arch`, no crates needed —
-/// `vendor/` has no crates.io access). Bit-identical to the portable
-/// chunked path: same per-lane accumulation (separate `mul`/`add`, never
-/// FMA — fusing would skip an intermediate rounding), same tail handling,
-/// same [`reduce_chunk`] tree.
-#[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-mod avx {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-        _mm256_sub_ps,
-    };
-
-    use mvq_tensor::Tensor;
-
-    use super::{reduce_chunk, SIMD_CHUNK};
-
-    /// Whether this CPU supports AVX (checked once).
-    pub(super) fn available() -> bool {
-        static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
-    }
-
-    /// AVX twin of `best_codeword_portable`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX support (see [`available`]).
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn best_codeword(row: &[f32], mm: &[f32], centers: &Tensor, k: usize) -> u32 {
-        let d = row.len();
-        let full = d - d % SIMD_CHUNK;
-        let mut best = 0u32;
-        let mut best_v = f32::INFINITY;
-        for i in 0..k {
-            let c = centers.row(i);
-            let mut acc = _mm256_setzero_ps();
-            let mut base = 0;
-            while base < full {
-                // SAFETY: base + SIMD_CHUNK <= full <= d and row, mm, and
-                // c are all d long, so every 8-lane read is in bounds;
-                // loadu has no alignment requirement.
-                let (w, m, cw) = unsafe {
-                    (
-                        _mm256_loadu_ps(row.as_ptr().add(base)),
-                        _mm256_loadu_ps(mm.as_ptr().add(base)),
-                        _mm256_loadu_ps(c.as_ptr().add(base)),
-                    )
-                };
-                let e = _mm256_sub_ps(w, _mm256_mul_ps(cw, m));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(e, e));
-                base += SIMD_CHUNK;
-            }
-            let mut lanes = [0.0f32; SIMD_CHUNK];
-            // SAFETY: lanes is a stack array of exactly SIMD_CHUNK (8)
-            // f32s — one full 256-bit store; storeu tolerates any
-            // alignment.
-            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
-            for t in full..d {
-                let e = row[t] - c[t] * mm[t];
-                lanes[t - full] += e * e;
-            }
-            let v = reduce_chunk(lanes);
-            if v < best_v {
-                best_v = v;
-                best = i as u32;
-            }
-        }
-        best
-    }
+    sse as f32
 }
 
 /// Dense (unmasked) per-row reference assignment — the oracle for the
@@ -1039,13 +675,7 @@ pub(crate) fn dense_assign_step(
             }
             changed
         }
-        KernelStrategy::Blocked | KernelStrategy::Minibatch => {
-            dense_assign_blocked_into(data, centers, assign)
-        }
-        KernelStrategy::Simd => {
-            let plan = MaskedDistancePlan::dense(data.dims()[1]);
-            masked_assign_simd_into(data, &plan, centers, assign)
-        }
+        KernelStrategy::Blocked => dense_assign_blocked_into(data, centers, assign),
     }
 }
 
@@ -1061,14 +691,6 @@ pub(crate) fn dense_assign_blocked_into(
 ) -> usize {
     let plan = MaskedDistancePlan::dense(data.dims()[1]);
     masked_assign_blocked_into(data, &plan, centers, assign)
-}
-
-/// Default minibatch size for [`KernelStrategy::Minibatch`] dispatch:
-/// `max(4k, 64)` rows, capped at the dataset — enough samples per batch to
-/// touch every codeword a few times while keeping per-iteration cost far
-/// below a full pass.
-pub fn default_minibatch_size(ng: usize, k: usize) -> usize {
-    (4 * k).max(64).min(ng.max(1))
 }
 
 #[cfg(test)]
@@ -1227,8 +849,6 @@ mod tests {
         assert_eq!(KernelStrategy::default(), KernelStrategy::Blocked);
         assert_eq!(KernelStrategy::Naive.name(), "naive");
         assert_eq!(KernelStrategy::Blocked.name(), "blocked");
-        assert_eq!(KernelStrategy::Minibatch.name(), "minibatch");
-        assert_eq!(KernelStrategy::Simd.name(), "simd");
     }
 
     #[test]
@@ -1237,50 +857,15 @@ mod tests {
             assert_eq!(strategy.name().parse::<KernelStrategy>().unwrap(), strategy);
             assert_eq!(strategy.name().to_uppercase().parse::<KernelStrategy>().unwrap(), strategy);
         }
-        assert_eq!(" Simd ".parse::<KernelStrategy>().unwrap(), KernelStrategy::Simd);
+        assert_eq!(" Blocked ".parse::<KernelStrategy>().unwrap(), KernelStrategy::Blocked);
         let err = "blas".parse::<KernelStrategy>().unwrap_err();
         assert!(matches!(err, MvqError::InvalidConfig(_)));
-        assert!(err.to_string().contains("blas") && err.to_string().contains("simd"), "{err}");
-    }
-
-    #[test]
-    fn simd_matches_naive_across_chunk_boundaries() {
-        // d values straddling SIMD_CHUNK (full chunks, tail-only, mixed)
-        // and k values straddling the 4-codeword block
-        for &d in &[4usize, 8, 12, 16, 24] {
-            for &(ng, k) in &[(1usize, 1usize), (3, 2), (63, 3), (64, 5), (65, 17), (130, 37)] {
-                let (data, mask) = pruned_random(ng, d, 2, 4, (ng + k + d) as u64);
-                let mut rng = StdRng::seed_from_u64(9);
-                let centers = mvq_tensor::uniform(vec![k, d], -1.0, 1.0, &mut rng);
-                let naive = masked_assign_naive(&data, &mask, &centers);
-                let simd =
-                    masked_assign_with(KernelStrategy::Simd, &data, &mask, &centers).unwrap();
-                assert_eq!(naive, simd, "ng={ng} k={k} d={d}");
-            }
+        let msg = err.to_string();
+        assert!(msg.contains("blas") && msg.contains("naive, blocked"), "{msg}");
+        // retired strategies no longer parse
+        for retired in ["simd", "minibatch"] {
+            assert!(retired.parse::<KernelStrategy>().is_err(), "{retired}");
         }
-    }
-
-    #[test]
-    fn simd_sse_is_within_the_pinned_ulp_bound() {
-        let (data, mask) = pruned_random(96, 16, 4, 16, 21);
-        let mut rng = StdRng::seed_from_u64(22);
-        let centers = mvq_tensor::uniform(vec![24, 16], -1.0, 1.0, &mut rng);
-        let assign = masked_assign_naive(&data, &mask, &centers);
-        let naive =
-            masked_sse_with(KernelStrategy::Naive, &data, &mask, &centers, &assign).unwrap();
-        let simd = masked_sse_with(KernelStrategy::Simd, &data, &mask, &centers, &assign).unwrap();
-        let ulp = crate::differential::ulp_distance(naive, simd);
-        assert!(ulp <= REASSOC_SSE_ULP_BOUND, "sse {naive} vs {simd}: {ulp} ULPs");
-    }
-
-    #[test]
-    fn dense_simd_matches_dense_naive() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let data = mvq_tensor::uniform(vec![100, 12], -1.0, 1.0, &mut rng);
-        let centers = mvq_tensor::uniform(vec![21, 12], -1.0, 1.0, &mut rng);
-        let naive = dense_assign_naive(&data, &centers);
-        let simd = dense_assign_with(KernelStrategy::Simd, &data, &centers).unwrap();
-        assert_eq!(naive, simd);
     }
 
     #[test]
@@ -1323,37 +908,5 @@ mod tests {
             let dense = dense_assign_with(strategy, &zeros, &sym).unwrap();
             assert!(dense.iter().all(|&a| a == 0), "{strategy:?} dense: {dense:?}");
         }
-    }
-
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    #[test]
-    fn avx_backend_is_bit_identical_to_the_portable_path() {
-        if !std::arch::is_x86_feature_detected!("avx") {
-            return; // nothing to compare on this CPU
-        }
-        for &d in &[4usize, 8, 12, 16, 24] {
-            let (data, mask) = pruned_random(64, d, 2, 4, d as u64);
-            let plan = MaskedDistancePlan::new(&mask).unwrap();
-            let mut rng = StdRng::seed_from_u64(5);
-            let centers = mvq_tensor::uniform(vec![19, d], -1.0, 1.0, &mut rng);
-            for j in 0..64 {
-                let row = data.row(j);
-                let mm = plan.multiplier_row(j);
-                let portable = best_codeword_portable(row, mm, &centers, 19);
-                // SAFETY: guarded by the is_x86_feature_detected!("avx")
-                // early-return above, so the target-feature contract holds;
-                // row/mm/centers all have the same row width d.
-                let native = unsafe { avx::best_codeword(row, mm, &centers, 19) };
-                assert_eq!(portable, native, "d={d} row={j}");
-            }
-        }
-    }
-
-    #[test]
-    fn default_minibatch_size_is_bounded() {
-        assert_eq!(default_minibatch_size(10_000, 64), 256);
-        assert_eq!(default_minibatch_size(10_000, 4), 64);
-        assert_eq!(default_minibatch_size(32, 64), 32);
-        assert_eq!(default_minibatch_size(0, 4), 1);
     }
 }

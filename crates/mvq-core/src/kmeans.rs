@@ -1,7 +1,7 @@
 //! Standard k-means clustering (paper §3) with k-means++ initialization,
 //! optional per-subvector importance weights (used by the BGD baseline),
 //! and assignment dispatched through the [`crate::kernels`] strategies
-//! (naive oracle / center-major blocked / minibatch) selected by
+//! (naive oracle / center-major blocked) selected by
 //! [`KmeansConfig::kernel`].
 
 use mvq_tensor::Tensor;
@@ -9,7 +9,7 @@ use rand::Rng;
 
 use crate::codebook::{Assignments, Codebook};
 use crate::error::MvqError;
-use crate::kernels::{default_minibatch_size, dense_assign_step, KernelStrategy};
+use crate::kernels::{dense_assign_step, KernelStrategy};
 
 /// k-means hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,9 +57,7 @@ pub struct KmeansResult {
 ///
 /// When `row_weights` is given, the centroid update is the weighted mean —
 /// the mechanism the BGD baseline uses to emphasise activation-important
-/// subvectors. Under [`KernelStrategy::Minibatch`] the loop samples
-/// [`default_minibatch_size`] rows per iteration instead of a full pass
-/// (deterministic for a fixed seed).
+/// subvectors.
 ///
 /// # Errors
 ///
@@ -81,16 +79,6 @@ pub fn kmeans<R: Rng>(
         }
     }
     let k = cfg.k.min(ng);
-    if cfg.kernel == KernelStrategy::Minibatch {
-        return kmeans_minibatch_dense(
-            data,
-            k,
-            cfg.max_iters,
-            default_minibatch_size(ng, k),
-            row_weights,
-            rng,
-        );
-    }
     let mut centers = kmeanspp_init(data, k, rng);
     let mut assign = vec![0u32; ng];
     let mut iterations = 0;
@@ -108,66 +96,6 @@ pub fn kmeans<R: Rng>(
     let codebook = Codebook::new(centers)?;
     let assignments = Assignments::new(assign, k)?;
     Ok(KmeansResult { codebook, assignments, sse, iterations })
-}
-
-/// Dense minibatch k-means: per-iteration sampled batches with the
-/// streaming update `c ← c + w·(x − c)/n` (Sculley 2010), weighted when
-/// `row_weights` is given. Final assignment/SSE run over the full data.
-fn kmeans_minibatch_dense<R: Rng>(
-    data: &Tensor,
-    k: usize,
-    max_iters: usize,
-    batch_size: usize,
-    row_weights: Option<&[f32]>,
-    rng: &mut R,
-) -> Result<KmeansResult, MvqError> {
-    let (ng, d) = (data.dims()[0], data.dims()[1]);
-    if batch_size == 0 {
-        return Err(MvqError::InvalidConfig("minibatch size must be positive".into()));
-    }
-    let mut centers = kmeanspp_init(data, k, rng);
-    let mut mass = vec![0.0f32; k];
-    for _ in 0..max_iters {
-        for _ in 0..batch_size {
-            let j = rng.gen_range(0..ng);
-            let row = data.row(j);
-            // nearest center for the sampled row (blocked kernel on a
-            // 1-row view is just the scalar loop)
-            let mut best = 0usize;
-            let mut best_v = f32::INFINITY;
-            for i in 0..k {
-                let c = centers.row(i);
-                let mut acc = 0.0f32;
-                for t in 0..d {
-                    let e = row[t] - c[t];
-                    acc += e * e;
-                }
-                if acc < best_v {
-                    best_v = acc;
-                    best = i;
-                }
-            }
-            let w = row_weights.map_or(1.0, |ws| ws[j]);
-            if w <= 0.0 {
-                continue;
-            }
-            mass[best] += w;
-            let lr = w / mass[best];
-            let c = centers.row_mut(best);
-            for t in 0..d {
-                c[t] += lr * (row[t] - c[t]);
-            }
-        }
-    }
-    let mut assign = vec![0u32; ng];
-    dense_assign_step(KernelStrategy::Blocked, data, &centers, &mut assign);
-    let sse = sse_of(data, &centers, &assign);
-    Ok(KmeansResult {
-        codebook: Codebook::new(centers)?,
-        assignments: Assignments::new(assign, k)?,
-        sse,
-        iterations: max_iters,
-    })
 }
 
 pub(crate) fn check_data(data: &Tensor, k: usize) -> Result<(usize, usize), MvqError> {
@@ -263,7 +191,7 @@ pub(crate) fn sse_of(data: &Tensor, centers: &Tensor, assign: &[u32]) -> f32 {
     sse as f32
 }
 
-pub(crate) fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
     a.iter()
         .zip(b)
         .map(|(&x, &y)| {
@@ -324,17 +252,6 @@ mod tests {
         assert_eq!(naive.assignments.indices(), blocked.assignments.indices());
         assert_eq!(naive.codebook.centers().data(), blocked.codebook.centers().data());
         assert_eq!(naive.sse.to_bits(), blocked.sse.to_bits());
-    }
-
-    #[test]
-    fn minibatch_separates_blobs_deterministically() {
-        let cfg = KmeansConfig::new(2).with_kernel(KernelStrategy::Minibatch);
-        let run = || kmeans(&two_blob_data(), &cfg, None, &mut StdRng::seed_from_u64(10)).unwrap();
-        let a = run();
-        let b = run();
-        assert_eq!(a.assignments.indices(), b.assignments.indices());
-        assert_eq!(a.codebook.centers().data(), b.codebook.centers().data());
-        assert!(a.sse < 1.0, "minibatch sse {}", a.sse);
     }
 
     #[test]

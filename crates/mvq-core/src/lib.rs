@@ -26,27 +26,18 @@
 //!   across codewords (run-time-detected AVX2 instantiation) that are
 //!   **bit-identical** to the oracle: same assignments, 0-ULP-identical
 //!   SSE, hence identical artifacts for every registry algorithm.
-//! * `Simd` — explicitly lane-parallel kernels (8-lane f32 chunks with
-//!   per-lane accumulators; optional runtime-detected AVX backend behind
-//!   the `simd-intrinsics` feature). **Assignment-identical** to the
-//!   oracle with ties broken to the lowest index, but the reassociated
-//!   f32 adds put its SSE within the pinned [`REASSOC_SSE_ULP_BOUND`]
-//!   ULPs rather than at 0.
-//! * `Minibatch` — per-iteration sampled k-means batches
-//!   ([`masked_kmeans_minibatch`]); deterministic for a fixed seed but not
-//!   bit-identical to full-batch runs.
 //!
-//! The testing convention: **a new kernel must not be dispatched from the
-//! registry until the differential oracle harness ([`differential`],
-//! driven by `tests/properties.rs`) proves it against the naive oracle**
-//! over ≥ 256 randomized shapes/masks/seeds — exact assignment equality
-//! plus 0-ULP SSE for order-preserving kernels, or exact assignments +
-//! lowest-index tie-breaking + SSE within a pinned ULP bound for
-//! reassociating kernels — and `tests/conformance.rs` shows matching
-//! registry artifacts, in debug *and* `--release` builds (plus CI's
-//! `target-cpu=native` leg), since optimization- and target-feature-
-//! dependent reassociation is exactly the class of bug this harness
-//! exists to catch.
+//! Every k-means loop is full-batch, as in the paper. The testing
+//! convention: **a new kernel must not be dispatched from the registry
+//! until the differential oracle harness ([`differential`], driven by
+//! `tests/properties.rs`) proves it against the naive oracle** over ≥ 256
+//! randomized shapes/masks/seeds — exact assignment equality plus 0-ULP
+//! SSE — and `tests/conformance.rs` shows matching registry artifacts, in
+//! debug *and* `--release` builds (plus CI's `target-cpu=native` leg),
+//! since optimization- and target-feature-dependent reassociation is
+//! exactly the class of bug this harness exists to catch. A future
+//! reassociating kernel (FMA, say) re-adds its own contract tier with a
+//! newly appended tag pin.
 //!
 //! ## Durable artifacts and the serve layer
 //!
@@ -126,17 +117,13 @@ pub use error::MvqError;
 pub use finetune::{finetune_codebooks, CodebookFinetuneConfig};
 pub use grouping::GroupingStrategy;
 pub use kernels::{
-    default_minibatch_size, dense_assign_naive, dense_assign_with, dispatched_backend,
-    masked_assign_with, masked_sse_with, KernelStrategy, MaskedDistancePlan, REASSOC_SSE_ULP_BOUND,
-    SIMD_CHUNK,
+    dense_assign_naive, dense_assign_with, dispatched_backend, masked_assign_with, masked_sse_with,
+    KernelStrategy, MaskedDistancePlan,
 };
 pub use kmeans::{kmeans, KmeansConfig, KmeansResult};
 pub use mask::NmMask;
 pub use mask_lut::MaskLut;
-pub use masked_kmeans::{
-    masked_assign_naive, masked_kmeans, masked_kmeans_minibatch, masked_kmeans_minibatch_chunked,
-    masked_sse,
-};
+pub use masked_kmeans::{masked_assign_naive, masked_kmeans, masked_sse};
 pub use metrics::{mvq_compression_ratio, vq_compression_ratio, StorageBreakdown};
 pub use mixed_nm::{search_mixed_nm, LayerPattern, MixedNmPlan};
 pub use pipeline::{CompressedArtifact, Compressor, LayerArtifact, ModelArtifacts, PipelineSpec};

@@ -13,34 +13,24 @@
 //! ## Kernel dispatch
 //!
 //! The assignment/SSE hot loops run through [`crate::kernels`], selected
-//! by [`KmeansConfig::kernel`]: the per-row naive oracle, the center-major
-//! LUT-masked kernel (bit-identical to the oracle, the default), the
-//! lane-parallel SIMD kernel (assignment-identical, SSE within the pinned
-//! ULP bound), or minibatch iterations ([`masked_kmeans_minibatch`]) that
-//! sample a batch of live subvectors per step — deterministic for a fixed
-//! seed, and the crosslayer scope's answer to clustering millions of
-//! subvectors at once. [`masked_assign_naive`] remains the reference every
-//! kernel is differentially tested against (see [`crate::differential`]).
+//! by [`KmeansConfig::kernel`]: the per-row naive oracle or the
+//! center-major LUT-masked kernel (bit-identical to the oracle, the
+//! default). Every iteration is full-batch, as in the paper.
+//! [`masked_assign_naive`] remains the reference every kernel is
+//! differentially tested against (see [`crate::differential`]).
 
 use mvq_tensor::Tensor;
 use rand::Rng;
 
 use crate::codebook::{Assignments, Codebook};
 use crate::error::MvqError;
-use crate::kernels::{
-    default_minibatch_size, masked_assign_blocked_into, masked_assign_step, masked_sse_blocked,
-    masked_sse_simd, KernelStrategy, MaskedDistancePlan,
-};
+use crate::kernels::{masked_assign_step, masked_sse_blocked, KernelStrategy, MaskedDistancePlan};
 use crate::kmeans::{check_data, kmeanspp_init, KmeansConfig, KmeansResult};
 use crate::mask::NmMask;
 
 /// Runs masked k-means over `data` (`[NG, d]`, pruned lanes zero) with its
 /// N:M `mask`, dispatching the hot loops through the kernel named by
 /// `cfg.kernel`.
-///
-/// Under [`KernelStrategy::Minibatch`] this delegates to
-/// [`masked_kmeans_minibatch`] with [`default_minibatch_size`], clamping
-/// `k` to the number of live (not all-zero) subvectors.
 ///
 /// # Errors
 ///
@@ -59,17 +49,6 @@ pub fn masked_kmeans<R: Rng>(
             mask.ng(),
             mask.d()
         )));
-    }
-    if cfg.kernel == KernelStrategy::Minibatch {
-        let live = live_rows(data);
-        if live.is_empty() {
-            return Err(MvqError::InvalidConfig(
-                "all subvectors are zero; nothing to cluster".into(),
-            ));
-        }
-        let k = cfg.k.min(live.len());
-        let batch = default_minibatch_size(live.len(), k);
-        return minibatch_impl(data, mask, k, cfg.max_iters, batch, &live, rng);
     }
     let k = cfg.k.min(ng);
     let mut centers = kmeanspp_init(data, k, rng);
@@ -91,12 +70,10 @@ pub fn masked_kmeans<R: Rng>(
         }
     }
     masked_assign_step(cfg.kernel, data, mask, plan.as_ref(), &centers, &mut assign);
-    // each strategy reports SSE through its own kernel: 0-ULP identical
-    // for the order-preserving ones, ULP-bounded for `Simd`
-    let sse = match (&plan, cfg.kernel) {
-        (None, _) => masked_sse_naive(data, mask, &centers, &assign),
-        (Some(plan), KernelStrategy::Simd) => masked_sse_simd(data, plan, &centers, &assign),
-        (Some(plan), _) => masked_sse_blocked(data, plan, &centers, &assign),
+    // each strategy reports SSE through its own kernel, 0-ULP identical
+    let sse = match &plan {
+        None => masked_sse_naive(data, mask, &centers, &assign),
+        Some(plan) => masked_sse_blocked(data, plan, &centers, &assign),
     };
     Ok(KmeansResult {
         codebook: Codebook::new(centers)?,
@@ -104,299 +81,6 @@ pub fn masked_kmeans<R: Rng>(
         sse,
         iterations,
     })
-}
-
-/// Minibatch masked k-means: each iteration samples `batch_size` live
-/// subvectors (uniformly, with replacement, from `rng`) and applies the
-/// per-lane streaming update `c_t ← c_t + (w_t − c_t) / n_t` of Sculley's
-/// minibatch k-means, restricted to unpruned lanes. The final assignment
-/// and SSE are computed over the *full* dataset with the blocked kernel.
-///
-/// Dead (all-zero) subvectors are skipped consistently: they are excluded
-/// from k-means++ seeding and from batch sampling — mirroring the
-/// dead-layer skip in the model fan-out — so their structural zeros never
-/// drag codewords down. They still receive a (nearest-codeword) assignment
-/// in the returned result.
-///
-/// Deterministic for a fixed seed: the result depends only on `data`,
-/// `mask`, `cfg`, `batch_size`, and the rng state.
-///
-/// # Errors
-///
-/// Returns [`MvqError::InvalidConfig`] when data/mask dims disagree,
-/// `batch_size == 0`, every subvector is zero, or `cfg.k` exceeds the
-/// number of live subvectors (the strategy-dispatch path in
-/// [`masked_kmeans`] clamps `k` instead).
-pub fn masked_kmeans_minibatch<R: Rng>(
-    data: &Tensor,
-    mask: &NmMask,
-    cfg: &KmeansConfig,
-    batch_size: usize,
-    rng: &mut R,
-) -> Result<KmeansResult, MvqError> {
-    let (ng, d) = check_data(data, cfg.k)?;
-    if mask.ng() != ng || mask.d() != d {
-        return Err(MvqError::InvalidConfig(format!(
-            "mask [{}, {}] does not match data [{ng}, {d}]",
-            mask.ng(),
-            mask.d()
-        )));
-    }
-    if batch_size == 0 {
-        return Err(MvqError::InvalidConfig("minibatch size must be positive".into()));
-    }
-    let live = live_rows(data);
-    if live.is_empty() {
-        return Err(MvqError::InvalidConfig("all subvectors are zero; nothing to cluster".into()));
-    }
-    if cfg.k > live.len() {
-        return Err(MvqError::InvalidConfig(format!(
-            "k = {} exceeds the {} live subvectors available to minibatch sampling",
-            cfg.k,
-            live.len()
-        )));
-    }
-    minibatch_impl(data, mask, cfg.k, cfg.max_iters, batch_size, &live, rng)
-}
-
-/// The minibatch loop proper; `live` is the precomputed non-dead row set
-/// (both entry points validate before calling, so the full-data scan runs
-/// exactly once even on the dispatch path).
-fn minibatch_impl<R: Rng>(
-    data: &Tensor,
-    mask: &NmMask,
-    k: usize,
-    max_iters: usize,
-    batch_size: usize,
-    live: &[usize],
-    rng: &mut R,
-) -> Result<KmeansResult, MvqError> {
-    let ng = data.dims()[0];
-    let d = data.dims()[1];
-    // Seeding and sampling run over the live subset only, so the result is
-    // identical whether or not dead rows are present in `data`.
-    let mut live_data = Tensor::zeros(vec![live.len(), d]);
-    for (r, &j) in live.iter().enumerate() {
-        live_data.row_mut(r).copy_from_slice(data.row(j));
-    }
-    let mut centers = kmeanspp_init(&live_data, k, rng);
-    let plan = MaskedDistancePlan::new(mask)?;
-    let mut counts = vec![0u64; k * d];
-    for _ in 0..max_iters {
-        for _ in 0..batch_size {
-            let j = live[rng.gen_range(0..live.len())];
-            let i = nearest_masked(data.row(j), &plan, j, &centers) as usize;
-            let row = data.row(j);
-            let mrow = mask.row(j);
-            let c = centers.row_mut(i);
-            for t in 0..d {
-                if mrow[t] {
-                    counts[i * d + t] += 1;
-                    c[t] += (row[t] - c[t]) / counts[i * d + t] as f32;
-                }
-            }
-        }
-    }
-    let mut assign = vec![0u32; ng];
-    masked_assign_blocked_into(data, &plan, &centers, &mut assign);
-    let sse = masked_sse_blocked(data, &plan, &centers, &assign);
-    Ok(KmeansResult {
-        codebook: Codebook::new(centers)?,
-        assignments: Assignments::new(assign, k)?,
-        sse,
-        iterations: max_iters,
-    })
-}
-
-/// Minibatch masked k-means over per-layer `(pruned, mask)` chunks —
-/// the crosslayer scope's streaming form. **Bit-identical** to
-/// [`masked_kmeans_minibatch`] over the chunks' concatenation, without
-/// ever materializing the concatenated matrix or mask: seeding and batch
-/// sampling address rows through a chunk map, each chunk keeps its own
-/// [`MaskedDistancePlan`] (plans are row-local, so per-chunk rows equal
-/// the concatenation's), and the final SSE threads a single f64
-/// accumulator across chunks in row order.
-///
-/// `batch_size = None` mirrors the [`masked_kmeans`] strategy dispatch:
-/// `k` is clamped to the live-row count and the batch is
-/// [`default_minibatch_size`]. `Some(b)` mirrors
-/// [`masked_kmeans_minibatch`]'s strict `k` validation.
-///
-/// Returns assignments over the **concatenated** row space (chunk 0's
-/// rows first), so callers slice per chunk exactly as they would after a
-/// monolithic run.
-///
-/// # Errors
-///
-/// Returns [`MvqError::InvalidConfig`] when chunks are empty or disagree
-/// in `d`/N:M, every subvector is zero, `batch_size == 0`, or (with
-/// `Some`) `cfg.k` exceeds the live-row count.
-pub fn masked_kmeans_minibatch_chunked<R: Rng>(
-    chunks: &[(&Tensor, &NmMask)],
-    cfg: &KmeansConfig,
-    batch_size: Option<usize>,
-    rng: &mut R,
-) -> Result<KmeansResult, MvqError> {
-    if chunks.is_empty() {
-        return Err(MvqError::InvalidConfig("chunked minibatch needs at least one chunk".into()));
-    }
-    if cfg.k == 0 {
-        return Err(MvqError::InvalidConfig("k must be positive".into()));
-    }
-    let (d, keep_n, m) = {
-        let (_, mask0) = chunks[0];
-        (mask0.d(), mask0.keep_n(), mask0.m())
-    };
-    let mut map: Vec<(u32, u32)> = Vec::new();
-    let mut total_ng = 0usize;
-    for (c, (data, mask)) in chunks.iter().enumerate() {
-        if data.rank() != 2 || data.dims()[1] != d {
-            return Err(MvqError::InvalidConfig(format!(
-                "chunk {c} is {:?}, expected [NG, {d}]",
-                data.dims()
-            )));
-        }
-        let ng = data.dims()[0];
-        if mask.ng() != ng || mask.d() != d || mask.keep_n() != keep_n || mask.m() != m {
-            return Err(MvqError::InvalidConfig(format!(
-                "chunk {c} mask [{}, {}] ({}:{}) does not match its data [{ng}, {d}] ({keep_n}:{m})",
-                mask.ng(),
-                mask.d(),
-                mask.keep_n(),
-                mask.m()
-            )));
-        }
-        for r in 0..ng {
-            if data.row(r).iter().any(|&x| x != 0.0) {
-                map.push((c as u32, r as u32));
-            }
-        }
-        total_ng += ng;
-    }
-    if map.is_empty() {
-        return Err(MvqError::InvalidConfig("all subvectors are zero; nothing to cluster".into()));
-    }
-    let (k, batch) = match batch_size {
-        None => {
-            let k = cfg.k.min(map.len());
-            (k, default_minibatch_size(map.len(), k))
-        }
-        Some(b) => {
-            if b == 0 {
-                return Err(MvqError::InvalidConfig("minibatch size must be positive".into()));
-            }
-            if cfg.k > map.len() {
-                return Err(MvqError::InvalidConfig(format!(
-                    "k = {} exceeds the {} live subvectors available to minibatch sampling",
-                    cfg.k,
-                    map.len()
-                )));
-            }
-            (cfg.k, b)
-        }
-    };
-    let row = |pos: usize| -> &[f32] {
-        let (c, r) = map[pos];
-        chunks[c as usize].0.row(r as usize)
-    };
-    // k-means++ over the live rows, replicating `kmeanspp_init` on the
-    // dense live-row copy draw for draw and op for op
-    let mut centers = Tensor::zeros(vec![k, d]);
-    let first = rng.gen_range(0..map.len());
-    centers.row_mut(0).copy_from_slice(row(first));
-    let mut best_d2 = vec![f32::INFINITY; map.len()];
-    for c in 1..k {
-        let prev = centers.row(c - 1).to_vec();
-        for (j, d2) in best_d2.iter_mut().enumerate() {
-            let v = crate::kmeans::sq_dist(row(j), &prev);
-            if v < *d2 {
-                *d2 = v;
-            }
-        }
-        let total: f64 = best_d2.iter().map(|&x| x as f64).sum();
-        let pick = if total <= 0.0 {
-            rng.gen_range(0..map.len())
-        } else {
-            let mut target = rng.gen_range(0.0..total);
-            let mut chosen = map.len() - 1;
-            for (j, &x) in best_d2.iter().enumerate() {
-                target -= x as f64;
-                if target <= 0.0 {
-                    chosen = j;
-                    break;
-                }
-            }
-            chosen
-        };
-        centers.row_mut(c).copy_from_slice(row(pick));
-    }
-    let plans: Vec<MaskedDistancePlan> =
-        chunks.iter().map(|(_, mask)| MaskedDistancePlan::new(mask)).collect::<Result<_, _>>()?;
-    // Sculley updates over sampled live rows — the same draws and lane
-    // arithmetic as `minibatch_impl` over the concatenation
-    let mut counts = vec![0u64; k * d];
-    for _ in 0..cfg.max_iters {
-        for _ in 0..batch {
-            let pos = rng.gen_range(0..map.len());
-            let (ci, r) = map[pos];
-            let (data, mask) = chunks[ci as usize];
-            let r = r as usize;
-            let wrow = data.row(r);
-            let i = nearest_masked(wrow, &plans[ci as usize], r, &centers) as usize;
-            let mrow = mask.row(r);
-            let c = centers.row_mut(i);
-            for t in 0..d {
-                if mrow[t] {
-                    counts[i * d + t] += 1;
-                    c[t] += (wrow[t] - c[t]) / counts[i * d + t] as f32;
-                }
-            }
-        }
-    }
-    // full assignment chunk by chunk (the blocked kernel is row-local),
-    // SSE through one f64 across chunks in row order
-    let mut assign = vec![0u32; total_ng];
-    let mut sse = 0.0f64;
-    let mut offset = 0usize;
-    for (c, (data, _)) in chunks.iter().enumerate() {
-        let ng = data.dims()[0];
-        let slot = &mut assign[offset..offset + ng];
-        masked_assign_blocked_into(data, &plans[c], &centers, slot);
-        crate::kernels::masked_sse_blocked_acc(data, &plans[c], &centers, slot, &mut sse);
-        offset += ng;
-    }
-    Ok(KmeansResult {
-        codebook: Codebook::new(centers)?,
-        assignments: Assignments::new(assign, k)?,
-        sse: sse as f32,
-        iterations: cfg.max_iters,
-    })
-}
-
-/// Indices of subvectors with at least one nonzero lane.
-fn live_rows(data: &Tensor) -> Vec<usize> {
-    (0..data.dims()[0]).filter(|&j| data.row(j).iter().any(|&x| x != 0.0)).collect()
-}
-
-/// Nearest codeword for a single subvector under its mask multipliers.
-fn nearest_masked(row: &[f32], plan: &MaskedDistancePlan, j: usize, centers: &Tensor) -> u32 {
-    let k = centers.dims()[0];
-    let mm = plan.multiplier_row(j);
-    let mut best = 0u32;
-    let mut best_v = f32::INFINITY;
-    for i in 0..k {
-        let c = centers.row(i);
-        let mut acc = 0.0f32;
-        for (t, (&w, &m)) in row.iter().zip(mm).enumerate() {
-            let e = w - c[t] * m;
-            acc += e * e;
-        }
-        if acc < best_v {
-            best_v = acc;
-            best = i as u32;
-        }
-    }
-    best
 }
 
 /// Masked SSE (Eq. 1): `Σ_j ‖w_j − q(w_j) ∘ bm_j‖²` for an existing
@@ -639,14 +323,6 @@ mod tests {
         let (_, other_mask) = pruned_random(8, 8, 2, 4, 9);
         let cfg = KmeansConfig::new(4);
         assert!(masked_kmeans(&data, &other_mask, &cfg, &mut StdRng::seed_from_u64(0)).is_err());
-        assert!(masked_kmeans_minibatch(
-            &data,
-            &other_mask,
-            &cfg,
-            8,
-            &mut StdRng::seed_from_u64(0)
-        )
-        .is_err());
     }
 
     #[test]
@@ -660,169 +336,5 @@ mod tests {
                 .unwrap()
                 .sse;
         assert!(s64 < s4);
-    }
-
-    #[test]
-    fn minibatch_is_deterministic_and_reasonable() {
-        let (data, mask) = pruned_random(512, 16, 4, 16, 11);
-        let cfg = KmeansConfig::new(16);
-        let run = |seed| {
-            masked_kmeans_minibatch(&data, &mask, &cfg, 128, &mut StdRng::seed_from_u64(seed))
-                .unwrap()
-        };
-        let a = run(5);
-        let b = run(5);
-        assert_eq!(a.assignments.indices(), b.assignments.indices());
-        assert_eq!(a.codebook.centers().data(), b.codebook.centers().data());
-        assert_eq!(a.sse.to_bits(), b.sse.to_bits());
-        // and it actually clusters: better than a single mean codeword
-        let k1 = masked_kmeans(&data, &mask, &KmeansConfig::new(1), &mut StdRng::seed_from_u64(6))
-            .unwrap();
-        assert!(a.sse < k1.sse, "minibatch {} !< k=1 {}", a.sse, k1.sse);
-    }
-
-    #[test]
-    fn minibatch_dispatch_through_strategy() {
-        let (data, mask) = pruned_random(256, 16, 4, 16, 12);
-        let cfg = with_kernel(8, KernelStrategy::Minibatch);
-        let direct = masked_kmeans_minibatch(
-            &data,
-            &mask,
-            &KmeansConfig::new(8),
-            default_minibatch_size(256, 8),
-            &mut StdRng::seed_from_u64(13),
-        )
-        .unwrap();
-        let dispatched = masked_kmeans(&data, &mask, &cfg, &mut StdRng::seed_from_u64(13)).unwrap();
-        assert_eq!(direct.assignments.indices(), dispatched.assignments.indices());
-        assert_eq!(direct.codebook.centers().data(), dispatched.codebook.centers().data());
-    }
-
-    #[test]
-    fn minibatch_skips_dead_vectors() {
-        // Regression pin: interleaving all-zero subvectors must not change
-        // the learned codebook — dead rows are invisible to seeding and
-        // sampling, exactly like dead layers in the model fan-out.
-        let (live, live_mask) = pruned_random(64, 8, 2, 4, 14);
-        let mut data = Vec::new();
-        let mut bits = Vec::new();
-        for j in 0..64 {
-            data.extend_from_slice(live.row(j));
-            bits.extend_from_slice(live_mask.row(j));
-            // every 4th row, insert a dead (all-zero) subvector
-            if j % 4 == 0 {
-                data.extend_from_slice(&[0.0; 8]);
-                bits.extend_from_slice(&[true, true, false, false, true, true, false, false]);
-            }
-        }
-        let ng = 64 + 16;
-        let padded = Tensor::from_vec(vec![ng, 8], data).unwrap();
-        let padded_mask = NmMask::from_bits(ng, 8, 2, 4, bits).unwrap();
-        let cfg = KmeansConfig::new(6);
-        let with_dead = masked_kmeans_minibatch(
-            &padded,
-            &padded_mask,
-            &cfg,
-            32,
-            &mut StdRng::seed_from_u64(15),
-        )
-        .unwrap();
-        let live_only =
-            masked_kmeans_minibatch(&live, &live_mask, &cfg, 32, &mut StdRng::seed_from_u64(15))
-                .unwrap();
-        assert_eq!(
-            with_dead.codebook.centers().data(),
-            live_only.codebook.centers().data(),
-            "dead subvectors leaked into the minibatch codebook"
-        );
-    }
-
-    #[test]
-    fn chunked_single_chunk_is_bit_identical_to_monolithic() {
-        let (data, mask) = pruned_random(256, 16, 4, 16, 21);
-        let cfg = KmeansConfig::new(12);
-        let mono = masked_kmeans_minibatch(&data, &mask, &cfg, 64, &mut StdRng::seed_from_u64(22))
-            .unwrap();
-        let chunked = masked_kmeans_minibatch_chunked(
-            &[(&data, &mask)],
-            &cfg,
-            Some(64),
-            &mut StdRng::seed_from_u64(22),
-        )
-        .unwrap();
-        assert_eq!(mono.assignments.indices(), chunked.assignments.indices());
-        assert_eq!(mono.codebook.centers().data(), chunked.codebook.centers().data());
-        assert_eq!(mono.sse.to_bits(), chunked.sse.to_bits());
-        assert_eq!(mono.iterations, chunked.iterations);
-    }
-
-    #[test]
-    fn chunked_multi_chunk_matches_monolithic_on_the_concatenation() {
-        // Three uneven layer chunks, one with interleaved dead rows — the
-        // crosslayer shape. The chunked run must be bit-identical to the
-        // strategy-dispatched (k-clamping, auto-batch) run over the
-        // concatenation it never builds.
-        let parts = [
-            pruned_random(96, 16, 4, 16, 23),
-            pruned_random(160, 16, 4, 16, 24),
-            pruned_random(64, 16, 4, 16, 25),
-        ];
-        let mut data = Vec::new();
-        let mut bits = Vec::new();
-        let mut ng = 0usize;
-        for (t, m) in &parts {
-            data.extend_from_slice(t.data());
-            bits.extend_from_slice(m.bits());
-            ng += t.dims()[0];
-        }
-        // dead rows inside a chunk (not only whole-layer skips)
-        let (mut t2, m2) = (parts[1].0.clone(), &parts[1].1);
-        t2.row_mut(7).fill(0.0);
-        let mut data2 = data.clone();
-        let off = parts[0].0.dims()[0] * 16;
-        data2[off + 7 * 16..off + 8 * 16].fill(0.0);
-
-        let all = Tensor::from_vec(vec![ng, 16], data2).unwrap();
-        let all_mask = NmMask::from_bits(ng, 16, 4, 16, bits).unwrap();
-        let cfg = with_kernel(16, KernelStrategy::Minibatch);
-        let mono = masked_kmeans(&all, &all_mask, &cfg, &mut StdRng::seed_from_u64(26)).unwrap();
-        let chunks: Vec<(&Tensor, &NmMask)> =
-            vec![(&parts[0].0, &parts[0].1), (&t2, m2), (&parts[2].0, &parts[2].1)];
-        let chunked =
-            masked_kmeans_minibatch_chunked(&chunks, &cfg, None, &mut StdRng::seed_from_u64(26))
-                .unwrap();
-        assert_eq!(mono.assignments.indices(), chunked.assignments.indices());
-        assert_eq!(mono.codebook.centers().data(), chunked.codebook.centers().data());
-        assert_eq!(mono.sse.to_bits(), chunked.sse.to_bits());
-    }
-
-    #[test]
-    fn chunked_rejects_mismatched_chunks() {
-        let (a, am) = pruned_random(32, 16, 4, 16, 27);
-        let (b, bm) = pruned_random(32, 8, 2, 4, 28);
-        let cfg = KmeansConfig::new(4);
-        let mut rng = StdRng::seed_from_u64(0);
-        // disagreeing d / N:M across chunks
-        assert!(
-            masked_kmeans_minibatch_chunked(&[(&a, &am), (&b, &bm)], &cfg, None, &mut rng).is_err()
-        );
-        // no chunks at all
-        assert!(masked_kmeans_minibatch_chunked(&[], &cfg, None, &mut rng).is_err());
-        // all-dead chunks
-        let zeros = Tensor::zeros(vec![32, 16]);
-        assert!(masked_kmeans_minibatch_chunked(&[(&zeros, &am)], &cfg, None, &mut rng).is_err());
-    }
-
-    #[test]
-    fn minibatch_rejects_degenerate_inputs() {
-        let (data, mask) = pruned_random(8, 8, 2, 4, 16);
-        let mut rng = StdRng::seed_from_u64(0);
-        // zero batch
-        assert!(masked_kmeans_minibatch(&data, &mask, &KmeansConfig::new(2), 0, &mut rng).is_err());
-        // k exceeding live rows
-        assert!(masked_kmeans_minibatch(&data, &mask, &KmeansConfig::new(9), 4, &mut rng).is_err());
-        // all-dead data
-        let zeros = Tensor::zeros(vec![8, 8]);
-        assert!(masked_kmeans_minibatch(&zeros, &mask, &KmeansConfig::new(2), 4, &mut rng).is_err());
     }
 }

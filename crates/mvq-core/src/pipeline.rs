@@ -58,7 +58,7 @@ use crate::error::MvqError;
 use crate::grouping::GroupingStrategy;
 use crate::kernels::KernelStrategy;
 use crate::mask::NmMask;
-use crate::masked_kmeans::{masked_kmeans, masked_kmeans_minibatch_chunked, masked_sse};
+use crate::masked_kmeans::{masked_kmeans, masked_sse};
 use crate::metrics::{StorageBreakdown, FULL_PRECISION_BITS};
 use crate::pruning::prune_matrix_nm;
 
@@ -534,10 +534,8 @@ impl MvqCompressor {
     /// shared codebook, which [`ModelArtifacts::storage`] counts once.
     /// [`Compressor::compress_model`] is the layerwise scope.
     ///
-    /// Skips the same convs as the layerwise path. With the
-    /// [`KernelStrategy::Minibatch`] kernel the sampled batches are drawn
-    /// straight from the per-layer chunks, so the concatenated matrix is
-    /// never materialized.
+    /// Skips the same convs as the layerwise path. The layers' subvectors
+    /// are concatenated and clustered full-batch by [`masked_kmeans`].
     ///
     /// # Errors
     ///
@@ -572,23 +570,16 @@ impl MvqCompressor {
         if eligible.is_empty() {
             return Err(no_compressible_layer_error(self.name(), &skipped));
         }
-        let mut res = if cfg.kernel == KernelStrategy::Minibatch {
-            let chunks: Vec<(&Tensor, &NmMask)> =
-                eligible.iter().map(|(_, pruned, mask, _)| (pruned, mask)).collect();
-            masked_kmeans_minibatch_chunked(&chunks, &cfg.kmeans(), None, rng)?
-        } else {
-            // full-batch kernels need every row per iteration: concatenate
-            let total_ng: usize = eligible.iter().map(|(_, _, mask, _)| mask.ng()).sum();
-            let mut data = Vec::with_capacity(total_ng * cfg.d);
-            let mut bits = Vec::with_capacity(total_ng * cfg.d);
-            for (_, pruned, mask, _) in &eligible {
-                data.extend_from_slice(pruned.data());
-                bits.extend_from_slice(mask.bits());
-            }
-            let all = Tensor::from_vec(vec![total_ng, cfg.d], data)?;
-            let all_mask = NmMask::from_bits(total_ng, cfg.d, cfg.keep_n, cfg.m, bits)?;
-            masked_kmeans(&all, &all_mask, &cfg.kmeans(), rng)?
-        };
+        let total_ng: usize = eligible.iter().map(|(_, _, mask, _)| mask.ng()).sum();
+        let mut data = Vec::with_capacity(total_ng * cfg.d);
+        let mut bits = Vec::with_capacity(total_ng * cfg.d);
+        for (_, pruned, mask, _) in &eligible {
+            data.extend_from_slice(pruned.data());
+            bits.extend_from_slice(mask.bits());
+        }
+        let all = Tensor::from_vec(vec![total_ng, cfg.d], data)?;
+        let all_mask = NmMask::from_bits(total_ng, cfg.d, cfg.keep_n, cfg.m, bits)?;
+        let mut res = masked_kmeans(&all, &all_mask, &cfg.kmeans(), rng)?;
         if let Some(b) = cfg.codebook_bits {
             res.codebook.quantize(b)?;
         }
@@ -957,7 +948,7 @@ pub struct PipelineSpec {
     /// PQF hill-climb swap trials.
     pub swap_trials: usize,
     /// Distance/assignment kernel every clustering algorithm dispatches
-    /// to (`naive` oracle / `blocked` / `minibatch` / `simd`).
+    /// to (`naive` oracle / `blocked`).
     pub kernel: KernelStrategy,
 }
 
@@ -1088,15 +1079,14 @@ pub(crate) fn grouping_from_tag(tag: u8) -> Result<GroupingStrategy, MvqError> {
 }
 
 /// Stable one-byte encoding of [`KernelStrategy`]; same append-only rule
-/// as [`grouping_tag`]. `Simd` was appended as tag 3 in PR 4 — existing
-/// tags (and therefore existing fingerprints and cache blobs) are
-/// untouched.
+/// as [`grouping_tag`]. Tags 2 and 3 belonged to the retired `Minibatch`
+/// and `Simd` strategies and stay reserved (`lint.toml`'s `[retired]`
+/// section), so no new strategy can alias their fingerprints or cache
+/// blobs.
 pub(crate) fn kernel_tag(k: KernelStrategy) -> u8 {
     match k {
         KernelStrategy::Naive => 0,
         KernelStrategy::Blocked => 1,
-        KernelStrategy::Minibatch => 2,
-        KernelStrategy::Simd => 3,
     }
 }
 
@@ -1311,12 +1301,8 @@ mod tests {
         // existing artifact cache as invalidated (the domain separator in
         // `fingerprint()` should be bumped alongside). Appending a new
         // kernel tag must NOT move this pin — that is the append-only
-        // guarantee (the `simd` pin below covers the appended tag).
+        // guarantee.
         assert_eq!(PipelineSpec::default().fingerprint(), 6959797930409263823);
-        assert_eq!(
-            PipelineSpec::default().with_kernel(KernelStrategy::Simd).fingerprint(),
-            6959800129432520245
-        );
     }
 
     #[test]
@@ -1334,8 +1320,6 @@ mod tests {
             base.clone().with_scalar_bits(4),
             base.clone().with_swap_trials(999),
             base.clone().with_kernel(KernelStrategy::Naive),
-            base.clone().with_kernel(KernelStrategy::Minibatch),
-            base.clone().with_kernel(KernelStrategy::Simd),
         ];
         let mut seen = vec![base.fingerprint()];
         for (i, v) in variants.iter().enumerate() {
@@ -1402,18 +1386,6 @@ mod tests {
                 compress_tiny(crosslayer, cfg(8).with_kernel(kernel), 31).fingerprint().unwrap()
             };
             assert_eq!(run(KernelStrategy::Naive), run(KernelStrategy::Blocked), "{crosslayer}");
-        }
-    }
-
-    #[test]
-    fn minibatch_kernel_is_deterministic_in_both_scopes() {
-        for crosslayer in [false, true] {
-            let run = || {
-                compress_tiny(crosslayer, cfg(8).with_kernel(KernelStrategy::Minibatch), 33)
-                    .fingerprint()
-                    .unwrap()
-            };
-            assert_eq!(run(), run(), "crosslayer={crosslayer}");
         }
     }
 

@@ -993,7 +993,7 @@ mod tests {
             algorithm: "mvq",
             weight_hash: 0xdead_beef_cafe_f00d,
             spec_fingerprint: 42,
-            kernel: crate::kernels::KernelStrategy::Minibatch,
+            kernel: crate::kernels::KernelStrategy::Naive,
             seed: 7,
             layers: vec![0, 2, 5],
             skipped: vec![1, 3],

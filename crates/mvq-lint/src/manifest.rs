@@ -16,6 +16,12 @@
 //!   `tag-drift` rule fails if a pinned value changed, a pinned name
 //!   disappeared, or an *unpinned* int-valued arm appeared for a pinned
 //!   enum (appending a tag must update the manifest in the same PR).
+//! * `[retired."<repo-relative file>"]` — tags that were pinned once and
+//!   whose variant is gone, in the same `key = <int>` syntax. A retired
+//!   value is reserved forever: the `tag-drift` rule fails if a retired
+//!   name reappears in that file, or if any tag of the same enum takes a
+//!   retired value (or a value another pinned name of that enum holds),
+//!   so new tags can never alias the cache keys of old blobs.
 //! * `[panic-path]` — `paths` lists the file prefixes the panic-path
 //!   rule applies to; `allow-expect` lists the `expect("…")` invariant
 //!   messages allowed there.
@@ -38,6 +44,8 @@ pub struct PinFile {
 pub struct Manifest {
     /// Tag pins grouped by file.
     pub pins: Vec<PinFile>,
+    /// Retired (reserved, never reused) tag values grouped by file.
+    pub retired: Vec<PinFile>,
     /// File prefixes the panic-path rule applies to.
     pub panic_paths: Vec<String>,
     /// `expect` messages allowlisted as documented invariants.
@@ -122,19 +130,9 @@ impl Manifest {
         }
         for (section, entries) in sections {
             if let Some(file) = section.strip_prefix("pins.") {
-                let mut pin = PinFile { file: file.to_string(), pins: Vec::new() };
-                for (key, value, lineno) in entries {
-                    match value {
-                        Value::Int(v) => pin.pins.push((key, v)),
-                        _ => {
-                            return Err(ManifestError {
-                                line: lineno,
-                                message: format!("pin `{key}` must be an integer"),
-                            });
-                        }
-                    }
-                }
-                manifest.pins.push(pin);
+                manifest.pins.push(pin_file(file, entries)?);
+            } else if let Some(file) = section.strip_prefix("retired.") {
+                manifest.retired.push(pin_file(file, entries)?);
             } else if section == "panic-path" {
                 for (key, value, lineno) in entries {
                     match (key.as_str(), value) {
@@ -170,6 +168,23 @@ impl Manifest {
         }
         Ok(manifest)
     }
+}
+
+/// A `[pins.…]` or `[retired.…]` section's entries, all integers.
+fn pin_file(file: &str, entries: Vec<(String, Value, usize)>) -> Result<PinFile, ManifestError> {
+    let mut pin = PinFile { file: file.to_string(), pins: Vec::new() };
+    for (key, value, lineno) in entries {
+        match value {
+            Value::Int(v) => pin.pins.push((key, v)),
+            _ => {
+                return Err(ManifestError {
+                    line: lineno,
+                    message: format!("pin `{key}` must be an integer"),
+                });
+            }
+        }
+    }
+    Ok(pin)
 }
 
 /// Strips a trailing `#` comment, respecting double-quoted strings.
@@ -311,6 +326,10 @@ FORMAT_VERSION = 1
 TAG_MASKED = 0
 "BlobKind::Artifact" = 0
 
+[retired."crates/mvq-core/src/store.rs"]
+# variant deleted; its value stays reserved
+"BlobKind::Legacy" = 1
+
 [panic-path]
 paths = ["crates/mvq-serve/src", "crates/mvq-core/src/store.rs"]
 allow-expect = [
@@ -332,6 +351,9 @@ paths = ["crates/mvq-serve/src"]
                 ("BlobKind::Artifact".to_string(), 0),
             ]
         );
+        assert_eq!(m.retired.len(), 1);
+        assert_eq!(m.retired[0].file, "crates/mvq-core/src/store.rs");
+        assert_eq!(m.retired[0].pins, vec![("BlobKind::Legacy".to_string(), 1)]);
         assert_eq!(m.panic_paths.len(), 2);
         assert_eq!(m.allow_expect, vec!["service lock", "cache lock"]);
         assert_eq!(m.channel_paths, vec!["crates/mvq-serve/src"]);
@@ -341,6 +363,7 @@ paths = ["crates/mvq-serve/src"]
     fn rejects_malformed_input() {
         assert!(Manifest::parse("[pins.\"f.rs\"\nX = 1").is_err());
         assert!(Manifest::parse("[pins.\"f.rs\"]\nX = \"one\"").is_err());
+        assert!(Manifest::parse("[retired.\"f.rs\"]\nX = [\"one\"]").is_err());
         assert!(Manifest::parse("[mystery]\nX = 1").is_err());
         assert!(Manifest::parse("[panic-path]\nbogus = [\"a\"]").is_err());
         assert!(Manifest::parse("no equals sign").is_err());

@@ -2,21 +2,26 @@
 //! discriminants, and match-arm encodings are compared against the
 //! pinned values in `lint.toml`.
 //!
-//! Three ways to fail, all of which would otherwise corrupt or orphan
+//! Five ways to fail, all of which would otherwise corrupt or orphan
 //! existing on-disk caches silently:
 //!
 //! * a pinned name's value in the source differs from the manifest
 //!   (a tag was renumbered);
 //! * a pinned name no longer appears in the source (a tag was deleted
-//!   or moved without updating the manifest);
+//!   or moved without updating the manifest — a deliberately removed
+//!   variant moves to the file's `[retired]` section instead);
 //! * an enum with pinned variants gained a new integer-valued variant
 //!   or arm that is *not* pinned (appending a tag must land with its
-//!   manifest entry in the same change, or the pin set rots).
+//!   manifest entry in the same change, or the pin set rots);
+//! * a retired name reappears as a tag;
+//! * a tag of an enum (pinned or not) takes a retired value of that
+//!   enum, or a value a name pinned before it in that enum holds —
+//!   either would make new blobs alias the cache keys of old ones.
 
 use crate::diag::Diagnostic;
 use crate::engine::FileView;
 use crate::lexer::find_word;
-use crate::manifest::Manifest;
+use crate::manifest::{Manifest, PinFile};
 use crate::rules::TAGS;
 
 /// A tag value as found in the source.
@@ -28,23 +33,30 @@ struct Found {
     line: usize,
 }
 
-/// Runs the guard over one file (no-op unless the manifest pins it).
+/// The enum half of a pin-style name (`Kind` of `Kind::A`).
+fn enum_of(name: &str) -> Option<&str> {
+    name.split_once("::").map(|(e, _)| e)
+}
+
+/// Runs the guard over one file (no-op unless the manifest pins or
+/// retires tags in it).
 pub fn check(view: &FileView<'_>, manifest: &Manifest) -> Vec<Diagnostic> {
-    let Some(pins) = manifest.pins.iter().find(|p| p.file == view.path) else {
+    let no_pins = PinFile::default();
+    let pins = manifest.pins.iter().find(|p| p.file == view.path);
+    let retired = manifest.retired.iter().find(|p| p.file == view.path);
+    if pins.is_none() && retired.is_none() {
         return Vec::new();
-    };
+    }
+    let (pins, retired) = (pins.unwrap_or(&no_pins), retired.unwrap_or(&no_pins));
     let enums: Vec<&str> = {
-        let mut names: Vec<&str> = pins
-            .pins
-            .iter()
-            .filter_map(|(name, _)| name.split_once("::").map(|(e, _)| e))
-            .collect();
+        let mut names: Vec<&str> =
+            pins.pins.iter().chain(&retired.pins).filter_map(|(name, _)| enum_of(name)).collect();
         names.sort_unstable();
         names.dedup();
         names
     };
     let mut found = Vec::new();
-    extract_consts(view, pins, &mut found);
+    extract_consts(view, pins.pins.iter().chain(&retired.pins), &mut found);
     extract_enum_values(view, &enums, &mut found);
 
     let mut diags = Vec::new();
@@ -80,8 +92,54 @@ pub fn check(view: &FileView<'_>, manifest: &Manifest) -> Vec<Diagnostic> {
         }
     }
     for f in &found {
-        let of_pinned_enum = f.name.split_once("::").is_some_and(|(e, _)| enums.contains(&e));
-        if of_pinned_enum && !pins.pins.iter().any(|(name, _)| name == &f.name) {
+        if let Some((_, value)) = retired.pins.iter().find(|(name, _)| name == &f.name) {
+            diags.push(Diagnostic::new(
+                view.path,
+                f.line,
+                TAGS,
+                format!(
+                    "`{}` was retired at tag {value} (lint.toml `[retired.\"{}\"]`) — a \
+                     retired tag never comes back; append a new name with a fresh value",
+                    f.name, view.path
+                ),
+            ));
+            continue;
+        }
+        let Some(ename) = enum_of(&f.name) else { continue };
+        let same_enum = |(name, _): &&(String, i64)| enum_of(name) == Some(ename);
+        if let Some((old, _)) =
+            retired.pins.iter().filter(same_enum).find(|(_, value)| *value == f.value)
+        {
+            diags.push(Diagnostic::new(
+                view.path,
+                f.line,
+                TAGS,
+                format!(
+                    "`{}` = {} reuses the value of retired `{old}` — blobs written under \
+                     the retired tag would decode as the new one; pick an unused value",
+                    f.name, f.value
+                ),
+            ));
+        }
+        // a pinned tag collides only with names pinned before it, so the
+        // name that took a value first is not blamed for the newcomer
+        let own = pins.pins.iter().position(|(name, _)| name == &f.name);
+        let earlier = &pins.pins[..own.unwrap_or(pins.pins.len())];
+        if let Some((other, _)) =
+            earlier.iter().filter(same_enum).find(|(_, value)| *value == f.value)
+        {
+            diags.push(Diagnostic::new(
+                view.path,
+                f.line,
+                TAGS,
+                format!(
+                    "`{}` = {} collides with pinned `{other}` — two variants of one enum \
+                     must never share a serialized tag",
+                    f.name, f.value
+                ),
+            ));
+        }
+        if own.is_none() {
             diags.push(Diagnostic::new(
                 view.path,
                 f.line,
@@ -97,9 +155,13 @@ pub fn check(view: &FileView<'_>, manifest: &Manifest) -> Vec<Diagnostic> {
     diags
 }
 
-/// Collects `const NAME: ty = <int>;` declarations for bare pins.
-fn extract_consts(view: &FileView<'_>, pins: &crate::manifest::PinFile, out: &mut Vec<Found>) {
-    for (name, _) in &pins.pins {
+/// Collects `const NAME: ty = <int>;` declarations for bare names.
+fn extract_consts<'a>(
+    view: &FileView<'_>,
+    names: impl Iterator<Item = &'a (String, i64)>,
+    out: &mut Vec<Found>,
+) {
+    for (name, _) in names {
         if name.contains("::") {
             continue;
         }
@@ -275,6 +337,55 @@ mod tests {
         let appended = CLEAN.replace("    B = 1,\n", "    B = 1,\n    C = 2,\n");
         let diags = check_source("src/codec.rs", &appended, &manifest());
         assert!(diags.iter().any(|d| d.message.contains("Kind::C")), "{diags:?}");
+    }
+
+    fn retired_manifest() -> Manifest {
+        Manifest::parse(
+            "[pins.\"src/codec.rs\"]\nFORMAT_VERSION = 1\n\"Kind::A\" = 0\n\"Kind::B\" = 1\n\
+             [retired.\"src/codec.rs\"]\n\"Kind::Old\" = 2\nOLD_VERSION = 0\n",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn retired_tags_that_stay_gone_pass() {
+        assert!(check_source("src/codec.rs", CLEAN, &retired_manifest()).is_empty());
+    }
+
+    #[test]
+    fn retired_name_reappearing_fires() {
+        let back = CLEAN.replace("Kind::B => 1,\n", "Kind::B => 1,\n        Kind::Old => 7,\n");
+        let diags = check_source("src/codec.rs", &back, &retired_manifest());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("`Kind::Old` was retired"), "{diags:?}");
+        let konst = format!("{CLEAN}pub const OLD_VERSION: u16 = 0;\n");
+        let diags = check_source("src/codec.rs", &konst, &retired_manifest());
+        assert!(diags.iter().any(|d| d.message.contains("`OLD_VERSION` was retired")), "{diags:?}");
+    }
+
+    #[test]
+    fn new_tag_on_a_retired_value_fires_even_when_pinned() {
+        let text = "[pins.\"src/codec.rs\"]\nFORMAT_VERSION = 1\n\"Kind::A\" = 0\n\
+                    \"Kind::B\" = 1\n\"Kind::C\" = 2\n[retired.\"src/codec.rs\"]\n\"Kind::Old\" = 2\n";
+        let manifest = Manifest::parse(text).unwrap();
+        let reused = CLEAN.replace("    B = 1,\n", "    B = 1,\n    C = 2,\n");
+        let diags = check_source("src/codec.rs", &reused, &manifest);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("reuses the value of retired `Kind::Old`"), "{diags:?}");
+    }
+
+    #[test]
+    fn tag_on_another_pinned_value_fires() {
+        // unpinned: both the collision and the missing pin are reported
+        let reused = CLEAN.replace("    B = 1,\n", "    B = 1,\n    C = 0,\n");
+        let diags = check_source("src/codec.rs", &reused, &manifest());
+        assert!(diags.iter().any(|d| d.message.contains("collides with pinned `Kind::A`")));
+        assert!(diags.iter().any(|d| d.message.contains("append it")), "{diags:?}");
+        // renumbered onto a sibling's value: drift and collision
+        let drifted = CLEAN.replace("Kind::B => 1,", "Kind::B => 0,");
+        let diags = check_source("src/codec.rs", &drifted, &manifest());
+        assert!(diags.iter().any(|d| d.message.contains("pinned at 1")), "{diags:?}");
+        assert!(diags.iter().any(|d| d.message.contains("collides with pinned `Kind::A`")));
     }
 
     #[test]

@@ -32,6 +32,7 @@ fn each_rule_fires_on_its_violating_fixture() {
         ("tags/bad_renumbered.rs", "tag-drift"),
         ("tags/bad_deleted.rs", "tag-drift"),
         ("tags/bad_unpinned.rs", "tag-drift"),
+        ("tags/bad_reused.rs", "tag-drift"),
         ("panics/bad.rs", "panic-path"),
         ("locks/bad.rs", "lock-scope"),
         ("channels/bad.rs", "unbounded-channel"),
@@ -91,6 +92,17 @@ fn pinned_manifest_drift_fails_the_clean_fixture() {
 }
 
 #[test]
+fn reused_fixture_reports_the_retired_and_the_pinned_collision() {
+    let manifest = fixture_manifest("lint.toml");
+    let diags = lint_fixture(&manifest, "tags/bad_reused.rs");
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    assert!(diags.iter().any(|d| d.message.contains("`Kind::D` = 2 reuses the value of retired")));
+    assert!(diags
+        .iter()
+        .any(|d| d.message.contains("`Kind::E` = 0 collides with pinned `Kind::A`")));
+}
+
+#[test]
 fn reasonless_allow_is_reported_and_suppresses_nothing() {
     let manifest = fixture_manifest("lint.toml");
     let diags = lint_fixture(&manifest, "allows/bad.rs");
@@ -120,6 +132,7 @@ fn binary_exits_nonzero_on_each_violating_fixture_and_zero_on_clean() {
         "tags/bad_renumbered.rs",
         "tags/bad_deleted.rs",
         "tags/bad_unpinned.rs",
+        "tags/bad_reused.rs",
         "panics/bad.rs",
         "locks/bad.rs",
         "channels/bad.rs",

@@ -201,17 +201,16 @@ fn kernel_tag(k: KernelStrategy) -> u8 {
     match k {
         KernelStrategy::Naive => 0,
         KernelStrategy::Blocked => 1,
-        KernelStrategy::Minibatch => 2,
-        KernelStrategy::Simd => 3,
     }
 }
 
+/// Tags 2 and 3 (the retired `Minibatch` and `Simd` strategies) are
+/// reserved and fall through to the error arm, so an old peer that sends
+/// them gets a protocol error rather than another strategy.
 fn kernel_from_tag(tag: u8) -> Result<KernelStrategy, MvqError> {
     match tag {
         0 => Ok(KernelStrategy::Naive),
         1 => Ok(KernelStrategy::Blocked),
-        2 => Ok(KernelStrategy::Minibatch),
-        3 => Ok(KernelStrategy::Simd),
         other => Err(MvqError::Codec(format!("unknown wire kernel tag {other}"))),
     }
 }
@@ -804,6 +803,27 @@ mod tests {
         assert_eq!(back.weight.dims(), req.weight.dims());
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back.weight), bits(&req.weight));
+    }
+
+    #[test]
+    fn retired_kernel_tags_are_codec_errors() {
+        let req = request();
+        let mut payload =
+            unframe_blob(BlobKind::WireRequest, &req.encode().unwrap()).unwrap().to_vec();
+        // the kernel tag sits right before the rank byte, dims and data
+        let n = req.weight.numel();
+        let at = payload.len() - (1 + 1 + 8 * req.weight.rank() + 4 * n);
+        assert_eq!(payload[at], kernel_tag(KernelStrategy::Blocked));
+        for retired in [2u8, 3] {
+            payload[at] = retired;
+            // re-framed, so the checksum is valid and only the tag is wrong
+            let frame = frame_blob(BlobKind::WireRequest, payload.clone());
+            let err = WireRequest::decode(&frame).unwrap_err();
+            assert!(
+                matches!(&err, MvqError::Codec(msg) if msg.contains(&format!("kernel tag {retired}"))),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

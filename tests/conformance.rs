@@ -112,107 +112,6 @@ fn blocked_kernel_produces_identical_artifacts_to_naive() {
 }
 
 #[test]
-fn simd_kernel_matches_naive_for_every_algorithm() {
-    // The reassociating-kernel registry contract: switching any algorithm
-    // from the naive oracle to `simd` leaves assignments — and therefore
-    // the reconstructed weights, bit for bit — identical; only the
-    // recorded clustering SSE may move, and at most by the pinned ULP
-    // bound. Runs in debug and `--release` via CI (including the
-    // target-cpu=native leg, where target-feature-dependent codegen would
-    // surface).
-    let w = test_weight();
-    let base = PipelineSpec { k: 8, swap_trials: 200, ..PipelineSpec::default() };
-    for name in ALGORITHM_NAMES {
-        let run = |kernel: KernelStrategy| {
-            let spec = base.clone().with_kernel(kernel);
-            by_name(name, &spec)
-                .expect("valid spec")
-                .compress_matrix(&w, &mut StdRng::seed_from_u64(17))
-                .unwrap_or_else(|e| panic!("{name}: {e}"))
-        };
-        let naive = run(KernelStrategy::Naive);
-        let simd = run(KernelStrategy::Simd);
-        assert_eq!(
-            naive.assignments().map(|a| a.indices().to_vec()),
-            simd.assignments().map(|a| a.indices().to_vec()),
-            "{name}: simd assignments diverge from naive"
-        );
-        assert_eq!(
-            naive.reconstruct().unwrap().data(),
-            simd.reconstruct().unwrap().data(),
-            "{name}: simd reconstruction diverges from naive"
-        );
-        assert_eq!(naive.storage(), simd.storage(), "{name}: storage diverges");
-        match (naive.sse(), simd.sse()) {
-            (Some(a), Some(b)) => {
-                let ulp = mvq::core::differential::ulp_distance(a, b);
-                assert!(
-                    ulp <= mvq::core::REASSOC_SSE_ULP_BOUND,
-                    "{name}: SSE {a} vs {b} diverges by {ulp} ULPs"
-                );
-            }
-            (a, b) => assert_eq!(a, b, "{name}: SSE presence diverges"),
-        }
-    }
-}
-
-#[test]
-fn simd_and_minibatch_kernels_are_deterministic_for_every_algorithm() {
-    // Per-seed determinism for the two non-default strategies: simd
-    // (reassociated but fixed-order lane accumulation) and minibatch run
-    // under a simd-aware dispatch — two runs with one seed must be
-    // bit-identical.
-    let w = test_weight();
-    for kernel in [KernelStrategy::Simd, KernelStrategy::Minibatch] {
-        let spec =
-            PipelineSpec { k: 8, swap_trials: 200, ..PipelineSpec::default() }.with_kernel(kernel);
-        for name in ALGORITHM_NAMES {
-            let run = || {
-                by_name(name, &spec)
-                    .expect("valid spec")
-                    .compress_matrix(&w, &mut StdRng::seed_from_u64(29))
-                    .unwrap_or_else(|e| panic!("{name}: {e}"))
-            };
-            let a = run();
-            let b = run();
-            assert_eq!(
-                a.reconstruct().unwrap().data(),
-                b.reconstruct().unwrap().data(),
-                "{name}: {kernel:?} nondeterministic under a fixed seed"
-            );
-            assert_eq!(
-                a.sse().map(f32::to_bits),
-                b.sse().map(f32::to_bits),
-                "{name}: {kernel:?} SSE nondeterministic under a fixed seed"
-            );
-        }
-    }
-}
-
-#[test]
-fn minibatch_kernel_is_deterministic_for_every_algorithm() {
-    let w = test_weight();
-    let spec = PipelineSpec { k: 8, swap_trials: 200, ..PipelineSpec::default() }
-        .with_kernel(KernelStrategy::Minibatch);
-    for name in ALGORITHM_NAMES {
-        let run = || {
-            by_name(name, &spec)
-                .expect("valid spec")
-                .compress_matrix(&w, &mut StdRng::seed_from_u64(23))
-                .unwrap_or_else(|e| panic!("{name}: {e}"))
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(
-            a.reconstruct().unwrap().data(),
-            b.reconstruct().unwrap().data(),
-            "{name}: minibatch nondeterministic under a fixed seed"
-        );
-        assert!(a.compression_ratio() > 1.0, "{name}: minibatch artifact does not compress");
-    }
-}
-
-#[test]
 fn registry_names_are_unique_and_match() {
     let names: Vec<&str> = registry().iter().map(|c| c.name()).collect();
     let mut dedup = names.clone();

@@ -5,9 +5,8 @@ use mvq::accel::{AccelError, FunctionalEws, HwConfig, HwSetting};
 use mvq::core::pipeline::{by_name, PipelineSpec};
 use mvq::core::store::{ArtifactCache, CacheKey, Persist, FORMAT_VERSION};
 use mvq::core::{
-    masked_assign_with, masked_kmeans, masked_kmeans_minibatch, masked_sse_with, prune_matrix_nm,
-    CompressedArtifact, GroupingStrategy, KernelStrategy, KmeansConfig, MvqCompressor, MvqConfig,
-    MvqError, NmMask,
+    masked_assign_with, masked_kmeans, masked_sse_with, prune_matrix_nm, CompressedArtifact,
+    GroupingStrategy, KernelStrategy, KmeansConfig, MvqCompressor, MvqConfig, MvqError, NmMask,
 };
 use mvq::nn::layers::{Conv2d, Module, Sequential};
 use mvq::nn::NnError;
@@ -114,19 +113,20 @@ fn kernel_rejects_empty_and_mismatched_codebooks() {
 }
 
 #[test]
-fn simd_kernel_edge_cases_match_the_oracle() {
-    // The shapes the chunked kernel can get wrong: d smaller than the
-    // 8-lane chunk (tail-only), d not a multiple of the chunk, k smaller
-    // than the 4-codeword block, single rows, and subvector counts that
-    // are not multiples of anything. Every one must reproduce the naive
-    // assignment exactly.
+fn blocked_kernel_edge_cases_match_the_oracle() {
+    // The shapes the center-major kernel can get wrong: with k ≤ 8 it
+    // scores four rows per pass, so row counts that leave a remainder
+    // (and a single row that is all remainder) take its one-row path;
+    // k below the 8-codeword block leaves padded lanes that must never
+    // win; d below, at and above a vector's width. Every one must
+    // reproduce the naive assignment and SSE bits exactly.
     let cases: &[(usize, usize, usize, usize, usize)] = &[
         // (ng, d, k, keep_n, m)
-        (1, 4, 1, 2, 4),   // d < chunk, k < block, one row
-        (7, 4, 3, 2, 4),   // tail-only lanes, k below the block width
-        (5, 12, 2, 3, 4),  // one full chunk + 4-lane tail
-        (9, 8, 5, 2, 4),   // exactly one chunk, k = block + 1
-        (13, 24, 6, 4, 8), // three chunks, odd row count
+        (1, 4, 1, 2, 4),   // one row, all remainder; one live lane
+        (7, 4, 3, 2, 4),   // one four-row pass + three remainder rows
+        (5, 12, 2, 3, 4),  // one pass + one remainder row, d = 12
+        (9, 8, 5, 2, 4),   // two passes + one remainder row, d = 8
+        (13, 24, 6, 4, 8), // three passes + one remainder row, d = 24
     ];
     for &(ng, d, k, keep_n, m) in cases {
         let mut rng = StdRng::seed_from_u64((ng * 31 + d) as u64);
@@ -134,46 +134,16 @@ fn simd_kernel_edge_cases_match_the_oracle() {
         let (pruned, mask) = prune_matrix_nm(&w, keep_n, m).unwrap();
         let centers = mvq::tensor::uniform(vec![k, d], -1.0, 1.0, &mut rng);
         let naive = masked_assign_with(KernelStrategy::Naive, &pruned, &mask, &centers).unwrap();
-        let simd = masked_assign_with(KernelStrategy::Simd, &pruned, &mask, &centers).unwrap();
-        assert_eq!(naive, simd, "ng={ng} d={d} k={k}");
+        let blocked =
+            masked_assign_with(KernelStrategy::Blocked, &pruned, &mask, &centers).unwrap();
+        assert_eq!(naive, blocked, "ng={ng} d={d} k={k}");
+        let sse = |kernel| masked_sse_with(kernel, &pruned, &mask, &centers, &naive).unwrap();
+        assert_eq!(
+            sse(KernelStrategy::Naive).to_bits(),
+            sse(KernelStrategy::Blocked).to_bits(),
+            "ng={ng} d={d} k={k}"
+        );
     }
-}
-
-#[test]
-fn simd_kernel_rejects_the_same_degenerate_inputs_as_the_oracle() {
-    // Mirrors of the blocked-kernel failure cases, under `simd`: every
-    // degenerate input must be the same typed error, never a panic or a
-    // silently wrong answer.
-    let mut rng = StdRng::seed_from_u64(4);
-    let w = mvq::tensor::uniform(vec![16, 8], -1.0, 1.0, &mut rng);
-    let (pruned, mask) = prune_matrix_nm(&w, 2, 4).unwrap();
-    // empty [0, d] layer
-    let empty = Tensor::from_vec(vec![0, 8], vec![]).unwrap();
-    let centers = Tensor::ones(vec![2, 8]);
-    let err = masked_assign_with(KernelStrategy::Simd, &empty, &mask, &centers).unwrap_err();
-    assert!(matches!(err, MvqError::InvalidConfig(_)), "{err:?}");
-    // empty codebook
-    let none = Tensor::zeros(vec![0, 8]);
-    let err = masked_assign_with(KernelStrategy::Simd, &pruned, &mask, &none).unwrap_err();
-    assert!(matches!(err, MvqError::InvalidConfig(_)));
-    // codeword length mismatch
-    let wrong = Tensor::zeros(vec![4, 16]);
-    let err = masked_assign_with(KernelStrategy::Simd, &pruned, &mask, &wrong).unwrap_err();
-    assert!(matches!(err, MvqError::InvalidConfig(_)));
-    // SSE with out-of-range assignments
-    let err =
-        masked_sse_with(KernelStrategy::Simd, &pruned, &mask, &centers, &[7; 16]).unwrap_err();
-    assert!(matches!(err, MvqError::InvalidConfig(_)));
-    // all-zero masks stay unrepresentable regardless of strategy: the
-    // error fires in the mask constructor, before any kernel dispatch
-    let err = NmMask::from_bits(2, 4, 2, 4, vec![false; 8]).unwrap_err();
-    assert!(matches!(err, MvqError::InvalidConfig(_)));
-    // d not dividing M is rejected before the simd kernel ever runs
-    assert!(matches!(MvqConfig::new(8, 6, 2, 4), Err(MvqError::InvalidConfig(_))));
-    // and a full clustering run over an empty layer errors under simd too
-    let cfg = KmeansConfig::new(2).with_kernel(KernelStrategy::Simd);
-    let err = masked_kmeans(&empty, &mask, &cfg, &mut rng).unwrap_err();
-    assert!(matches!(err, MvqError::InvalidConfig(_)), "{err:?}");
 }
 
 #[test]
@@ -192,38 +162,10 @@ fn kernel_strategy_parsing_fails_loudly_on_unknown_names() {
 }
 
 #[test]
-fn minibatch_rejects_k_beyond_live_vectors() {
-    // 8 subvectors, 3 of them dead: k = 6 exceeds the 5 live rows the
-    // minibatch sampler is allowed to draw from
-    let mut rng = StdRng::seed_from_u64(2);
-    let w = mvq::tensor::uniform(vec![8, 8], -1.0, 1.0, &mut rng);
-    let (mut pruned, mask) = prune_matrix_nm(&w, 2, 4).unwrap();
-    for j in [1usize, 4, 6] {
-        pruned.row_mut(j).fill(0.0);
-    }
-    let err =
-        masked_kmeans_minibatch(&pruned, &mask, &KmeansConfig::new(6), 8, &mut rng).unwrap_err();
-    assert!(matches!(err, MvqError::InvalidConfig(_)), "{err:?}");
-    // and a zero batch size is rejected before any work happens
-    let err =
-        masked_kmeans_minibatch(&pruned, &mask, &KmeansConfig::new(2), 0, &mut rng).unwrap_err();
-    assert!(matches!(err, MvqError::InvalidConfig(_)));
-}
-
-#[test]
 fn all_zero_masks_cannot_be_constructed() {
     // the N:M invariant (keep exactly N per group) makes an all-zero mask
     // unrepresentable; the constructor must say so, not panic downstream
     let err = NmMask::from_bits(2, 4, 2, 4, vec![false; 8]).unwrap_err();
-    assert!(matches!(err, MvqError::InvalidConfig(_)));
-    // all-zero *data* under a valid mask: minibatch has nothing live to
-    // sample and fails loudly
-    let zeros = Tensor::zeros(vec![8, 8]);
-    let mut rng = StdRng::seed_from_u64(3);
-    let w = mvq::tensor::uniform(vec![8, 8], -1.0, 1.0, &mut rng);
-    let (_, mask) = prune_matrix_nm(&w, 2, 4).unwrap();
-    let err =
-        masked_kmeans_minibatch(&zeros, &mask, &KmeansConfig::new(2), 4, &mut rng).unwrap_err();
     assert!(matches!(err, MvqError::InvalidConfig(_)));
 }
 

@@ -1,21 +1,15 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants of the MVQ pipeline — including the differential oracle
-//! harness (`mvq::core::differential`) for the distance kernels. Two
-//! contract tiers against [`masked_assign_naive`]:
-//!
-//! * order-preserving kernels (`blocked`): exact assignments **and** 0-ULP
-//!   SSE, for random shapes, masks and seeds;
-//! * reassociating kernels (`simd`): exact assignments, ties broken to the
-//!   lowest codeword index, and SSE within the pinned
-//!   [`mvq::core::REASSOC_SSE_ULP_BOUND`] ULPs.
+//! harness (`mvq::core::differential`) for the distance kernels. One
+//! contract against [`masked_assign_naive`]: the `blocked` kernel gives
+//! exact assignments (ties broken to the lowest codeword index) **and**
+//! 0-ULP SSE, for random shapes, masks and seeds.
 
-use mvq::core::differential::{
-    compare_dense, compare_masked, compare_masked_pair, DiffConfig, DiffReport,
-};
+use mvq::core::differential::{compare_dense, compare_masked, DiffConfig, DiffReport};
 use mvq::core::{
     dense_assign_naive, dense_assign_with, masked_assign_naive, masked_assign_with, masked_kmeans,
-    masked_kmeans_minibatch, masked_sse, masked_sse_with, prune_matrix_nm, GroupingStrategy,
-    KernelStrategy, KmeansConfig, MaskLut, MvqCompressor, MvqConfig, REASSOC_SSE_ULP_BOUND,
+    masked_sse, masked_sse_with, prune_matrix_nm, GroupingStrategy, KernelStrategy, KmeansConfig,
+    MaskLut, MvqCompressor, MvqConfig,
 };
 use mvq::tensor::{dequantize_symmetric, Tensor};
 use proptest::prelude::*;
@@ -221,12 +215,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Full masked k-means runs under `simd` produce exactly the oracle's
-    /// assignments and codebook (assignment equality per iteration makes
-    /// the centroid updates bit-identical), with the reported SSE inside
-    /// the pinned ULP bound.
+    /// Full masked k-means runs under `blocked` produce exactly the
+    /// oracle's assignments and codebook (assignment equality per
+    /// iteration makes the centroid updates bit-identical), and the same
+    /// SSE bits.
     #[test]
-    fn simd_masked_kmeans_matches_naive_end_to_end(seed in 0u64..10_000) {
+    fn blocked_masked_kmeans_matches_naive_end_to_end(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let w = mvq::tensor::uniform(vec![128, 8], -1.0, 1.0, &mut rng);
         let (pruned, mask) = prune_matrix_nm(&w, 2, 4).expect("valid");
@@ -236,36 +230,17 @@ proptest! {
                 .expect("clusterable")
         };
         let naive = run(KernelStrategy::Naive);
-        let simd = run(KernelStrategy::Simd);
-        prop_assert_eq!(naive.assignments.indices(), simd.assignments.indices());
-        prop_assert_eq!(naive.codebook.centers().data(), simd.codebook.centers().data());
-        let ulp = mvq::core::differential::ulp_distance(naive.sse, simd.sse);
-        prop_assert!(ulp <= REASSOC_SSE_ULP_BOUND,
-            "sse {} vs {}: {} ULPs", naive.sse, simd.sse, ulp);
+        let blocked = run(KernelStrategy::Blocked);
+        prop_assert_eq!(naive.assignments.indices(), blocked.assignments.indices());
+        prop_assert_eq!(naive.codebook.centers().data(), blocked.codebook.centers().data());
+        prop_assert_eq!(naive.sse.to_bits(), blocked.sse.to_bits());
+        prop_assert_eq!(naive.iterations, blocked.iterations);
     }
 
-    /// Minibatch masked k-means is deterministic: the same seed replays
-    /// the same batches and yields bit-identical results.
-    #[test]
-    fn minibatch_masked_kmeans_is_deterministic(seed in 0u64..10_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w = mvq::tensor::uniform(vec![160, 8], -1.0, 1.0, &mut rng);
-        let (pruned, mask) = prune_matrix_nm(&w, 2, 4).expect("valid");
-        let cfg = KmeansConfig::new(8);
-        let run = || {
-            masked_kmeans_minibatch(&pruned, &mask, &cfg, 48, &mut StdRng::seed_from_u64(seed ^ 0xA5))
-                .expect("clusterable")
-        };
-        let a = run();
-        let b = run();
-        prop_assert_eq!(a.assignments.indices(), b.assignments.indices());
-        prop_assert_eq!(a.codebook.centers().data(), b.codebook.centers().data());
-        prop_assert_eq!(a.sse.to_bits(), b.sse.to_bits());
-    }
 }
 
 /// The registry acceptance bar, driven through the reusable differential
-/// harness: ≥ 256 randomized cases (shapes straddling the SIMD chunk and
+/// harness: ≥ 256 randomized cases (shapes straddling the vector and
 /// codeword-block widths, masks from independent matrices, duplicate-
 /// codeword ties injected every 8th case).
 fn acceptance_config() -> DiffConfig {
@@ -281,30 +256,9 @@ fn assert_assignments_identical(report: &DiffReport, label: &str) {
     assert!(report.assignments_identical(), "{label}: {report:?}");
 }
 
-/// `simd` vs the naive oracle: exact assignment equality over the full
-/// acceptance run, lowest-index tie-breaking on constructed ties, and SSE
-/// within the pinned ULP bound — the reassociating-kernel contract.
-#[test]
-fn simd_masked_kernel_passes_the_differential_acceptance_bar() {
-    let report = compare_masked(KernelStrategy::Simd, &acceptance_config()).unwrap();
-    assert_eq!(report.cases, acceptance_config().cases);
-    assert_assignments_identical(&report, "simd masked");
-    assert!(
-        report.max_sse_ulp <= REASSOC_SSE_ULP_BOUND,
-        "simd SSE diverged by {} ULPs (pinned bound {REASSOC_SSE_ULP_BOUND})",
-        report.max_sse_ulp
-    );
-}
-
-/// The dense simd kernel under the same bar.
-#[test]
-fn simd_dense_kernel_passes_the_differential_acceptance_bar() {
-    let report = compare_dense(KernelStrategy::Simd, &acceptance_config()).unwrap();
-    assert_assignments_identical(&report, "simd dense");
-}
-
-/// The blocked kernel re-proven through the same harness at the stricter
-/// order-preserving tier: 0-ULP SSE on top of exact assignments.
+/// The blocked kernel proven through the harness: exact assignments,
+/// lowest-index tie-breaking on constructed ties, and 0-ULP SSE, masked
+/// and dense.
 #[test]
 fn blocked_kernel_is_exact_under_the_differential_harness() {
     let report = compare_masked(KernelStrategy::Blocked, &acceptance_config()).unwrap();
@@ -312,18 +266,6 @@ fn blocked_kernel_is_exact_under_the_differential_harness() {
     assert_eq!(report.max_sse_ulp, 0, "blocked SSE must be bit-identical to the oracle");
     let dense = compare_dense(KernelStrategy::Blocked, &acceptance_config()).unwrap();
     assert_assignments_identical(&dense, "blocked dense");
-}
-
-/// Blocked vs simd directly (not through the oracle): assignments must
-/// still be exactly equal, and their SSEs differ by at most the bound —
-/// the harness works on arbitrary kernel pairs, not just oracle pairs.
-#[test]
-fn blocked_and_simd_agree_pairwise() {
-    let report =
-        compare_masked_pair(KernelStrategy::Blocked, KernelStrategy::Simd, &acceptance_config())
-            .unwrap();
-    assert_assignments_identical(&report, "blocked vs simd");
-    assert!(report.max_sse_ulp <= REASSOC_SSE_ULP_BOUND, "{report:?}");
 }
 
 /// Non-proptest cross-check: masked k-means never yields higher masked SSE
