@@ -390,24 +390,7 @@ impl ArtifactCache {
         kind: BlobKind,
     ) -> Result<Option<Arc<[u8]>>, MvqError> {
         let name = key.blob_name();
-        let from_memory = {
-            let tick = self.tick();
-            let mut inner = self.shard_for(&name).lock();
-            let hit = inner.blobs.get_mut(key).map(|entry| {
-                entry.last_used = tick;
-                Arc::clone(&entry.bytes)
-            });
-            if hit.is_some() {
-                self.metrics.counter(metric::STORE_CACHE_HITS).inc();
-                // the blob's disk copy is just as recently used: without
-                // this, a hot key served from memory would keep a stale
-                // disk stamp and be the first blob deleted under a disk
-                // budget — an LRU inversion
-                inner.bump_disk(&name, tick);
-            }
-            hit
-        };
-        if let Some(bytes) = from_memory {
+        if let Some(bytes) = self.resident(key, &name) {
             return Ok(Some(bytes));
         }
         let Some(dir) = &self.dir else {
@@ -444,6 +427,35 @@ impl ArtifactCache {
         self.admit_disk(&name, bytes.len() as u64, tick)?;
         self.admit_memory(key, &name, Arc::clone(&bytes), tick, false);
         Ok(Some(bytes))
+    }
+
+    /// The memory tier alone: `key`'s blob if it is resident in memory,
+    /// as a zero-copy `Arc` clone. A hit refreshes the LRU stamp (memory
+    /// and disk) and counts in [`CacheStats::hits`]; absence counts
+    /// nothing and touches no disk, so a caller that falls back to
+    /// [`ArtifactCache::get_raw`] leaves that probe to count the miss.
+    pub fn get_resident(&self, key: &CacheKey) -> Option<Arc<[u8]>> {
+        self.resident(key, &key.blob_name())
+    }
+
+    /// The memory probe behind [`ArtifactCache::get_resident`] and
+    /// [`ArtifactCache::get_raw_kind`]; `name` is `key.blob_name()`.
+    fn resident(&self, key: &CacheKey, name: &str) -> Option<Arc<[u8]>> {
+        let tick = self.tick();
+        let mut inner = self.shard_for(name).lock();
+        let hit = inner.blobs.get_mut(key).map(|entry| {
+            entry.last_used = tick;
+            Arc::clone(&entry.bytes)
+        });
+        if hit.is_some() {
+            self.metrics.counter(metric::STORE_CACHE_HITS).inc();
+            // the blob's disk copy is just as recently used: without
+            // this, a hot key served from memory would keep a stale
+            // disk stamp and be the first blob deleted under a disk
+            // budget — an LRU inversion
+            inner.bump_disk(name, tick);
+        }
+        hit
     }
 
     /// Looks up `key`, decoding the stored blob on a hit. Prefer
@@ -970,6 +982,41 @@ mod tests {
         assert!(dir.join(keys[0].blob_name()).exists(), "hot blob was the eviction victim");
         assert!(!dir.join(keys[1].blob_name()).exists(), "stale blob survived");
         assert_eq!(cache.stats().disk_evictions, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resident_probe_counts_only_hits_and_refreshes_lru() {
+        let a = artifact("mvq");
+        let blob_len = a.to_bytes().unwrap().len() as u64;
+        let cache = ArtifactCache::in_memory_with_budget(
+            CacheBudget::default().with_memory_bytes(2 * blob_len),
+        );
+        let spec = PipelineSpec { k: 8, ..PipelineSpec::default() };
+        let keys: Vec<CacheKey> =
+            (0..3).map(|s| CacheKey::new("mvq", &weight(), &spec, s).unwrap()).collect();
+        cache.put(&keys[0], &a).unwrap();
+        cache.put(&keys[1], &a).unwrap();
+        let hit = cache.get_resident(&keys[0]).expect("key 0 is resident");
+        assert!(Arc::ptr_eq(&hit, &cache.get_raw(&keys[0]).unwrap().unwrap()), "hit copied");
+        assert!(cache.get_resident(&keys[2]).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 0), "absence must count nothing");
+        // the probe made key 0 the most recent, so key 1 is the victim
+        cache.put(&keys[2], &a).unwrap();
+        assert!(cache.get_resident(&keys[0]).is_some(), "probed entry was evicted");
+        assert!(cache.get_resident(&keys[1]).is_none(), "LRU entry survived");
+
+        // a blob only on disk (after a restart) is not resident: the
+        // probe neither reads it nor counts a miss
+        let dir = std::env::temp_dir().join(format!("mvq-store-resident-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ArtifactCache::with_dir(&dir).unwrap().put(&keys[0], &a).unwrap();
+        let restarted = ArtifactCache::with_dir(&dir).unwrap();
+        assert!(restarted.get_resident(&keys[0]).is_none(), "disk blob answered the probe");
+        assert_eq!((restarted.stats().hits, restarted.stats().misses), (0, 0));
+        assert!(restarted.get_raw(&keys[0]).unwrap().is_some(), "disk hit promotes to memory");
+        assert!(restarted.get_resident(&keys[0]).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

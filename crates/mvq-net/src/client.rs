@@ -130,8 +130,9 @@ impl NetClient {
     /// Returns [`NetError::Io`] when the connection fails.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<NetClient, NetError> {
         let stream = TcpStream::connect(addr).map_err(NetError::Io)?;
-        // without this, the length prefix and the frame — two write()s —
-        // interact with Nagle + delayed ACK into ~40 ms stalls per message
+        // without this, a message split across two write()s (a short
+        // vectored write) interacts with Nagle + delayed ACK into ~40 ms
+        // stalls per message
         let _ = stream.set_nodelay(true);
         Ok(NetClient { stream, max_message_len: DEFAULT_MAX_MESSAGE_LEN, next_id: 0 })
     }

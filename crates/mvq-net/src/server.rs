@@ -42,8 +42,8 @@ use mvq_obs::{names as metric, Registry};
 use mvq_serve::{CancelToken, CompressionRequest, CompressionService, JobError, Ticket};
 
 use crate::wire::{
-    read_message, write_message, WireErrorKind, WireRequest, WireResponse, WireStatsReply,
-    WireStatsRequest, DEFAULT_MAX_MESSAGE_LEN,
+    read_message, write_message, write_messages, WireErrorKind, WireRequest, WireResponse,
+    WireStatsReply, WireStatsRequest, DEFAULT_MAX_MESSAGE_LEN,
 };
 
 /// Tunables for [`NetServer::bind_with`].
@@ -280,9 +280,9 @@ enum Pending {
 }
 
 fn spawn_connection(shared: &Arc<NetShared>, stream: TcpStream) {
-    // the protocol writes a tiny length prefix before every frame; with
-    // Nagle on, that second small write stalls behind the peer's
-    // delayed ACK (~40 ms per message on loopback)
+    // a message goes out as one vectored write, but a short write can
+    // still leave a small tail; with Nagle on, that second write stalls
+    // behind the peer's delayed ACK (~40 ms per message on loopback)
     let _ = stream.set_nodelay(true);
     let reader_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -405,7 +405,8 @@ fn conn_reader(
         }
         let pending = match builder.build() {
             Ok(request) => {
-                // submit_one blocks while the service queue is full —
+                // submit_one blocks while the service queue is full
+                // (a memory-resident hit is answered at once instead) —
                 // that, plus the bounded channel below, is the server's
                 // backpressure; nothing is buffered without bound
                 let ticket = shared.service.submit_one(request);
@@ -464,14 +465,7 @@ fn conn_writer(
                     Ok(outcome) => {
                         shared.metrics.counter(metric::NET_CONN_RESPONSES_OK).inc();
                         if alive {
-                            let header = WireResponse::Ok {
-                                id,
-                                name: outcome.name.clone(),
-                                from_cache: outcome.from_cache,
-                                deduped: outcome.deduped,
-                            };
-                            alive = write_response(&mut stream, &header)
-                                && write_artifact(&mut stream, &outcome);
+                            alive = write_ok(&mut stream, id, &outcome);
                         }
                     }
                     Err(e) => {
@@ -514,20 +508,34 @@ fn write_response(stream: &mut TcpStream, resp: &WireResponse) -> bool {
     }
 }
 
-/// Writes the artifact message after an Ok header. The hot path writes
-/// the outcome's shared `Arc` bytes directly — the same allocation the
-/// cache validated at admission, never copied or re-encoded for the
-/// wire. Only cache-bypassing jobs (which never encoded) pay an encode
-/// here.
-fn write_artifact(stream: &mut TcpStream, outcome: &mvq_serve::JobOutcome) -> bool {
-    match outcome.raw_bytes() {
-        Some(bytes) => write_message(stream, bytes).is_ok(),
+/// Writes an Ok header and its artifact message in one vectored write;
+/// false when the socket died. The hot path writes the outcome's shared
+/// `Arc` bytes directly — the same allocation the cache validated at
+/// admission, never copied or re-encoded for the wire. Only
+/// cache-bypassing jobs (which never encoded) pay an encode here.
+fn write_ok(stream: &mut TcpStream, id: u64, outcome: &mvq_serve::JobOutcome) -> bool {
+    let header = WireResponse::Ok {
+        id,
+        name: outcome.name.clone(),
+        from_cache: outcome.from_cache,
+        deduped: outcome.deduped,
+    };
+    let Ok(header) = header.encode() else {
+        return false;
+    };
+    let encoded;
+    let artifact: &[u8] = match outcome.raw_bytes() {
+        Some(bytes) => bytes,
         None => match outcome.artifact().and_then(|a| {
             use mvq_core::store::Persist;
             a.to_bytes()
         }) {
-            Ok(bytes) => write_message(stream, &bytes).is_ok(),
-            Err(_) => false,
+            Ok(bytes) => {
+                encoded = bytes;
+                &encoded
+            }
+            Err(_) => return false,
         },
-    }
+    };
+    write_messages(stream, &[&header, artifact]).is_ok()
 }

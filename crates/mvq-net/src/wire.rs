@@ -9,7 +9,7 @@
 //! cache's own `BlobKind::Artifact` frame as the next message, byte for
 //! byte. See the crate docs for the full layout.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use mvq_core::pipeline::PipelineSpec;
 use mvq_core::store::{frame_blob, unframe_blob, BlobKind, HEADER_LEN};
@@ -27,14 +27,48 @@ pub const DEFAULT_MAX_MESSAGE_LEN: usize = 64 << 20;
 
 /// Writes one length-prefixed message.
 pub(crate) fn write_message(w: &mut impl Write, frame: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(frame.len()).map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds the u32 length prefix", frame.len()),
-        )
-    })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(frame)
+    write_messages(w, &[frame])
+}
+
+/// Writes length-prefixed messages back to back — the same bytes as one
+/// [`write_message`] per frame — through `write_vectored`, so a socket
+/// with `TCP_NODELAY` sends one segment instead of two per message when
+/// the kernel takes the whole batch. Short writes resume where the
+/// previous call stopped.
+pub(crate) fn write_messages(w: &mut impl Write, frames: &[&[u8]]) -> std::io::Result<()> {
+    let prefixes = frames
+        .iter()
+        .map(|frame| {
+            u32::try_from(frame.len()).map(u32::to_le_bytes).map_err(|_| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("frame of {} bytes exceeds the u32 length prefix", frame.len()),
+                )
+            })
+        })
+        .collect::<std::io::Result<Vec<[u8; 4]>>>()?;
+    let mut slices: Vec<IoSlice<'_>> = prefixes
+        .iter()
+        .zip(frames)
+        .flat_map(|(prefix, frame)| [IoSlice::new(prefix), IoSlice::new(frame)])
+        .collect();
+    let mut bufs = &mut slices[..];
+    // drops leading empty slices, so an empty `bufs` means all written
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "the writer accepted no bytes of a message",
+                ));
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads one length-prefixed message, rejecting frames shorter than the
@@ -891,6 +925,61 @@ mod tests {
         // cross-kind confusion is refused, like every other frame pair
         assert!(WireStatsRequest::decode(&frame).is_err());
         assert!(WireResponse::decode(&frame).is_err());
+    }
+
+    /// Accepts 1, 2, 3, 1, 2, 3, … bytes per call, spread across the
+    /// vectored slices, so every resume point inside a prefix, a frame
+    /// and a slice boundary gets exercised.
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut budget = 1 + (self.calls - 1) % 3;
+            let mut n = 0;
+            for buf in bufs {
+                let take = budget.min(buf.len());
+                self.out.extend_from_slice(&buf[..take]);
+                (budget, n) = (budget - take, n + take);
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_messages_match_the_two_write_layout_under_short_writes() {
+        let header = WireResponse::Ok { id: 3, name: "c".into(), from_cache: true, deduped: false }
+            .encode()
+            .unwrap();
+        let body = request().encode().unwrap();
+        let frames: [&[u8]; 3] = [&header, &body, &[]];
+        // the layout of a prefix write_all then a frame write_all, per frame
+        let mut expected = Vec::new();
+        for frame in frames {
+            expected.write_all(&(frame.len() as u32).to_le_bytes()).unwrap();
+            expected.write_all(frame).unwrap();
+        }
+        let mut trickle = Trickle { out: Vec::new(), calls: 0 };
+        write_messages(&mut trickle, &frames).unwrap();
+        assert_eq!(trickle.out, expected);
+        assert!(trickle.calls > 3, "the writer never forced a resume");
+        let mut whole = Vec::new();
+        write_messages(&mut whole, &frames).unwrap();
+        assert_eq!(whole, expected);
+        let mut r = &whole[..];
+        assert_eq!(read_message(&mut r, DEFAULT_MAX_MESSAGE_LEN).unwrap(), header);
+        assert_eq!(read_message(&mut r, DEFAULT_MAX_MESSAGE_LEN).unwrap(), body);
     }
 
     #[test]

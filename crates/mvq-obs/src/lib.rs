@@ -56,8 +56,9 @@
 //! cached → replied) as µs offsets from submission. Stages a job never
 //! reaches are *absent*, not zero — a deadline-expired job's trace
 //! jumps from `queued` straight to `replied` (the cancellation
-//! notice), with every execution stage missing. Dedup riders get their
-//! own trace, marked
+//! notice), with every execution stage missing, and a warm hit answered
+//! from memory at submit never queues, so its trace is submitted →
+//! cache-probe → replied. Dedup riders get their own trace, marked
 //! [`Trace::deduped`]. Completed traces land in the registry's
 //! [`TraceRing`] (last [`Registry::TRACE_RING_CAP`] kept) and are
 //! queryable locally or over the wire.

@@ -42,18 +42,21 @@ pub const STORE_CACHE_NEGATIVE_HITS: u16 = 6;
 /// was untrustworthy (counter).
 pub const STORE_CACHE_MTIME_FALLBACKS: u16 = 7;
 /// `serve.queue.wait_us` — µs a job spent queued before a worker took
-/// it (histogram).
+/// it (histogram). Hits answered from memory at submit never queue and
+/// record nothing here.
 pub const SERVE_QUEUE_WAIT_US: u16 = 8;
 /// `serve.hit.latency_us` — submit→reply µs for jobs answered from the
 /// cache (histogram).
 pub const SERVE_HIT_LATENCY_US: u16 = 9;
-/// `serve.job.run_us` — submit→reply µs for every completed job
-/// (histogram).
+/// `serve.job.run_us` — dequeue→reply µs for every job a worker ran
+/// (histogram). Hits answered from memory at submit never reach a
+/// worker and record nothing here.
 pub const SERVE_JOB_RUN_US: u16 = 10;
 /// `serve.jobs.submitted` — accepted submissions, riders included
 /// (counter).
 pub const SERVE_JOBS_SUBMITTED: u16 = 11;
-/// `serve.jobs.completed` — jobs that ran to a result (counter).
+/// `serve.jobs.completed` — jobs that ran to a result, hits answered
+/// from memory at submit included (counter).
 pub const SERVE_JOBS_COMPLETED: u16 = 12;
 /// `serve.jobs.cancelled` — waiters dropped by explicit cancellation
 /// or deadline expiry (counter).

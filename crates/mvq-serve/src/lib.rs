@@ -15,7 +15,10 @@
 //!   bounded priority queue (backpressure: `submit_one` blocks while
 //!   full, [`CompressionService::try_submit_one`] refuses and hands the
 //!   request back) and returns a [`Ticket`]; redeem with
-//!   [`Ticket::wait`] or poll with [`Ticket::try_poll`].
+//!   [`Ticket::wait`] or poll with [`Ticket::try_poll`]. A matrix request
+//!   whose artifact is resident in the cache's memory tier skips the
+//!   queue: it is answered at submit, before the service lock, so a
+//!   queue full of cold work never blocks or refuses a warm hit.
 //! * Per-job outcomes — every ticket resolves to
 //!   `Ok(`[`JobOutcome`]`)` or a typed [`JobError`]; one poisoned job
 //!   never aborts the queue or any other job.
@@ -549,5 +552,114 @@ mod tests {
             }
             other => panic!("expected QueueFull, got {other:?}"),
         }
+    }
+
+    /// A pinned-seed request whose artifact is put straight into the
+    /// service's cache, so submitting it is a memory-resident hit with no
+    /// worker involved. Returns the request's builder and the stored blob.
+    fn primed(
+        service: &CompressionService,
+        name: &str,
+        seed: u64,
+    ) -> (CompressionRequestBuilder, std::sync::Arc<[u8]>) {
+        use mvq_core::store::{CacheKey, Persist};
+        let w = weight(seed);
+        let artifact = mvq_core::pipeline::by_name("mvq", &spec())
+            .unwrap()
+            .compress_matrix(&w, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        let bytes: std::sync::Arc<[u8]> = artifact.to_bytes().unwrap().into();
+        let key = CacheKey::new("mvq", &w, &spec(), seed).unwrap();
+        service.cache().put_raw(&key, std::sync::Arc::clone(&bytes)).unwrap();
+        (CompressionRequest::builder(name, w, "mvq").spec(spec()).seed(seed), bytes)
+    }
+
+    #[test]
+    fn a_resident_hit_is_answered_at_submit_while_the_queue_is_full() {
+        use mvq_obs::{names as metric, Stage, TraceOutcome};
+        let service = CompressionService::builder().workers(0).queue_capacity(1).build().unwrap();
+        let cold = CompressionRequest::builder("cold", weight(100), "mvq")
+            .spec(spec())
+            .seed(100)
+            .build()
+            .unwrap();
+        let cold = service.try_submit_one(cold).unwrap();
+        assert_eq!(service.queued(), 1);
+
+        let (hit, bytes) = primed(&service, "warm", 101);
+        let hit = hit.build().unwrap();
+        let mut ticket = service.try_submit_one(hit.clone()).expect("a resident hit is refused");
+        assert_eq!(service.queued(), 1, "the hit took a queue slot");
+        assert!(ticket.try_poll().is_some(), "the ticket must come back resolved");
+        let outcome = ticket.wait().unwrap();
+        assert!(outcome.from_cache && !outcome.deduped);
+        assert!(std::sync::Arc::ptr_eq(outcome.raw_bytes().unwrap(), &bytes), "hit copied");
+        // the blocking path answers too; were it to queue, it would wait
+        // forever on the full zero-worker queue
+        assert!(service.submit_one(hit).wait().unwrap().from_cache);
+
+        let registry = service.registry();
+        assert_eq!(registry.counter(metric::SERVE_JOBS_SUBMITTED).get(), 3);
+        assert_eq!(registry.counter(metric::SERVE_JOBS_COMPLETED).get(), 2);
+        assert_eq!(registry.counter(metric::STORE_CACHE_HITS).get(), 2);
+        assert_eq!(registry.counter(metric::STORE_CACHE_MISSES).get(), 0);
+        assert_eq!(registry.histogram(metric::SERVE_HIT_LATENCY_US).count(), 2);
+        assert_eq!(registry.histogram(metric::SERVE_QUEUE_WAIT_US).count(), 0);
+        assert_eq!(registry.histogram(metric::SERVE_JOB_RUN_US).count(), 0);
+        let trace = registry.traces().recent(1).pop().expect("the hit's trace is in the ring");
+        assert_eq!(trace.name, "warm");
+        assert_eq!(trace.outcome, TraceOutcome::Ok);
+        let stages: Vec<Stage> = trace.stages.iter().map(|&(stage, _)| stage).collect();
+        assert_eq!(stages, [Stage::Submitted, Stage::CacheProbe, Stage::Replied]);
+        drop(service);
+        assert!(matches!(cold.wait(), Err(JobError::Disconnected { .. })));
+    }
+
+    #[test]
+    fn a_hit_already_dead_at_submit_queues_and_is_cancelled_at_dequeue() {
+        use mvq_obs::names as metric;
+        let service = CompressionService::builder().workers(1).queue_capacity(4).build().unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = primed(&service, "cancelled", 102).0.cancel_token(token).build().unwrap();
+        let expired =
+            primed(&service, "expired", 103).0.deadline(std::time::Instant::now()).build().unwrap();
+        for (request, want) in
+            [(cancelled, CancelKind::Explicit), (expired, CancelKind::DeadlineExpired)]
+        {
+            let name = request.name().to_string();
+            match service.submit_one(request).wait() {
+                Err(JobError::Cancelled { name: got, kind }) => {
+                    assert_eq!((got, kind), (name, want));
+                }
+                other => panic!("{name}: expected Cancelled({want:?}), got {other:?}"),
+            }
+        }
+        let registry = service.registry();
+        assert_eq!(registry.counter(metric::SERVE_JOBS_CANCELLED).get(), 2);
+        assert_eq!(registry.counter(metric::STORE_CACHE_HITS).get(), 0, "a dead hit was served");
+    }
+
+    #[test]
+    fn a_resident_hit_after_shutdown_is_disconnected() {
+        let service = CompressionService::builder().workers(0).queue_capacity(4).build().unwrap();
+        let hit = primed(&service, "late", 104).0.build().unwrap();
+        service.shutdown();
+        assert!(matches!(service.submit_one(hit).wait(), Err(JobError::Disconnected { .. })));
+        assert_eq!(service.cache_stats().hits, 0, "the cache answered after shutdown");
+    }
+
+    #[test]
+    fn bypass_is_never_answered_at_submit_and_read_only_is() {
+        use mvq_obs::Stage;
+        let service = CompressionService::builder().workers(1).queue_capacity(4).build().unwrap();
+        let bypass = primed(&service, "bypass", 105).0.cache_mode(CacheMode::Bypass);
+        let ticket = service.submit_one(bypass.build().unwrap());
+        assert!(ticket.trace().stage_us(Stage::Queued).is_some(), "bypass skipped the queue");
+        assert!(!ticket.wait().unwrap().from_cache, "bypass read the cache");
+        let read_only = primed(&service, "read-only", 106).0.cache_mode(CacheMode::ReadOnly);
+        let ticket = service.submit_one(read_only.build().unwrap());
+        assert!(ticket.trace().stage_us(Stage::Queued).is_none(), "read-only hit queued");
+        assert!(ticket.wait().unwrap().from_cache);
     }
 }

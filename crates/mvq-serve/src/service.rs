@@ -6,12 +6,14 @@
 //! are plain `std::thread`s parked on a condvar, results travel over
 //! per-job `std::sync::mpsc` channels, and backpressure is a bounded
 //! queue whose `submit_one` blocks (or `try_submit_one` refuses) while
-//! full.
+//! full. A matrix request whose blob is resident in the cache's memory
+//! tier skips all of that: `enqueue` answers it before taking the
+//! service lock, with an already-resolved ticket.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -124,17 +126,27 @@ struct Waiter {
 }
 
 impl Waiter {
-    /// Why this waiter no longer wants the job, if so. Explicit
-    /// cancellation wins over deadline expiry when both apply.
+    /// Why this waiter no longer wants the job, if so.
     fn dead(&self, now: Instant) -> Option<CancelKind> {
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Some(CancelKind::Explicit);
-        }
-        if self.deadline.is_some_and(|d| d <= now) {
-            return Some(CancelKind::DeadlineExpired);
-        }
-        None
+        cancel_kind(self.cancel.as_ref(), self.deadline, now)
     }
+}
+
+/// Why a submission carrying `cancel` and `deadline` is dead at `now`,
+/// if it is. Explicit cancellation wins over deadline expiry when both
+/// apply.
+fn cancel_kind(
+    cancel: Option<&CancelToken>,
+    deadline: Option<Instant>,
+    now: Instant,
+) -> Option<CancelKind> {
+    if cancel.is_some_and(CancelToken::is_cancelled) {
+        return Some(CancelKind::Explicit);
+    }
+    if deadline.is_some_and(|d| d <= now) {
+        return Some(CancelKind::DeadlineExpired);
+    }
+    None
 }
 
 /// A heap entry pointing at a queued job. Jobs live in `State::jobs`;
@@ -271,6 +283,11 @@ struct Shared {
     /// front built on top) records into one place.
     metrics: Arc<Registry>,
     seq: AtomicU64,
+    /// Mirrors `State::shutdown` so the submit-time cache answer can
+    /// honour shutdown without taking the service lock. The `Release`
+    /// store in `shutdown()` pairs with the `Acquire` load in
+    /// `resident_hit`; the flag publishes no other data.
+    shutdown: AtomicBool,
 }
 
 /// The long-lived compression service: a content-addressed (optionally
@@ -280,6 +297,8 @@ struct Shared {
 /// * [`CompressionService::submit_one`] returns a [`Ticket`] immediately
 ///   (blocking only while the bounded queue is full);
 ///   [`CompressionService::try_submit_one`] refuses instead of blocking.
+///   A memory-resident cache hit never waits for the queue: its ticket
+///   comes back already resolved.
 /// * One bad job reports a typed [`JobError`] on its own ticket; every
 ///   other job is untouched — there is no batch to abort.
 /// * Identical non-bypass jobs in flight (same [`CacheKey`]) share one
@@ -338,7 +357,9 @@ impl ServiceBuilder {
     }
 
     /// Bound on *queued* (not yet running) jobs; `submit_one` blocks and
-    /// `try_submit_one` refuses while the queue is full. Must be ≥ 1.
+    /// `try_submit_one` refuses while the queue is full. Requests answered
+    /// from the cache's memory tier at submit never occupy a slot, so a
+    /// full queue does not hold them up. Must be ≥ 1.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self
@@ -415,6 +436,7 @@ impl ServiceBuilder {
             cache,
             metrics,
             seq: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -491,14 +513,27 @@ impl CompressionService {
     /// Submissions after this point resolve to `Disconnected` immediately.
     /// Idempotent; [`Drop`] calls it before joining the workers.
     pub fn shutdown(&self) {
+        self.shared.shutdown.store(true, Ordering::Release);
         self.shared.state.lock().expect("service lock").shutdown = true;
         self.shared.work.notify_all();
         self.shared.space.notify_all();
     }
 
     /// Submits one request, blocking while the queue is full, and returns
-    /// its [`Ticket`]. An identical non-bypass job already in flight is
-    /// joined instead of queued (the rider's outcome reports
+    /// its [`Ticket`].
+    ///
+    /// A [`Work::Matrix`] request that reads the cache (any mode but
+    /// [`CacheMode::Bypass`]) and whose blob is resident in the cache's
+    /// memory tier is answered here, before the service lock is taken:
+    /// the ticket comes back already resolved (`from_cache: true`), its
+    /// trace is `Submitted → CacheProbe → Replied`, and a full queue never
+    /// blocks it. A request already cancelled or past its deadline, or
+    /// submitted after [`CompressionService::shutdown`], is never answered
+    /// this way; neither are disk-tier hits, misses and remembered
+    /// failures, which a worker resolves.
+    ///
+    /// Otherwise the request queues. An identical non-bypass job already
+    /// in flight is joined instead of queued (the rider's outcome reports
     /// `deduped: true`), so duplicates are immune to backpressure; a
     /// rider with a higher priority boosts the queued job to it, so a
     /// `High` request never waits behind `Normal` work just because a
@@ -522,11 +557,13 @@ impl CompressionService {
 
     /// Non-blocking [`CompressionService::submit_one`]: refuses with
     /// [`SubmitError::QueueFull`] — handing the request back — instead of
-    /// waiting for queue space.
+    /// waiting for queue space. A memory-resident cache hit is answered
+    /// at submit and never refused, however full the queue is.
     ///
     /// # Errors
     ///
-    /// Returns [`SubmitError::QueueFull`] when the queue is at capacity.
+    /// Returns [`SubmitError::QueueFull`] when the queue is at capacity
+    /// and the request is not answered from memory.
     pub fn try_submit_one(&self, request: CompressionRequest) -> Result<Ticket, SubmitError> {
         self.enqueue(request, false)
     }
@@ -536,6 +573,23 @@ impl CompressionService {
         let key = request.cache_key();
         // lint:allow(unbounded-channel) -- per-job result channel: carries at most one message per waiter, and queue depth itself is bounded by ServiceConfig
         let (tx, rx) = mpsc::channel();
+        if let Some(bytes) = self.resident_hit(&request, &key) {
+            trace.stamp(Stage::CacheProbe);
+            let name = request.name().to_string();
+            let outcome =
+                JobOutcome::new(name.clone(), key.clone(), Payload::Bytes(bytes), true, false);
+            // settle every metric before the result is sent, as `execute` does
+            let metrics = &self.shared.metrics;
+            metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
+            metrics.counter(metric::SERVE_JOBS_COMPLETED).inc();
+            trace.stamp(Stage::Replied);
+            if let Some(snap) = trace.finish(TraceOutcome::Ok) {
+                metrics.traces().push(snap);
+            }
+            metrics.histogram(metric::SERVE_HIT_LATENCY_US).record(trace.elapsed_us());
+            let _ = tx.send(Ok(outcome));
+            return Ok(Ticket::new(name, key, rx, None, trace));
+        }
         // a model ticket observes progress from submission on, before any
         // worker has picked the job up
         let progress = matches!(request.work(), Work::Model { .. }).then(ProgressHandle::new);
@@ -627,6 +681,24 @@ impl CompressionService {
         self.shared.metrics.counter(metric::SERVE_JOBS_SUBMITTED).inc();
         self.shared.work.notify_one();
         Ok(Ticket::new(name, key, rx, progress, trace))
+    }
+
+    /// The submit-time cache answer: the blob for a live, cache-reading
+    /// matrix request whose key is resident in memory, taken without the
+    /// service lock. Everything else — misses, disk-tier hits, bypass and
+    /// model jobs, remembered failures, requests already cancelled or
+    /// expired, and any request after shutdown — returns `None` and
+    /// queues as usual, so the worker's probe is the one that counts a
+    /// miss, reads the disk and quarantines a corrupt blob.
+    fn resident_hit(&self, request: &CompressionRequest, key: &CacheKey) -> Option<Arc<[u8]>> {
+        if !matches!(request.work(), Work::Matrix(_))
+            || !request.cache_mode().reads_cache()
+            || self.shared.shutdown.load(Ordering::Acquire)
+            || cancel_kind(request.cancel(), request.deadline(), Instant::now()).is_some()
+        {
+            return None;
+        }
+        self.shared.cache.get_resident(key)
     }
 }
 

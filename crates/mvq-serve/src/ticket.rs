@@ -324,7 +324,9 @@ impl Ticket {
     /// registry's [`mvq_obs::TraceRing`] after it resolves. A dedup
     /// rider's trace is marked [`mvq_obs::Trace::deduped`] and only
     /// stamps submit and reply (the shared job's trace carries the
-    /// execution stages).
+    /// execution stages). A hit answered from memory at submit never
+    /// queues: its trace is `Submitted → CacheProbe → Replied`, already
+    /// finished when the ticket is returned.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }

@@ -20,7 +20,7 @@ use common::{blocker_request, quick_spec, wait_until, weight};
 use mvq::core::pipeline::PipelineSpec;
 use mvq::core::store::{CacheKey, FORMAT_VERSION};
 use mvq::net::{NetClient, NetError, NetRequest, NetServer, WireErrorKind, WireRequest};
-use mvq::serve::{CacheMode, CachePolicy, CompressionService, Priority};
+use mvq::serve::{CacheMode, CachePolicy, CompressionRequest, CompressionService, Priority};
 
 fn one_worker_server() -> NetServer {
     let service =
@@ -277,6 +277,35 @@ fn seeded_request(name: String, seed: u64, algo: &str) -> NetRequest {
     request.spec = quick_spec();
     request.seed = Some(seed);
     request
+}
+
+#[test]
+fn warm_hit_over_tcp_skips_a_full_queue_behind_a_busy_worker() {
+    let service =
+        CompressionService::builder().workers(1).queue_capacity(1).build().expect("build service");
+    let server = NetServer::bind("127.0.0.1:0", service).expect("bind server");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let warm = seeded_request("warm".into(), 90, "mvq");
+    let (primed, primed_bits) = submit_bits(&mut client, &warm);
+    assert!(!primed.from_cache, "the priming submission must compress fresh");
+
+    // the single worker runs the blocker and a cold job fills the queue
+    let blocker = server.service().submit_one(blocker_request(91));
+    wait_until("worker takes the blocker", || server.service().queued() == 0);
+    let cold = CompressionRequest::builder("cold", weight(92), "mvq")
+        .spec(quick_spec())
+        .seed(92)
+        .build()
+        .expect("build cold request");
+    let cold = server.service().submit_one(cold);
+    assert_eq!(server.service().queued(), 1, "the cold job must fill the queue");
+
+    let (hit, bits) = submit_bits(&mut client, &warm);
+    assert!(hit.from_cache, "the warm resubmission must hit the cache");
+    assert!(bits == primed_bits, "the hit changed bits");
+    assert_eq!(server.service().queued(), 1, "the hit waited for the cold job to dequeue");
+    assert!(blocker.wait().is_ok());
+    assert!(cold.wait().is_ok());
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Observability integration tests (`mvq::obs` threaded through
 //! serve/store/net): a warm cache hit over real TCP must come back as a
-//! queryable job-lifecycle trace, in-flight dedup must account each
-//! rider exactly once even when submissions race, and a job cancelled
-//! while queued must leave a monotonic trace whose never-ran stages are
-//! absent — not zero.
+//! queryable job-lifecycle trace (answered at submit, so it never
+//! queues), in-flight dedup must account each rider exactly once even
+//! when submissions race, and a job cancelled while queued must leave a
+//! monotonic trace whose never-ran stages are absent — not zero.
 
 mod common;
 
@@ -15,7 +15,7 @@ use mvq::obs::{names as metric, Stage, TraceOutcome};
 use mvq::serve::{CompressionRequest, CompressionService};
 
 #[test]
-fn warm_hit_over_tcp_yields_a_queryable_trace_with_five_stages() {
+fn warm_hit_over_tcp_yields_a_queryable_trace_with_three_stages() {
     let service =
         CompressionService::builder().workers(1).queue_capacity(8).build().expect("build service");
     let server = NetServer::bind("127.0.0.1:0", service).expect("bind server");
@@ -37,22 +37,12 @@ fn warm_hit_over_tcp_yields_a_queryable_trace_with_five_stages() {
     assert_eq!(trace.name, "warm-probe");
     assert_eq!(trace.outcome, TraceOutcome::Ok);
     assert!(!trace.deduped);
-    assert!(
-        trace.stages.len() >= 5,
-        "a warm hit must carry at least 5 stage timestamps, got {:?}",
-        trace.stages
-    );
     assert!(trace.is_monotonic(), "stage timestamps must be monotonic: {:?}", trace.stages);
-    for stage in
-        [Stage::Submitted, Stage::Queued, Stage::Dequeued, Stage::CacheProbe, Stage::Replied]
-    {
-        assert!(trace.stage_us(stage).is_some(), "warm hit is missing {}", stage.name());
-    }
-    // a hit never runs the kernel or re-encodes; those stages must be
-    // absent from the trace, not present as zeros
-    for stage in [Stage::Kernel, Stage::Encode, Stage::Cached] {
-        assert!(trace.stage_us(stage).is_none(), "warm hit must not reach {}", stage.name());
-    }
+    // a memory-resident hit is answered at submit: it never queues, runs
+    // the kernel or re-encodes, and those stages are absent from the
+    // trace, not present as zeros
+    let stages: Vec<Stage> = trace.stages.iter().map(|&(stage, _)| stage).collect();
+    assert_eq!(stages, [Stage::Submitted, Stage::CacheProbe, Stage::Replied]);
 
     // the histograms the CLI renders must have real counts behind them
     let histogram_count = |name: &str| {
@@ -65,7 +55,7 @@ fn warm_hit_over_tcp_yields_a_queryable_trace_with_five_stages() {
         }
     };
     assert!(histogram_count("serve.hit.latency_us") >= 1, "the warm hit must record hit latency");
-    assert!(histogram_count("serve.queue.wait_us") >= 2, "both jobs must record queue wait");
+    assert_eq!(histogram_count("serve.queue.wait_us"), 1, "only the priming miss queues");
 }
 
 #[test]
