@@ -1058,9 +1058,10 @@ impl PipelineSpec {
 }
 
 /// Stable one-byte encoding of [`GroupingStrategy`] shared by the
-/// fingerprint and the artifact codec. Append-only: existing values must
-/// never be renumbered, or fingerprints and serialized blobs drift.
-pub(crate) fn grouping_tag(g: GroupingStrategy) -> u8 {
+/// fingerprint, the artifact codec and the `mvq-net` wire request.
+/// Append-only: existing values must never be renumbered, or
+/// fingerprints, serialized blobs and the wire drift.
+pub fn grouping_tag(g: GroupingStrategy) -> u8 {
     match g {
         GroupingStrategy::KernelWise => 0,
         GroupingStrategy::OutputChannelWise => 1,
@@ -1069,7 +1070,11 @@ pub(crate) fn grouping_tag(g: GroupingStrategy) -> u8 {
 }
 
 /// Inverse of [`grouping_tag`].
-pub(crate) fn grouping_from_tag(tag: u8) -> Result<GroupingStrategy, MvqError> {
+///
+/// # Errors
+///
+/// Returns [`MvqError::Codec`] for an unknown tag.
+pub fn grouping_from_tag(tag: u8) -> Result<GroupingStrategy, MvqError> {
     match tag {
         0 => Ok(GroupingStrategy::KernelWise),
         1 => Ok(GroupingStrategy::OutputChannelWise),
@@ -1083,11 +1088,26 @@ pub(crate) fn grouping_from_tag(tag: u8) -> Result<GroupingStrategy, MvqError> {
 /// and `Simd` strategies and stay reserved (`lint.toml`'s `[retired]`
 /// section), so no new strategy can alias their fingerprints or cache
 /// blobs.
-pub(crate) fn kernel_tag(k: KernelStrategy) -> u8 {
+pub fn kernel_tag(k: KernelStrategy) -> u8 {
     match k {
         KernelStrategy::Naive => 0,
         KernelStrategy::Blocked => 1,
     }
+}
+
+/// Inverse of [`kernel_tag`], derived from it over [`KernelStrategy::ALL`]
+/// so the two can never disagree. The retired tags 2 and 3 match no
+/// strategy, so a peer that still sends them gets a protocol error rather
+/// than another strategy.
+///
+/// # Errors
+///
+/// Returns [`MvqError::Codec`] for an unknown or retired tag.
+pub fn kernel_from_tag(tag: u8) -> Result<KernelStrategy, MvqError> {
+    KernelStrategy::ALL
+        .into_iter()
+        .find(|&k| kernel_tag(k) == tag)
+        .ok_or_else(|| MvqError::Codec(format!("unknown kernel tag {tag}")))
 }
 
 /// Registry names, in canonical order.

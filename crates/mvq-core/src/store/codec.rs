@@ -8,6 +8,11 @@
 //! raw bit patterns, so decoding reconstructs values **bit-identically**
 //! — `from_bytes(to_bytes(a))` reconstructs 0-ULP equal to `a`.
 //!
+//! The fields go through one [`Writer`]/[`Reader`] pair, and `mvq-net`'s
+//! wire payloads use the same pair, [`frame_blob`] and [`decode_blob`]: a
+//! store blob and a wire message differ only in their kind tag and field
+//! order, never in how a field is written.
+//!
 //! ## Versioning rule
 //!
 //! [`FORMAT_VERSION`] must be bumped on **any** change to the byte
@@ -105,92 +110,117 @@ pub fn weight_hash(weight: &Tensor) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// primitive readers/writers
+// the field codec: one writer/reader pair for store blobs and wire payloads
 // ---------------------------------------------------------------------
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
+/// Appends little-endian fields to a payload: the one writer behind every
+/// store blob and every `mvq-net` wire payload. [`Writer::frame`] seals
+/// the payload under a [`BlobKind`]; [`Reader`] reads the fields back.
+#[derive(Debug, Default)]
+pub struct Writer(Vec<u8>);
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    put_u32(out, v.to_bits());
-}
-
-/// The `u32` length prefix for a string field, rejecting strings whose
-/// byte length the field cannot represent (they would decode as a
-/// truncated prefix plus trailing garbage).
-fn str_len(s: &str) -> Result<u32, MvqError> {
-    u32::try_from(s.len()).map_err(|_| {
-        MvqError::Codec(format!(
-            "string of {} bytes exceeds the u32 length field of the v{FORMAT_VERSION} layout",
-            s.len()
-        ))
-    })
-}
-
-/// The `u8` rank prefix for a dims field, rejecting tensors whose rank
-/// the field cannot represent.
-fn rank_u8(dims: &[usize]) -> Result<u8, MvqError> {
-    u8::try_from(dims.len()).map_err(|_| {
-        MvqError::Codec(format!(
-            "tensor rank {} exceeds the u8 rank field of the v{FORMAT_VERSION} layout",
-            dims.len()
-        ))
-    })
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), MvqError> {
-    put_u32(out, str_len(s)?);
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn put_dims(out: &mut Vec<u8>, dims: &[usize]) -> Result<(), MvqError> {
-    put_u8(out, rank_u8(dims)?);
-    for &d in dims {
-        put_u64(out, d as u64);
+impl Writer {
+    /// An empty payload.
+    pub fn new() -> Writer {
+        Writer(Vec::new())
     }
-    Ok(())
-}
 
-fn put_tensor(out: &mut Vec<u8>, t: &Tensor) -> Result<(), MvqError> {
-    put_dims(out, t.dims())?;
-    for &v in t.data() {
-        put_f32(out, v);
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
+        self.0.push(v);
     }
-    Ok(())
-}
 
-fn put_opt_f32(out: &mut Vec<u8>, v: Option<f32>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_f32(out, x);
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// A `usize` as a little-endian `u64`.
+    pub fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+
+    fn f32(&mut self, v: f32) {
+        self.u32(v.to_bits());
+    }
+
+    /// A `u32` byte length, then the UTF-8 bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvqError::Codec`] for strings whose byte length the `u32`
+    /// field cannot represent (they would decode as a truncated prefix plus
+    /// trailing garbage).
+    pub fn str(&mut self, s: &str) -> Result<(), MvqError> {
+        let len = u32::try_from(s.len()).map_err(|_| {
+            MvqError::Codec(format!(
+                "string of {} bytes exceeds the u32 length field of the v{FORMAT_VERSION} layout",
+                s.len()
+            ))
+        })?;
+        self.u32(len);
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+
+    /// A presence byte (0 or 1), then the value through `put` when present.
+    pub fn opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Writer, T)) {
+        match v {
+            None => self.u8(0),
+            Some(x) => {
+                self.u8(1);
+                put(self, x);
+            }
         }
     }
-}
 
-fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_u32(out, x);
+    /// A `u8` rank, then each dim as a `u64`; fails for a rank the field
+    /// cannot hold.
+    fn dims(&mut self, dims: &[usize]) -> Result<(), MvqError> {
+        let rank = u8::try_from(dims.len()).map_err(|_| {
+            MvqError::Codec(format!(
+                "tensor rank {} exceeds the u8 rank field of the v{FORMAT_VERSION} layout",
+                dims.len()
+            ))
+        })?;
+        self.u8(rank);
+        for &d in dims {
+            self.usize(d);
         }
+        Ok(())
+    }
+
+    /// A `u8` rank, each dim as a `u64`, then every value's `f32` bit
+    /// pattern.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvqError::Codec`] for a rank the `u8` field cannot hold.
+    pub fn tensor(&mut self, t: &Tensor) -> Result<(), MvqError> {
+        self.dims(t.dims())?;
+        for &v in t.data() {
+            self.f32(v);
+        }
+        Ok(())
+    }
+
+    /// Frames the payload under `kind` (see [`frame_blob`]).
+    pub fn frame(self, kind: BlobKind) -> Vec<u8> {
+        frame_blob(kind, self.0)
     }
 }
 
-/// Bounds-checked sequential reader over a decoded payload.
-struct Reader<'a> {
+/// Bounds-checked sequential reader over a checksum-verified payload, the
+/// inverse of [`Writer`]. Every read that runs past the payload returns
+/// [`MvqError::Codec`]; [`decode_blob`] hands one out and rejects trailing
+/// bytes.
+#[derive(Debug)]
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -213,19 +243,38 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, MvqError> {
+    /// `n` little-endian words of `W` bytes, bounds-checked as one run
+    /// before anything is allocated for them: a count the payload cannot
+    /// hold (a saturated byte length included) fails like any overrun.
+    fn words<const W: usize>(
+        &mut self,
+        n: usize,
+    ) -> Result<impl Iterator<Item = [u8; W]> + 'a, MvqError> {
+        let run = self.take(n.saturating_mul(W))?;
+        Ok(run.chunks_exact(W).map(|c| {
+            let mut word = [0u8; W];
+            word.copy_from_slice(c);
+            word
+        }))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, MvqError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, MvqError> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, MvqError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
 
-    fn u64(&mut self) -> Result<u64, MvqError> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, MvqError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    fn usize(&mut self) -> Result<usize, MvqError> {
+    /// A `u64` that must fit a `usize`.
+    pub fn usize(&mut self) -> Result<usize, MvqError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| MvqError::Codec(format!("length {v} overflows usize")))
     }
@@ -234,13 +283,27 @@ impl<'a> Reader<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    fn str(&mut self) -> Result<String, MvqError> {
+    /// A `u32` byte length, then that many bytes of UTF-8.
+    pub fn str(&mut self) -> Result<String, MvqError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| MvqError::Codec("string field is not UTF-8".into()))
     }
 
+    /// A presence byte, then the value through `read` when it is 1.
+    pub fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, MvqError>,
+    ) -> Result<Option<T>, MvqError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => read(self).map(Some),
+            t => Err(MvqError::Codec(format!("bad Option tag {t}"))),
+        }
+    }
+
+    /// A `u8` rank and its dims, whose product must not exceed `u32::MAX`.
     fn dims(&mut self) -> Result<Vec<usize>, MvqError> {
         let rank = self.u8()? as usize;
         let mut dims = Vec::with_capacity(rank);
@@ -258,33 +321,15 @@ impl<'a> Reader<'a> {
         Ok(dims)
     }
 
-    fn tensor(&mut self) -> Result<Tensor, MvqError> {
+    /// A `u8` rank and its dims (at most `u32::MAX` values), then the
+    /// values. The whole value run is bounds-checked in one piece before
+    /// anything is allocated, so dims that promise more values than the
+    /// payload holds fail without reserving memory for them.
+    pub fn tensor(&mut self) -> Result<Tensor, MvqError> {
         let dims = self.dims()?;
         let numel: usize = dims.iter().product();
-        // cap the pre-allocation (same guard as the assignment/permutation
-        // readers): a malformed header must fail at the first short read,
-        // not abort on a multi-GB reservation
-        let mut data = Vec::with_capacity(numel.min(1 << 24));
-        for _ in 0..numel {
-            data.push(self.f32()?);
-        }
+        let data = self.words(numel)?.map(f32::from_le_bytes).collect();
         Tensor::from_vec(dims, data).map_err(|e| MvqError::Codec(format!("tensor field: {e}")))
-    }
-
-    fn opt_f32(&mut self) -> Result<Option<f32>, MvqError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f32()?)),
-            t => Err(MvqError::Codec(format!("bad Option<f32> tag {t}"))),
-        }
-    }
-
-    fn opt_u32(&mut self) -> Result<Option<u32>, MvqError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            t => Err(MvqError::Codec(format!("bad Option<u32> tag {t}"))),
-        }
     }
 
     fn finish(&self) -> Result<(), MvqError> {
@@ -302,42 +347,39 @@ impl<'a> Reader<'a> {
 // composite field codecs
 // ---------------------------------------------------------------------
 
-fn put_codebook(out: &mut Vec<u8>, cb: &Codebook) -> Result<(), MvqError> {
-    put_tensor(out, cb.centers())?;
-    put_opt_f32(out, cb.scale());
-    put_opt_u32(out, cb.bits());
+fn put_codebook(w: &mut Writer, cb: &Codebook) -> Result<(), MvqError> {
+    w.tensor(cb.centers())?;
+    w.opt(cb.scale(), Writer::f32);
+    w.opt(cb.bits(), Writer::u32);
     Ok(())
 }
 
 fn read_codebook(r: &mut Reader<'_>) -> Result<Codebook, MvqError> {
     let centers = r.tensor()?;
-    let scale = r.opt_f32()?;
-    let bits = r.opt_u32()?;
+    let scale = r.opt(Reader::f32)?;
+    let bits = r.opt(Reader::u32)?;
     Codebook::from_raw_parts(centers, scale, bits)
         .map_err(|e| MvqError::Codec(format!("codebook: {e}")))
 }
 
-fn put_assignments(out: &mut Vec<u8>, a: &Assignments) {
-    put_u64(out, a.len() as u64);
+fn put_assignments(w: &mut Writer, a: &Assignments) {
+    w.usize(a.len());
     for &i in a.indices() {
-        put_u32(out, i);
+        w.u32(i);
     }
 }
 
 fn read_assignments(r: &mut Reader<'_>, k: usize) -> Result<Assignments, MvqError> {
     let len = r.usize()?;
-    let mut indices = Vec::with_capacity(len.min(1 << 24));
-    for _ in 0..len {
-        indices.push(r.u32()?);
-    }
+    let indices = r.words(len)?.map(u32::from_le_bytes).collect();
     Assignments::new(indices, k).map_err(|e| MvqError::Codec(format!("assignments: {e}")))
 }
 
-fn put_mask(out: &mut Vec<u8>, mask: &NmMask) {
-    put_u64(out, mask.ng() as u64);
-    put_u64(out, mask.d() as u64);
-    put_u64(out, mask.keep_n() as u64);
-    put_u64(out, mask.m() as u64);
+fn put_mask(w: &mut Writer, mask: &NmMask) {
+    w.usize(mask.ng());
+    w.usize(mask.d());
+    w.usize(mask.keep_n());
+    w.usize(mask.m());
     // pack bits LSB-first, 8 per byte
     let bits = mask.bits();
     let mut byte = 0u8;
@@ -346,12 +388,12 @@ fn put_mask(out: &mut Vec<u8>, mask: &NmMask) {
             byte |= 1 << (i % 8);
         }
         if i % 8 == 7 {
-            out.push(byte);
+            w.u8(byte);
             byte = 0;
         }
     }
     if !bits.len().is_multiple_of(8) {
-        out.push(byte);
+        w.u8(byte);
     }
 }
 
@@ -367,11 +409,11 @@ fn read_mask(r: &mut Reader<'_>) -> Result<NmMask, MvqError> {
     NmMask::from_bits(ng, d, keep_n, m, bits).map_err(|e| MvqError::Codec(format!("mask: {e}")))
 }
 
-fn put_scalar(out: &mut Vec<u8>, s: &ScalarQuantized) -> Result<(), MvqError> {
-    put_tensor(out, &s.result.quantized)?;
-    put_f32(out, s.result.scale);
-    put_u32(out, s.result.bits);
-    put_f32(out, s.result.sse);
+fn put_scalar(w: &mut Writer, s: &ScalarQuantized) -> Result<(), MvqError> {
+    w.tensor(&s.result.quantized)?;
+    w.f32(s.result.scale);
+    w.u32(s.result.bits);
+    w.f32(s.result.sse);
     Ok(())
 }
 
@@ -400,14 +442,14 @@ const TAG_PERMUTED_SPARSE: u8 = 4;
 /// order. PQF's hill-climb moves at most two positions per accepted swap,
 /// so this is a few hundred bytes where the dense form costs 8 bytes per
 /// scalar of the layer.
-fn put_sparse_permutation(out: &mut Vec<u8>, permutation: &[usize]) {
+fn put_sparse_permutation(w: &mut Writer, permutation: &[usize]) {
     let moved: Vec<(usize, usize)> =
         permutation.iter().copied().enumerate().filter(|&(p, src)| p != src).collect();
-    put_u64(out, permutation.len() as u64);
-    put_u64(out, moved.len() as u64);
+    w.usize(permutation.len());
+    w.usize(moved.len());
     for (p, src) in moved {
-        put_u64(out, p as u64);
-        put_u64(out, src as u64);
+        w.usize(p);
+        w.usize(src);
     }
 }
 
@@ -443,39 +485,39 @@ fn read_sparse_permutation(r: &mut Reader<'_>, expected: usize) -> Result<Vec<us
     Ok(permutation)
 }
 
-fn put_artifact(out: &mut Vec<u8>, artifact: &CompressedArtifact) -> Result<(), MvqError> {
+fn put_artifact(w: &mut Writer, artifact: &CompressedArtifact) -> Result<(), MvqError> {
     match artifact {
         CompressedArtifact::Masked(m) => {
-            put_u8(out, TAG_MASKED);
-            put_codebook(out, m.codebook())?;
-            put_mask(out, m.mask());
-            put_assignments(out, m.assignments());
-            put_dims(out, m.orig_dims())?;
-            put_u8(out, grouping_tag(m.grouping()));
-            put_opt_f32(out, m.sse());
+            w.u8(TAG_MASKED);
+            put_codebook(w, m.codebook())?;
+            put_mask(w, m.mask());
+            put_assignments(w, m.assignments());
+            w.dims(m.orig_dims())?;
+            w.u8(grouping_tag(m.grouping()));
+            w.opt(m.sse(), Writer::f32);
         }
         CompressedArtifact::Dense(v) => {
-            put_u8(out, TAG_DENSE);
-            put_codebook(out, v.codebook())?;
-            put_assignments(out, v.assignments());
-            put_dims(out, v.orig_dims())?;
-            put_u8(out, grouping_tag(v.grouping()));
-            put_u64(out, v.d() as u64);
-            put_f32(out, v.sse);
+            w.u8(TAG_DENSE);
+            put_codebook(w, v.codebook())?;
+            put_assignments(w, v.assignments());
+            w.dims(v.orig_dims())?;
+            w.u8(grouping_tag(v.grouping()));
+            w.usize(v.d());
+            w.f32(v.sse);
         }
         CompressedArtifact::Permuted(p) => {
-            put_u8(out, TAG_PERMUTED_SPARSE);
-            put_codebook(out, p.codebook())?;
-            put_assignments(out, p.assignments());
-            put_dims(out, p.orig_dims())?;
-            put_u8(out, grouping_tag(p.grouping()));
-            put_u64(out, p.d() as u64);
-            put_f32(out, p.sse);
-            put_sparse_permutation(out, p.permutation());
+            w.u8(TAG_PERMUTED_SPARSE);
+            put_codebook(w, p.codebook())?;
+            put_assignments(w, p.assignments());
+            w.dims(p.orig_dims())?;
+            w.u8(grouping_tag(p.grouping()));
+            w.usize(p.d());
+            w.f32(p.sse);
+            put_sparse_permutation(w, p.permutation());
         }
         CompressedArtifact::Scalar(s) => {
-            put_u8(out, TAG_SCALAR);
-            put_scalar(out, s)?;
+            w.u8(TAG_SCALAR);
+            put_scalar(w, s)?;
         }
     }
     Ok(())
@@ -489,7 +531,7 @@ fn read_artifact(r: &mut Reader<'_>) -> Result<CompressedArtifact, MvqError> {
             let assignments = read_assignments(r, codebook.k())?;
             let orig_dims = r.dims()?;
             let grouping = grouping_from_tag(r.u8()?)?;
-            let sse = r.opt_f32()?;
+            let sse = r.opt(Reader::f32)?;
             let numel: usize = orig_dims.iter().product();
             if mask.ng() * mask.d() != numel {
                 return Err(MvqError::Codec(format!(
@@ -526,11 +568,10 @@ fn read_artifact(r: &mut Reader<'_>) -> Result<CompressedArtifact, MvqError> {
             let sse = r.f32()?;
             let permutation = if tag == TAG_PERMUTED {
                 let len = r.usize()?;
-                let mut permutation = Vec::with_capacity(len.min(1 << 24));
-                for _ in 0..len {
-                    permutation.push(r.usize()?);
-                }
-                permutation
+                r.words(len)?
+                    .map(|i| usize::try_from(u64::from_le_bytes(i)))
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| MvqError::Codec("permutation index overflows usize".into()))?
             } else {
                 read_sparse_permutation(r, assignments.len().saturating_mul(d))?
             };
@@ -602,7 +643,22 @@ impl BlobKind {
     }
 }
 
-fn frame(kind: BlobKind, payload: Vec<u8>) -> Vec<u8> {
+/// Offset of the kind tag in the header, after the magic and version.
+const KIND_OFFSET: usize = 6;
+
+/// The kind tag a frame's header claims, read **without validating the
+/// frame**: `None` when the bytes are too short to hold it or the tag is
+/// unknown. A peek for routing only — whichever decoder the caller picks
+/// still checks the header and checksum and may refuse the frame.
+pub fn peek_kind(bytes: &[u8]) -> Option<BlobKind> {
+    bytes.get(KIND_OFFSET).and_then(|&tag| BlobKind::from_tag(tag).ok())
+}
+
+/// Frames a raw payload under `kind`: magic, format version, kind tag,
+/// payload length, and FNV-1a payload checksum. Every store blob and every
+/// `mvq-net` wire message is framed here (most through [`Writer::frame`]),
+/// so one codec validates both cache and wire blobs.
+pub fn frame_blob(kind: BlobKind, payload: Vec<u8>) -> Vec<u8> {
     let mut h = Fnv1a::new();
     h.update(&payload);
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -615,8 +671,15 @@ fn frame(kind: BlobKind, payload: Vec<u8>) -> Vec<u8> {
     out
 }
 
-/// Validates the header and returns the checksum-verified payload.
-fn unframe(kind: BlobKind, bytes: &[u8]) -> Result<&[u8], MvqError> {
+/// Inverse of [`frame_blob`]: validates the header (magic, supported
+/// version, expected `kind`, length, checksum) and returns the verified
+/// payload slice.
+///
+/// # Errors
+///
+/// Returns [`MvqError::Codec`] for truncated blobs, wrong magic or kind,
+/// unsupported future format versions, and checksum mismatches.
+pub fn unframe_blob(kind: BlobKind, bytes: &[u8]) -> Result<&[u8], MvqError> {
     if bytes.len() < HEADER_LEN {
         return Err(MvqError::Codec(format!(
             "blob of {} bytes is shorter than the {HEADER_LEN}-byte header",
@@ -638,7 +701,7 @@ fn unframe(kind: BlobKind, bytes: &[u8]) -> Result<&[u8], MvqError> {
     if version == 0 {
         return Err(MvqError::Codec("format version 0 does not exist".into()));
     }
-    let found = BlobKind::from_tag(bytes[6])?;
+    let found = BlobKind::from_tag(bytes[KIND_OFFSET])?;
     if found != kind {
         return Err(MvqError::Codec(format!("blob holds a {found:?}, expected a {kind:?}")));
     }
@@ -669,37 +732,23 @@ fn unframe(kind: BlobKind, bytes: &[u8]) -> Result<&[u8], MvqError> {
 /// Returns [`MvqError::Codec`] for truncated blobs, wrong magic or kind,
 /// unsupported future format versions, and checksum mismatches.
 pub fn validate_frame(kind: BlobKind, bytes: &[u8]) -> Result<(), MvqError> {
-    unframe(kind, bytes).map(|_| ())
+    unframe_blob(kind, bytes).map(|_| ())
 }
 
-/// Frames a raw payload under `kind`: magic, format version, kind tag,
-/// payload length, and FNV-1a payload checksum, exactly as the
-/// [`Persist`] impls frame their encodings. This is the building block
-/// for types whose payloads live outside this crate (the `mvq-net`
-/// wire messages): they encode their own payload bytes and reuse the
-/// store's framing, so one codec validates both cache and wire blobs.
-pub fn frame_blob(kind: BlobKind, payload: Vec<u8>) -> Vec<u8> {
-    frame(kind, payload)
-}
-
-/// Inverse of [`frame_blob`]: validates the header (magic, supported
-/// version, expected `kind`, length, checksum) and returns the verified
-/// payload slice.
+/// Unframes a `kind` blob ([`unframe_blob`]) and decodes its verified
+/// payload with `read`, rejecting trailing bytes: the one decode path of
+/// every store blob and every wire message.
 ///
 /// # Errors
 ///
-/// Returns [`MvqError::Codec`] for truncated blobs, wrong magic or kind,
-/// unsupported future format versions, and checksum mismatches.
-pub fn unframe_blob(kind: BlobKind, bytes: &[u8]) -> Result<&[u8], MvqError> {
-    unframe(kind, bytes)
-}
-
-/// Decodes a verified payload, rejecting trailing bytes.
-fn decode_payload<T>(
-    payload: &[u8],
+/// Returns [`MvqError::Codec`] for bad framing, a payload that ends before
+/// `read` is done or runs on after it, and whatever `read` returns.
+pub fn decode_blob<T>(
+    kind: BlobKind,
+    bytes: &[u8],
     read: impl FnOnce(&mut Reader<'_>) -> Result<T, MvqError>,
 ) -> Result<T, MvqError> {
-    let mut r = Reader::new(payload);
+    let mut r = Reader::new(unframe_blob(kind, bytes)?);
     let value = read(&mut r)?;
     r.finish()?;
     Ok(value)
@@ -737,13 +786,13 @@ impl Persist for CompressedArtifact {
     const KIND: BlobKind = BlobKind::Artifact;
 
     fn to_bytes(&self) -> Result<Vec<u8>, MvqError> {
-        let mut payload = Vec::new();
-        put_artifact(&mut payload, self)?;
-        Ok(frame(Self::KIND, payload))
+        let mut w = Writer::new();
+        put_artifact(&mut w, self)?;
+        Ok(w.frame(Self::KIND))
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, MvqError> {
-        decode_payload(unframe(Self::KIND, bytes)?, read_artifact)
+        decode_blob(Self::KIND, bytes, read_artifact)
     }
 }
 
@@ -751,13 +800,13 @@ impl Persist for ScalarQuantized {
     const KIND: BlobKind = BlobKind::Scalar;
 
     fn to_bytes(&self) -> Result<Vec<u8>, MvqError> {
-        let mut payload = Vec::new();
-        put_scalar(&mut payload, self)?;
-        Ok(frame(Self::KIND, payload))
+        let mut w = Writer::new();
+        put_scalar(&mut w, self)?;
+        Ok(w.frame(Self::KIND))
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, MvqError> {
-        decode_payload(unframe(Self::KIND, bytes)?, read_scalar)
+        decode_blob(Self::KIND, bytes, read_scalar)
     }
 }
 
@@ -765,14 +814,14 @@ impl Persist for LayerArtifact {
     const KIND: BlobKind = BlobKind::Layer;
 
     fn to_bytes(&self) -> Result<Vec<u8>, MvqError> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, self.conv_index as u64);
-        put_artifact(&mut payload, &self.artifact)?;
-        Ok(frame(Self::KIND, payload))
+        let mut w = Writer::new();
+        w.usize(self.conv_index);
+        put_artifact(&mut w, &self.artifact)?;
+        Ok(w.frame(Self::KIND))
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, MvqError> {
-        decode_payload(unframe(Self::KIND, bytes)?, |r| {
+        decode_blob(Self::KIND, bytes, |r| {
             let conv_index = r.usize()?;
             let artifact = read_artifact(r)?;
             Ok(LayerArtifact { conv_index, artifact })
@@ -784,22 +833,22 @@ impl Persist for ModelArtifacts {
     const KIND: BlobKind = BlobKind::Model;
 
     fn to_bytes(&self) -> Result<Vec<u8>, MvqError> {
-        let mut payload = Vec::new();
-        put_str(&mut payload, self.algorithm)?;
-        put_u64(&mut payload, self.layers.len() as u64);
+        let mut w = Writer::new();
+        w.str(self.algorithm)?;
+        w.usize(self.layers.len());
         for layer in &self.layers {
-            put_u64(&mut payload, layer.conv_index as u64);
-            put_artifact(&mut payload, &layer.artifact)?;
+            w.usize(layer.conv_index);
+            put_artifact(&mut w, &layer.artifact)?;
         }
-        put_u64(&mut payload, self.skipped.len() as u64);
+        w.usize(self.skipped.len());
         for &idx in &self.skipped {
-            put_u64(&mut payload, idx as u64);
+            w.usize(idx);
         }
-        Ok(frame(Self::KIND, payload))
+        Ok(w.frame(Self::KIND))
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, MvqError> {
-        decode_payload(unframe(Self::KIND, bytes)?, |r| {
+        decode_blob(Self::KIND, bytes, |r| {
             let algo = r.str()?;
             let algorithm = canonical_name(&algo)
                 .ok_or_else(|| MvqError::Codec(format!("unknown algorithm `{algo}`")))?;
@@ -855,27 +904,27 @@ impl Persist for ModelIndex {
     const KIND: BlobKind = BlobKind::ModelIndex;
 
     fn to_bytes(&self) -> Result<Vec<u8>, MvqError> {
-        let mut payload = Vec::new();
-        put_str(&mut payload, self.algorithm)?;
-        put_u64(&mut payload, self.weight_hash);
-        put_u64(&mut payload, self.spec_fingerprint);
+        let mut w = Writer::new();
+        w.str(self.algorithm)?;
+        w.u64(self.weight_hash);
+        w.u64(self.spec_fingerprint);
         // the kernel travels by name (the append-only alternative to a
         // second numeric kernel-tag space in this codec)
-        put_str(&mut payload, self.kernel.name())?;
-        put_u64(&mut payload, self.seed);
-        put_u64(&mut payload, self.layers.len() as u64);
+        w.str(self.kernel.name())?;
+        w.u64(self.seed);
+        w.usize(self.layers.len());
         for &idx in &self.layers {
-            put_u64(&mut payload, idx as u64);
+            w.usize(idx);
         }
-        put_u64(&mut payload, self.skipped.len() as u64);
+        w.usize(self.skipped.len());
         for &idx in &self.skipped {
-            put_u64(&mut payload, idx as u64);
+            w.usize(idx);
         }
-        Ok(frame(Self::KIND, payload))
+        Ok(w.frame(Self::KIND))
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, MvqError> {
-        decode_payload(unframe(Self::KIND, bytes)?, |r| {
+        decode_blob(Self::KIND, bytes, |r| {
             let algo = r.str()?;
             let algorithm = canonical_name(&algo)
                 .ok_or_else(|| MvqError::Codec(format!("unknown algorithm `{algo}`")))?;

@@ -70,8 +70,8 @@ mod shard;
 mod stats;
 
 pub use codec::{
-    frame_blob, unframe_blob, validate_frame, weight_hash, BlobKind, Fnv1a, ModelIndex, Persist,
-    FORMAT_VERSION, HEADER_LEN, MAGIC,
+    decode_blob, frame_blob, peek_kind, unframe_blob, validate_frame, weight_hash, BlobKind, Fnv1a,
+    ModelIndex, Persist, Reader, Writer, FORMAT_VERSION, HEADER_LEN, MAGIC,
 };
 pub use stats::{CacheBudget, CacheStats};
 

@@ -52,6 +52,12 @@
 //! 23      …     payload
 //! ```
 //!
+//! Payloads use the store codec's field primitives: every field is
+//! written and read by its
+//! [`Writer`](mvq_core::store::Writer)/[`Reader`](mvq_core::store::Reader)
+//! pair, the request's weight is the same tensor field a cache blob
+//! carries, and its grouping and kernel tags are the pipeline's own.
+//!
 //! A conversation is:
 //!
 //! 1. client → server: a `WireRequest` frame (id, deadline, priority,

@@ -36,7 +36,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mvq_core::store::BlobKind;
+use mvq_core::store::{peek_kind, BlobKind};
 use mvq_core::MvqError;
 use mvq_obs::{names as metric, Registry};
 use mvq_serve::{CancelToken, CompressionRequest, CompressionService, JobError, Ticket};
@@ -352,10 +352,9 @@ fn conn_reader(
         };
         // a stats probe is answered from the registry without touching
         // the service queue; it rides the same pending channel so the
-        // reply lands in per-connection order (the kind tag sits at a
-        // fixed offset in the verified-later frame header, so peeking
-        // it never commits us to a decode)
-        if msg.get(6) == Some(&(BlobKind::StatsRequest as u8)) {
+        // reply lands in per-connection order (peeking the header's kind
+        // tag never commits us to a decode: both decoders verify it)
+        if peek_kind(&msg) == Some(BlobKind::StatsRequest) {
             let reply = match WireStatsRequest::decode(&msg) {
                 Ok(req) => {
                     shared.metrics.counter(metric::NET_CONN_STATS_REQUESTS).inc();

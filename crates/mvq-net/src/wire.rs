@@ -2,18 +2,21 @@
 //!
 //! Every message is `[u32 le length][MVQA frame]`; the frame reuses the
 //! store codec's header (magic, format version, kind tag, payload
-//! length, FNV-1a payload checksum) via
-//! [`frame_blob`]/[`unframe_blob`], under the append-only kinds
-//! [`BlobKind::WireRequest`] and [`BlobKind::WireResponse`]. Artifact
+//! length, FNV-1a payload checksum) under the append-only wire kinds
+//! ([`BlobKind::WireRequest`], [`BlobKind::WireResponse`], the stats
+//! pair), and the payload fields go through the store codec's own
+//! [`Writer`]/[`Reader`] pair and [`decode_blob`]. Artifact
 //! payloads are **not** re-encoded for the wire: a response carries the
 //! cache's own `BlobKind::Artifact` frame as the next message, byte for
 //! byte. See the crate docs for the full layout.
 
 use std::io::{IoSlice, Read, Write};
 
-use mvq_core::pipeline::PipelineSpec;
-use mvq_core::store::{frame_blob, unframe_blob, BlobKind, HEADER_LEN};
-use mvq_core::{GroupingStrategy, KernelStrategy, MvqError};
+use mvq_core::pipeline::{
+    grouping_from_tag, grouping_tag, kernel_from_tag, kernel_tag, PipelineSpec,
+};
+use mvq_core::store::{decode_blob, BlobKind, Reader, Writer, HEADER_LEN};
+use mvq_core::MvqError;
 use mvq_obs::{
     HistogramSummary, MetricKind, MetricValue, RegistrySnapshot, Stage, TraceOutcome, TraceSnapshot,
 };
@@ -104,150 +107,9 @@ pub(crate) fn read_message(r: &mut impl Read, max_len: usize) -> std::io::Result
 }
 
 // ---------------------------------------------------------------------
-// primitive payload readers/writers (the store codec's are private; the
-// wire payloads carry their own copies of these few-line helpers)
+// wire-only tag maps (append-only; pinned in lint.toml like the store
+// tags). Grouping and kernel tags are the pipeline's own.
 // ---------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), MvqError> {
-    let len = u32::try_from(s.len()).map_err(|_| {
-        MvqError::Codec(format!("string of {} bytes exceeds the u32 length field", s.len()))
-    })?;
-    put_u32(out, len);
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_u64(out, x);
-        }
-    }
-}
-
-/// Bounds-checked sequential reader over a verified payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MvqError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len()).ok_or_else(|| {
-            MvqError::Codec(format!(
-                "wire payload truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ))
-        })?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, MvqError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, MvqError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, MvqError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn usize(&mut self) -> Result<usize, MvqError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| MvqError::Codec(format!("length {v} overflows usize")))
-    }
-
-    fn f32(&mut self) -> Result<f32, MvqError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn str(&mut self) -> Result<String, MvqError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| MvqError::Codec("wire string field is not UTF-8".into()))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, MvqError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(MvqError::Codec(format!("bad Option<u64> tag {t}"))),
-        }
-    }
-
-    fn finish(&self) -> Result<(), MvqError> {
-        if self.pos != self.bytes.len() {
-            return Err(MvqError::Codec(format!(
-                "{} trailing bytes after wire payload",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// wire tag maps (append-only; pinned in lint.toml like the store tags)
-// ---------------------------------------------------------------------
-
-fn grouping_tag(g: GroupingStrategy) -> u8 {
-    match g {
-        GroupingStrategy::KernelWise => 0,
-        GroupingStrategy::OutputChannelWise => 1,
-        GroupingStrategy::InputChannelWise => 2,
-    }
-}
-
-fn grouping_from_tag(tag: u8) -> Result<GroupingStrategy, MvqError> {
-    match tag {
-        0 => Ok(GroupingStrategy::KernelWise),
-        1 => Ok(GroupingStrategy::OutputChannelWise),
-        2 => Ok(GroupingStrategy::InputChannelWise),
-        other => Err(MvqError::Codec(format!("unknown wire grouping tag {other}"))),
-    }
-}
-
-fn kernel_tag(k: KernelStrategy) -> u8 {
-    match k {
-        KernelStrategy::Naive => 0,
-        KernelStrategy::Blocked => 1,
-    }
-}
-
-/// Tags 2 and 3 (the retired `Minibatch` and `Simd` strategies) are
-/// reserved and fall through to the error arm, so an old peer that sends
-/// them gets a protocol error rather than another strategy.
-fn kernel_from_tag(tag: u8) -> Result<KernelStrategy, MvqError> {
-    match tag {
-        0 => Ok(KernelStrategy::Naive),
-        1 => Ok(KernelStrategy::Blocked),
-        other => Err(MvqError::Codec(format!("unknown wire kernel tag {other}"))),
-    }
-}
 
 fn priority_tag(p: Priority) -> u8 {
     match p {
@@ -322,35 +184,26 @@ impl WireRequest {
     /// Returns [`MvqError::Codec`] when a length field overflows (a
     /// > 4 GiB name, a rank-256 tensor).
     pub fn encode(&self) -> Result<Vec<u8>, MvqError> {
-        let mut p = Vec::new();
-        put_u64(&mut p, self.id);
-        put_opt_u64(&mut p, self.deadline_ms);
-        put_u8(&mut p, priority_tag(self.priority));
-        put_u8(&mut p, cache_mode_tag(self.cache_mode));
-        put_opt_u64(&mut p, self.seed);
-        put_str(&mut p, &self.name)?;
-        put_str(&mut p, &self.algo)?;
-        put_u64(&mut p, self.spec.k as u64);
-        put_u64(&mut p, self.spec.d as u64);
-        put_u64(&mut p, self.spec.keep_n as u64);
-        put_u64(&mut p, self.spec.m as u64);
-        put_opt_u64(&mut p, self.spec.prune_d.map(|d| d as u64));
-        put_u8(&mut p, grouping_tag(self.spec.grouping));
-        put_opt_u64(&mut p, self.spec.codebook_bits.map(u64::from));
-        put_u32(&mut p, self.spec.scalar_bits);
-        put_u64(&mut p, self.spec.swap_trials as u64);
-        put_u8(&mut p, kernel_tag(self.spec.kernel));
-        let rank = u8::try_from(self.weight.rank()).map_err(|_| {
-            MvqError::Codec(format!("tensor rank {} exceeds the u8 rank field", self.weight.rank()))
-        })?;
-        put_u8(&mut p, rank);
-        for &d in self.weight.dims() {
-            put_u64(&mut p, d as u64);
-        }
-        for &v in self.weight.data() {
-            put_u32(&mut p, v.to_bits());
-        }
-        Ok(frame_blob(BlobKind::WireRequest, p))
+        let mut w = Writer::new();
+        w.u64(self.id);
+        w.opt(self.deadline_ms, Writer::u64);
+        w.u8(priority_tag(self.priority));
+        w.u8(cache_mode_tag(self.cache_mode));
+        w.opt(self.seed, Writer::u64);
+        w.str(&self.name)?;
+        w.str(&self.algo)?;
+        w.usize(self.spec.k);
+        w.usize(self.spec.d);
+        w.usize(self.spec.keep_n);
+        w.usize(self.spec.m);
+        w.opt(self.spec.prune_d, Writer::usize);
+        w.u8(grouping_tag(self.spec.grouping));
+        w.opt(self.spec.codebook_bits.map(u64::from), Writer::u64);
+        w.u32(self.spec.scalar_bits);
+        w.usize(self.spec.swap_trials);
+        w.u8(kernel_tag(self.spec.kernel));
+        w.tensor(&self.weight)?;
+        Ok(w.frame(BlobKind::WireRequest))
     }
 
     /// Decodes a framed `BlobKind::WireRequest` message body.
@@ -360,73 +213,43 @@ impl WireRequest {
     /// Returns [`MvqError::Codec`] for bad framing (magic, version,
     /// kind, checksum) or a malformed payload.
     pub fn decode(bytes: &[u8]) -> Result<WireRequest, MvqError> {
-        let payload = unframe_blob(BlobKind::WireRequest, bytes)?;
-        let mut r = Reader::new(payload);
-        let id = r.u64()?;
-        let deadline_ms = r.opt_u64()?;
-        let priority = priority_from_tag(r.u8()?)?;
-        let cache_mode = cache_mode_from_tag(r.u8()?)?;
-        let seed = r.opt_u64()?;
-        let name = r.str()?;
-        let algo = r.str()?;
-        let k = r.usize()?;
-        let d = r.usize()?;
-        let keep_n = r.usize()?;
-        let m = r.usize()?;
-        let prune_d = match r.opt_u64()? {
-            None => None,
-            Some(v) => Some(
-                usize::try_from(v)
-                    .map_err(|_| MvqError::Codec(format!("prune_d {v} overflows usize")))?,
-            ),
-        };
-        let grouping = grouping_from_tag(r.u8()?)?;
-        let codebook_bits = match r.opt_u64()? {
-            None => None,
-            Some(v) => Some(
-                u32::try_from(v)
-                    .map_err(|_| MvqError::Codec(format!("codebook_bits {v} overflows u32")))?,
-            ),
-        };
-        let scalar_bits = r.u32()?;
-        let swap_trials = r.usize()?;
-        let kernel = kernel_from_tag(r.u8()?)?;
-        let spec = PipelineSpec {
-            k,
-            d,
-            keep_n,
-            m,
-            prune_d,
-            grouping,
-            codebook_bits,
-            scalar_bits,
-            swap_trials,
-            kernel,
-        };
-        let rank = r.u8()? as usize;
-        let mut dims = Vec::with_capacity(rank);
-        let mut numel: u128 = 1;
-        for _ in 0..rank {
-            let dim = r.usize()?;
-            numel = numel.saturating_mul(dim as u128);
-            if numel > u32::MAX as u128 {
-                return Err(MvqError::Codec(format!(
-                    "wire tensor of dims {dims:?}×{dim} is implausibly large"
-                )));
-            }
-            dims.push(dim);
-        }
-        let n: usize = dims.iter().product();
-        // cap the pre-allocation: a malformed rank/dims must fail at the
-        // first short read, not abort on a multi-GB reservation
-        let mut data = Vec::with_capacity(n.min(1 << 24));
-        for _ in 0..n {
-            data.push(r.f32()?);
-        }
-        r.finish()?;
-        let weight = Tensor::from_vec(dims, data)
-            .map_err(|e| MvqError::Codec(format!("wire weight tensor: {e}")))?;
-        Ok(WireRequest { id, name, algo, spec, seed, priority, cache_mode, deadline_ms, weight })
+        decode_blob(BlobKind::WireRequest, bytes, |r| {
+            let id = r.u64()?;
+            let deadline_ms = r.opt(Reader::u64)?;
+            let priority = priority_from_tag(r.u8()?)?;
+            let cache_mode = cache_mode_from_tag(r.u8()?)?;
+            let seed = r.opt(Reader::u64)?;
+            let name = r.str()?;
+            let algo = r.str()?;
+            let spec = PipelineSpec {
+                k: r.usize()?,
+                d: r.usize()?,
+                keep_n: r.usize()?,
+                m: r.usize()?,
+                prune_d: r.opt(Reader::usize)?,
+                grouping: grouping_from_tag(r.u8()?)?,
+                codebook_bits: r
+                    .opt(Reader::u64)?
+                    .map(u32::try_from)
+                    .transpose()
+                    .map_err(|e| MvqError::Codec(format!("codebook_bits: {e}")))?,
+                scalar_bits: r.u32()?,
+                swap_trials: r.usize()?,
+                kernel: kernel_from_tag(r.u8()?)?,
+            };
+            let weight = r.tensor()?;
+            Ok(WireRequest {
+                id,
+                name,
+                algo,
+                spec,
+                seed,
+                priority,
+                cache_mode,
+                deadline_ms,
+                weight,
+            })
+        })
     }
 }
 
@@ -536,23 +359,23 @@ impl WireResponse {
     /// Returns [`MvqError::Codec`] when a string field overflows its
     /// length prefix.
     pub fn encode(&self) -> Result<Vec<u8>, MvqError> {
-        let mut p = Vec::new();
+        let mut w = Writer::new();
         match self {
             WireResponse::Ok { id, name, from_cache, deduped } => {
-                put_u64(&mut p, *id);
-                put_u8(&mut p, STATUS_OK);
-                put_u8(&mut p, u8::from(*from_cache));
-                put_u8(&mut p, u8::from(*deduped));
-                put_str(&mut p, name)?;
+                w.u64(*id);
+                w.u8(STATUS_OK);
+                w.u8(u8::from(*from_cache));
+                w.u8(u8::from(*deduped));
+                w.str(name)?;
             }
             WireResponse::Err { id, kind, message } => {
-                put_u64(&mut p, *id);
-                put_u8(&mut p, STATUS_ERR);
-                put_u8(&mut p, error_kind_tag(*kind));
-                put_str(&mut p, message)?;
+                w.u64(*id);
+                w.u8(STATUS_ERR);
+                w.u8(error_kind_tag(*kind));
+                w.str(message)?;
             }
         }
-        Ok(frame_blob(BlobKind::WireResponse, p))
+        Ok(w.frame(BlobKind::WireResponse))
     }
 
     /// Decodes a framed `BlobKind::WireResponse` message body.
@@ -562,25 +385,23 @@ impl WireResponse {
     /// Returns [`MvqError::Codec`] for bad framing or a malformed
     /// payload.
     pub fn decode(bytes: &[u8]) -> Result<WireResponse, MvqError> {
-        let payload = unframe_blob(BlobKind::WireResponse, bytes)?;
-        let mut r = Reader::new(payload);
-        let id = r.u64()?;
-        let decoded = match r.u8()? {
-            STATUS_OK => {
-                let from_cache = r.u8()? != 0;
-                let deduped = r.u8()? != 0;
-                let name = r.str()?;
-                WireResponse::Ok { id, name, from_cache, deduped }
+        decode_blob(BlobKind::WireResponse, bytes, |r| {
+            let id = r.u64()?;
+            match r.u8()? {
+                STATUS_OK => {
+                    let from_cache = r.u8()? != 0;
+                    let deduped = r.u8()? != 0;
+                    let name = r.str()?;
+                    Ok(WireResponse::Ok { id, name, from_cache, deduped })
+                }
+                STATUS_ERR => {
+                    let kind = error_kind_from_tag(r.u8()?)?;
+                    let message = r.str()?;
+                    Ok(WireResponse::Err { id, kind, message })
+                }
+                other => Err(MvqError::Codec(format!("unknown wire status tag {other}"))),
             }
-            STATUS_ERR => {
-                let kind = error_kind_from_tag(r.u8()?)?;
-                let message = r.str()?;
-                WireResponse::Err { id, kind, message }
-            }
-            other => return Err(MvqError::Codec(format!("unknown wire status tag {other}"))),
-        };
-        r.finish()?;
-        Ok(decoded)
+        })
     }
 }
 
@@ -603,10 +424,10 @@ pub struct WireStatsRequest {
 impl WireStatsRequest {
     /// Encodes into a framed `BlobKind::StatsRequest` message body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        put_u64(&mut p, self.id);
-        put_u32(&mut p, self.max_traces);
-        frame_blob(BlobKind::StatsRequest, p)
+        let mut w = Writer::new();
+        w.u64(self.id);
+        w.u32(self.max_traces);
+        w.frame(BlobKind::StatsRequest)
     }
 
     /// Decodes a framed `BlobKind::StatsRequest` message body.
@@ -616,12 +437,9 @@ impl WireStatsRequest {
     /// Returns [`MvqError::Codec`] for bad framing or a malformed
     /// payload.
     pub fn decode(bytes: &[u8]) -> Result<WireStatsRequest, MvqError> {
-        let payload = unframe_blob(BlobKind::StatsRequest, bytes)?;
-        let mut r = Reader::new(payload);
-        let id = r.u64()?;
-        let max_traces = r.u32()?;
-        r.finish()?;
-        Ok(WireStatsRequest { id, max_traces })
+        decode_blob(BlobKind::StatsRequest, bytes, |r| {
+            Ok(WireStatsRequest { id: r.u64()?, max_traces: r.u32()? })
+        })
     }
 }
 
@@ -692,50 +510,50 @@ impl WireStatsReply {
     ///
     /// Returns [`MvqError::Codec`] when a length field overflows.
     pub fn encode(&self) -> Result<Vec<u8>, MvqError> {
-        let mut p = Vec::new();
-        put_u64(&mut p, self.id);
+        let mut w = Writer::new();
+        w.u64(self.id);
         let n = u32::try_from(self.metrics.len())
             .map_err(|_| MvqError::Codec("metric count exceeds the u32 field".into()))?;
-        put_u32(&mut p, n);
+        w.u32(n);
         for m in &self.metrics {
-            put_u32(&mut p, u32::from(m.id));
-            put_str(&mut p, &m.name)?;
+            w.u32(u32::from(m.id));
+            w.str(&m.name)?;
             match m.value {
                 WireMetricValue::Counter(v) => {
-                    put_u8(&mut p, MetricKind::Counter.tag());
-                    put_u64(&mut p, v);
+                    w.u8(MetricKind::Counter.tag());
+                    w.u64(v);
                 }
                 WireMetricValue::Gauge(v) => {
-                    put_u8(&mut p, MetricKind::Gauge.tag());
-                    put_u64(&mut p, v);
+                    w.u8(MetricKind::Gauge.tag());
+                    w.u64(v);
                 }
                 WireMetricValue::Histogram(h) => {
-                    put_u8(&mut p, MetricKind::Histogram.tag());
-                    put_u64(&mut p, h.count);
-                    put_u64(&mut p, h.sum);
-                    put_u64(&mut p, h.max);
-                    put_u64(&mut p, h.p50);
-                    put_u64(&mut p, h.p90);
-                    put_u64(&mut p, h.p99);
+                    w.u8(MetricKind::Histogram.tag());
+                    w.u64(h.count);
+                    w.u64(h.sum);
+                    w.u64(h.max);
+                    w.u64(h.p50);
+                    w.u64(h.p90);
+                    w.u64(h.p99);
                 }
             }
         }
         let n = u32::try_from(self.traces.len())
             .map_err(|_| MvqError::Codec("trace count exceeds the u32 field".into()))?;
-        put_u32(&mut p, n);
+        w.u32(n);
         for t in &self.traces {
-            put_str(&mut p, &t.name)?;
-            put_u8(&mut p, u8::from(t.deduped));
-            put_u8(&mut p, t.outcome.tag());
+            w.str(&t.name)?;
+            w.u8(u8::from(t.deduped));
+            w.u8(t.outcome.tag());
             let n = u32::try_from(t.stages.len())
                 .map_err(|_| MvqError::Codec("stage count exceeds the u32 field".into()))?;
-            put_u32(&mut p, n);
+            w.u32(n);
             for &(stage, us) in &t.stages {
-                put_u8(&mut p, stage.tag());
-                put_u64(&mut p, us);
+                w.u8(stage.tag());
+                w.u64(us);
             }
         }
-        Ok(frame_blob(BlobKind::StatsResponse, p))
+        Ok(w.frame(BlobKind::StatsResponse))
     }
 
     /// Decodes a framed `BlobKind::StatsResponse` message body.
@@ -746,60 +564,63 @@ impl WireStatsReply {
     /// payload, or an unknown metric-kind / stage / outcome tag (tags
     /// are append-only; an unknown tag means a newer peer).
     pub fn decode(bytes: &[u8]) -> Result<WireStatsReply, MvqError> {
-        let payload = unframe_blob(BlobKind::StatsResponse, bytes)?;
-        let mut r = Reader::new(payload);
-        let id = r.u64()?;
-        let n_metrics = r.u32()? as usize;
-        let mut metrics = Vec::with_capacity(n_metrics.min(1 << 16));
-        for _ in 0..n_metrics {
-            let raw_id = r.u32()?;
-            let mid = u16::try_from(raw_id)
-                .map_err(|_| MvqError::Codec(format!("metric id {raw_id} overflows u16")))?;
-            let name = r.str()?;
-            let kind_tag = r.u8()?;
-            let value = match MetricKind::from_tag(kind_tag) {
-                Some(MetricKind::Counter) => WireMetricValue::Counter(r.u64()?),
-                Some(MetricKind::Gauge) => WireMetricValue::Gauge(r.u64()?),
-                Some(MetricKind::Histogram) => WireMetricValue::Histogram(HistogramSummary {
-                    count: r.u64()?,
-                    sum: r.u64()?,
-                    max: r.u64()?,
-                    p50: r.u64()?,
-                    p90: r.u64()?,
-                    p99: r.u64()?,
-                }),
-                None => return Err(MvqError::Codec(format!("unknown metric kind tag {kind_tag}"))),
-            };
-            metrics.push(WireMetric { id: mid, name, value });
-        }
-        let n_traces = r.u32()? as usize;
-        let mut traces = Vec::with_capacity(n_traces.min(1 << 16));
-        for _ in 0..n_traces {
-            let name = r.str()?;
-            let deduped = r.u8()? != 0;
-            let outcome_tag = r.u8()?;
-            let outcome = TraceOutcome::from_tag(outcome_tag).ok_or_else(|| {
-                MvqError::Codec(format!("unknown trace outcome tag {outcome_tag}"))
-            })?;
-            let n_stages = r.u32()? as usize;
-            let mut stages = Vec::with_capacity(n_stages.min(64));
-            for _ in 0..n_stages {
-                let stage_tag = r.u8()?;
-                let stage = Stage::from_tag(stage_tag).ok_or_else(|| {
-                    MvqError::Codec(format!("unknown trace stage tag {stage_tag}"))
-                })?;
-                stages.push((stage, r.u64()?));
+        decode_blob(BlobKind::StatsResponse, bytes, |r| {
+            let id = r.u64()?;
+            let n_metrics = r.u32()? as usize;
+            let mut metrics = Vec::with_capacity(n_metrics.min(1 << 16));
+            for _ in 0..n_metrics {
+                let raw_id = r.u32()?;
+                let mid = u16::try_from(raw_id)
+                    .map_err(|_| MvqError::Codec(format!("metric id {raw_id} overflows u16")))?;
+                let name = r.str()?;
+                let kind_tag = r.u8()?;
+                let value = match MetricKind::from_tag(kind_tag) {
+                    Some(MetricKind::Counter) => WireMetricValue::Counter(r.u64()?),
+                    Some(MetricKind::Gauge) => WireMetricValue::Gauge(r.u64()?),
+                    Some(MetricKind::Histogram) => WireMetricValue::Histogram(HistogramSummary {
+                        count: r.u64()?,
+                        sum: r.u64()?,
+                        max: r.u64()?,
+                        p50: r.u64()?,
+                        p90: r.u64()?,
+                        p99: r.u64()?,
+                    }),
+                    None => {
+                        return Err(MvqError::Codec(format!("unknown metric kind tag {kind_tag}")))
+                    }
+                };
+                metrics.push(WireMetric { id: mid, name, value });
             }
-            traces.push(TraceSnapshot { name, deduped, outcome, stages });
-        }
-        r.finish()?;
-        Ok(WireStatsReply { id, metrics, traces })
+            let n_traces = r.u32()? as usize;
+            let mut traces = Vec::with_capacity(n_traces.min(1 << 16));
+            for _ in 0..n_traces {
+                let name = r.str()?;
+                let deduped = r.u8()? != 0;
+                let outcome_tag = r.u8()?;
+                let outcome = TraceOutcome::from_tag(outcome_tag).ok_or_else(|| {
+                    MvqError::Codec(format!("unknown trace outcome tag {outcome_tag}"))
+                })?;
+                let n_stages = r.u32()? as usize;
+                let mut stages = Vec::with_capacity(n_stages.min(64));
+                for _ in 0..n_stages {
+                    let stage_tag = r.u8()?;
+                    let stage = Stage::from_tag(stage_tag).ok_or_else(|| {
+                        MvqError::Codec(format!("unknown trace stage tag {stage_tag}"))
+                    })?;
+                    stages.push((stage, r.u64()?));
+                }
+                traces.push(TraceSnapshot { name, deduped, outcome, stages });
+            }
+            Ok(WireStatsReply { id, metrics, traces })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvq_core::store::{frame_blob, unframe_blob};
+    use mvq_core::KernelStrategy;
 
     fn request() -> WireRequest {
         WireRequest {

@@ -3,9 +3,18 @@
 //! cannot see a layout drift (both sides drift together); these can. A
 //! failing golden means the wire layout changed, which every deployed
 //! client/server pair would see.
+//!
+//! The same frames, cut short, drive the shared codec's field bounds:
+//! every truncated payload (re-framed, so its checksum holds) must
+//! decode to `MvqError::Codec`, and a length that promises more values
+//! than were sent must fail before anything is allocated for them.
 
-use mvq::core::pipeline::PipelineSpec;
-use mvq::core::{GroupingStrategy, KernelStrategy};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use mvq::core::pipeline::{by_name, PipelineSpec};
+use mvq::core::store::{frame_blob, peek_kind, BlobKind, HEADER_LEN};
+use mvq::core::{CompressedArtifact, GroupingStrategy, KernelStrategy, MvqError, Persist};
 use mvq::net::{
     WireErrorKind, WireMetric, WireMetricValue, WireRequest, WireResponse, WireStatsReply,
     WireStatsRequest,
@@ -13,6 +22,37 @@ use mvq::net::{
 use mvq::obs::{HistogramSummary, Stage, TraceOutcome, TraceSnapshot};
 use mvq::serve::{CacheMode, Priority};
 use mvq::tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Records the largest single allocation each thread asks for, so a test
+/// can show a decode refused a huge declared size before reserving it.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards its arguments unchanged to the system
+// allocator; the bookkeeping touches only a const-initialized thread
+// local without a destructor, which never allocates.
+unsafe impl GlobalAlloc for PeakAlloc {
+    // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = PEAK.try_with(|p| p.set(p.get().max(layout.size())));
+        // SAFETY: same layout, same contract as this call's caller
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
 
 fn golden_request() -> WireRequest {
     WireRequest {
@@ -175,4 +215,82 @@ fn wire_stats_golden_frames_are_pinned() {
     let reply = golden_stats_reply();
     assert_eq!(reply.encode().unwrap(), STATS_REPLY_GOLDEN, "{DRIFT}");
     assert_eq!(WireStatsReply::decode(&STATS_REPLY_GOLDEN).unwrap(), reply);
+}
+
+/// Cuts `frame`'s payload at every length and re-frames each prefix, so
+/// the checksum holds and only the codec's field bounds can catch the cut.
+fn assert_every_cut_is_a_codec_error<T: std::fmt::Debug>(
+    frame: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, MvqError>,
+) {
+    let kind = peek_kind(frame).expect("a known blob kind");
+    let payload = &frame[HEADER_LEN..];
+    for len in 0..payload.len() {
+        match decode(&frame_blob(kind, payload[..len].to_vec())) {
+            Err(MvqError::Codec(_)) => {}
+            other => panic!("{kind:?} payload cut to {len} of {}: {other:?}", payload.len()),
+        }
+    }
+}
+
+#[test]
+fn every_truncated_payload_is_a_codec_error() {
+    assert_every_cut_is_a_codec_error(&REQUEST_GOLDEN, WireRequest::decode);
+    assert_every_cut_is_a_codec_error(&RESPONSE_OK_GOLDEN, WireResponse::decode);
+    assert_every_cut_is_a_codec_error(&RESPONSE_ERR_GOLDEN, WireResponse::decode);
+    assert_every_cut_is_a_codec_error(&STATS_REQUEST_GOLDEN, WireStatsRequest::decode);
+    assert_every_cut_is_a_codec_error(&STATS_REPLY_GOLDEN, WireStatsReply::decode);
+    let weight = mvq::tensor::kaiming_normal(vec![32, 16], 16, &mut StdRng::seed_from_u64(3));
+    let spec = PipelineSpec { k: 8, ..PipelineSpec::default() };
+    let mvq = by_name("mvq", &spec).unwrap();
+    let artifact = mvq.compress_matrix(&weight, &mut StdRng::seed_from_u64(5)).unwrap();
+    assert_every_cut_is_a_codec_error(
+        &artifact.to_bytes().unwrap(),
+        CompressedArtifact::from_bytes,
+    );
+}
+
+/// Runs `f` and returns its result with the largest single allocation it
+/// made on this thread.
+fn with_peak_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|p| p.set(0));
+    let out = f();
+    (out, PEAK.with(Cell::get))
+}
+
+#[test]
+fn dims_declaring_4g_values_fail_before_allocating() {
+    // the golden request up to its weight's rank byte (the last 33 bytes
+    // are rank, two dims and four values), then dims of 65536 × 65535 —
+    // just under the u32::MAX value cap — and not one value
+    let mut payload = REQUEST_GOLDEN[HEADER_LEN..REQUEST_GOLDEN.len() - 33].to_vec();
+    payload.push(2);
+    payload.extend_from_slice(&65536u64.to_le_bytes());
+    payload.extend_from_slice(&65535u64.to_le_bytes());
+    let frame = frame_blob(BlobKind::WireRequest, payload);
+    let (decoded, peak) = with_peak_alloc(|| WireRequest::decode(&frame));
+    assert!(matches!(decoded, Err(MvqError::Codec(_))), "{decoded:?}");
+    assert!(peak < 1 << 16, "decode reserved {peak} bytes for values it was never sent");
+}
+
+#[test]
+fn a_v1_permutation_length_fails_before_allocating() {
+    // a PQF artifact rewritten as a format-v1 blob (variant tag 2, dense
+    // permutation) whose permutation claims u64::MAX entries and has none
+    let weight = mvq::tensor::kaiming_normal(vec![32, 16], 16, &mut StdRng::seed_from_u64(3));
+    let spec = PipelineSpec { k: 8, swap_trials: 100, ..PipelineSpec::default() };
+    let pqf = by_name("pqf", &spec).unwrap();
+    let artifact = pqf.compress_matrix(&weight, &mut StdRng::seed_from_u64(5)).unwrap();
+    let CompressedArtifact::Permuted(p) = &artifact else { panic!("pqf gave {artifact:?}") };
+    let moved = p.permutation().iter().enumerate().filter(|&(i, &src)| i != src).count();
+    let bytes = artifact.to_bytes().unwrap();
+    // the sparse permutation closes the payload: length, moved count, pairs
+    let mut payload = bytes[HEADER_LEN..bytes.len() - 16 - 16 * moved].to_vec();
+    payload[0] = 2;
+    payload.extend_from_slice(&u64::MAX.to_le_bytes());
+    let mut blob = frame_blob(BlobKind::Artifact, payload);
+    blob[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let (decoded, peak) = with_peak_alloc(|| CompressedArtifact::from_bytes(&blob));
+    assert!(matches!(decoded, Err(MvqError::Codec(_))), "{decoded:?}");
+    assert!(peak < 1 << 16, "decode reserved {peak} bytes for indices it was never sent");
 }
