@@ -221,6 +221,7 @@ impl WireRequest {
             let seed = r.opt(Reader::u64)?;
             let name = r.str()?;
             let algo = r.str()?;
+            // struct fields evaluate in source order: keep it the wire order
             let spec = PipelineSpec {
                 k: r.usize()?,
                 d: r.usize()?,
