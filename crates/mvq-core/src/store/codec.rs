@@ -3,15 +3,25 @@
 //!
 //! The encoding is hand-rolled (no external deps, consistent with the
 //! workspace's vendored-shim policy): a fixed header carrying magic,
-//! format version, a kind tag and an FNV-1a payload checksum, followed
-//! by a little-endian field layout per variant. Floats are stored as
-//! raw bit patterns, so decoding reconstructs values **bit-identically**
-//! — `from_bytes(to_bytes(a))` reconstructs 0-ULP equal to `a`.
+//! format version, a kind tag, the payload length and a payload
+//! checksum, followed by a little-endian field layout per variant.
+//! Floats are stored as raw bit patterns, so decoding reconstructs values
+//! **bit-identically** — `from_bytes(to_bytes(a))` reconstructs 0-ULP
+//! equal to `a`.
 //!
 //! The fields go through one [`Writer`]/[`Reader`] pair, and `mvq-net`'s
 //! wire payloads use the same pair, [`frame_blob`] and [`decode_blob`]: a
 //! store blob and a wire message differ only in their kind tag and field
 //! order, never in how a field is written.
+//!
+//! ## Checksums by version
+//!
+//! The header's version names the checksum: format v1 and v2 frames carry
+//! an FNV-1a payload checksum, v3 frames an XXH64 (seed 0) one. A decoder
+//! verifies the one the version names and no other, so a frame whose
+//! checksum does not match its version is rejected like any corruption.
+//! XXH64 reads the payload in four 8-byte lanes where FNV-1a walks it a
+//! byte at a time; [`weight_hash`] uses it too.
 //!
 //! ## Versioning rule
 //!
@@ -48,7 +58,7 @@ pub const MAGIC: [u8; 4] = *b"MVQA";
 
 /// Current serialization format version. Bump on any layout change and
 /// keep a decode test for the old version (see module docs).
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Header size: magic (4) + version (2) + kind (1) + payload length (8) +
 /// payload checksum (8). Public so wire consumers (the `mvq-net`
@@ -56,8 +66,11 @@ pub const FORMAT_VERSION: u16 = 2;
 /// document the layout without restating the arithmetic.
 pub const HEADER_LEN: usize = 23;
 
-/// FNV-1a 64-bit — the workspace's stable, dependency-free hash. Used for
-/// payload checksums, weight content hashes and spec fingerprints.
+/// FNV-1a 64-bit — the workspace's stable, dependency-free hash for small
+/// inputs: spec fingerprints, derived layer keys, content seeds and shard
+/// routing, plus the payload checksum of format v1 and v2 frames. It is
+/// byte-serial (each byte waits on the previous multiply); bulk bytes go
+/// through XXH64 instead.
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 
@@ -92,21 +105,144 @@ impl Default for Fnv1a {
     }
 }
 
-/// Content hash of a weight tensor: dims and the f32 bit patterns, so
-/// tensors that differ only by `-0.0` vs `0.0` (or carry different NaN
-/// payloads) hash differently — the cache must never alias weights whose
-/// compression could diverge.
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(XXH_P2)).rotate_left(31).wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(h: u64, lane: u64) -> u64 {
+    (h ^ xxh_round(0, lane)).wrapping_mul(XXH_P1).wrapping_add(XXH_P4)
+}
+
+/// XXH64 of a `len`-byte input handed over as its little-endian words:
+/// `len / 32` four-lane stripes, then `len % 32 / 8` tail words, then the
+/// last `len % 8` bytes. Callers read their input as words in place, so
+/// nothing is copied into a byte buffer first.
+fn xxh64_words(
+    seed: u64,
+    len: usize,
+    stripes: impl Iterator<Item = [u64; 4]>,
+    tail_words: impl Iterator<Item = u64>,
+    tail_bytes: &[u8],
+) -> u64 {
+    let mut h = if len >= 32 {
+        let mut lanes = [
+            seed.wrapping_add(XXH_P1).wrapping_add(XXH_P2),
+            seed.wrapping_add(XXH_P2),
+            seed,
+            seed.wrapping_sub(XXH_P1),
+        ];
+        for stripe in stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe) {
+                *lane = xxh_round(*lane, word);
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        lanes.into_iter().fold(h, xxh_merge)
+    } else {
+        seed.wrapping_add(XXH_P5)
+    };
+    h = h.wrapping_add(len as u64);
+    for word in tail_words {
+        h = (h ^ xxh_round(0, word)).rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+    }
+    let mut bytes = tail_bytes;
+    if let [a, b, c, d, rest @ ..] = bytes {
+        let half = u32::from_le_bytes([*a, *b, *c, *d]) as u64;
+        h = (h ^ half.wrapping_mul(XXH_P1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_P2)
+            .wrapping_add(XXH_P3);
+        bytes = rest;
+    }
+    for &byte in bytes {
+        h = (h ^ (byte as u64).wrapping_mul(XXH_P5)).rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
+
+fn le_u64(word: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(word);
+    u64::from_le_bytes(w)
+}
+
+/// XXH64 (the published 64-bit xxHash) of `bytes` under `seed`: four
+/// independent 8-byte lanes, so it runs an order of magnitude faster than
+/// [`Fnv1a`] on bulk input. The payload checksum of format v3 frames (seed 0) and the
+/// core of [`weight_hash`].
+fn xxh64(bytes: &[u8], seed: u64) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let rest = stripes.remainder();
+    let words = rest.chunks_exact(8);
+    let tail = words.remainder();
+    xxh64_words(
+        seed,
+        bytes.len(),
+        stripes.map(|s| [le_u64(&s[..8]), le_u64(&s[8..16]), le_u64(&s[16..24]), le_u64(&s[24..])]),
+        words.map(le_u64),
+        tail,
+    )
+}
+
+/// Two consecutive `f32`s as the little-endian `u64` their bit patterns
+/// form in a byte stream.
+fn f32_pair(pair: &[f32]) -> u64 {
+    pair[0].to_bits() as u64 | (pair[1].to_bits() as u64) << 32
+}
+
+/// Content hash of a weight tensor: the XXH64 of its f32 bit patterns,
+/// seeded with the XXH64 of the domain `mvq.weight.v2`, the rank and
+/// each dim (little-endian `u64`s). Tensors that differ only by `-0.0` vs
+/// `0.0`, carry different NaN payloads or share values under another
+/// shape hash differently — the cache must never alias weights whose
+/// compression could diverge. The values are read as `u64` pairs in
+/// place, never copied into a byte buffer.
 pub fn weight_hash(weight: &Tensor) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(b"mvq.weight.v1");
-    h.update_u64(weight.rank() as u64);
-    for &d in weight.dims() {
-        h.update_u64(d as u64);
+    let mut shape = b"mvq.weight.v2".to_vec();
+    for d in std::iter::once(weight.rank()).chain(weight.dims().iter().copied()) {
+        shape.extend_from_slice(&(d as u64).to_le_bytes());
     }
-    for &v in weight.data() {
-        h.update(&v.to_bits().to_le_bytes());
+    let values = weight.data();
+    let stripes = values.chunks_exact(8);
+    let rest = stripes.remainder();
+    let pairs = rest.chunks_exact(2);
+    let odd = pairs.remainder().first().map(|v| v.to_bits().to_le_bytes());
+    xxh64_words(
+        xxh64(&shape, 0),
+        4 * values.len(),
+        stripes.map(|s| {
+            [f32_pair(&s[..2]), f32_pair(&s[2..4]), f32_pair(&s[4..6]), f32_pair(&s[6..])]
+        }),
+        pairs.map(f32_pair),
+        odd.as_ref().map_or(&[], |b| &b[..]),
+    )
+}
+
+/// The payload checksum a frame of format `version` carries: FNV-1a for
+/// v1 and v2, [`xxh64`] (seed 0) from v3 on.
+fn payload_checksum(version: u16, payload: &[u8]) -> u64 {
+    if version >= 3 {
+        xxh64(payload, 0)
+    } else {
+        let mut h = Fnv1a::new();
+        h.update(payload);
+        h.finish()
     }
-    h.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -655,25 +791,25 @@ pub fn peek_kind(bytes: &[u8]) -> Option<BlobKind> {
 }
 
 /// Frames a raw payload under `kind`: magic, format version, kind tag,
-/// payload length, and FNV-1a payload checksum. Every store blob and every
+/// payload length, and XXH64 payload checksum. Every store blob and every
 /// `mvq-net` wire message is framed here (most through [`Writer::frame`]),
 /// so one codec validates both cache and wire blobs.
 pub fn frame_blob(kind: BlobKind, payload: Vec<u8>) -> Vec<u8> {
-    let mut h = Fnv1a::new();
-    h.update(&payload);
+    let checksum = payload_checksum(FORMAT_VERSION, &payload);
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.push(kind as u8);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&h.finish().to_le_bytes());
+    out.extend_from_slice(&checksum.to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
 
 /// Inverse of [`frame_blob`]: validates the header (magic, supported
-/// version, expected `kind`, length, checksum) and returns the verified
-/// payload slice.
+/// version, expected `kind`, length, and the checksum the version names:
+/// FNV-1a for v1 and v2, XXH64 for v3) and returns the verified payload
+/// slice.
 ///
 /// # Errors
 ///
@@ -714,9 +850,7 @@ pub fn unframe_blob(kind: BlobKind, bytes: &[u8]) -> Result<&[u8], MvqError> {
         )));
     }
     let checksum = u64::from_le_bytes(bytes[15..23].try_into().expect("8 bytes"));
-    let mut h = Fnv1a::new();
-    h.update(payload);
-    if h.finish() != checksum {
+    if payload_checksum(version, payload) != checksum {
         return Err(MvqError::Codec("payload checksum mismatch (corrupt blob)".into()));
     }
     Ok(payload)
@@ -853,14 +987,14 @@ impl Persist for ModelArtifacts {
             let algorithm = canonical_name(&algo)
                 .ok_or_else(|| MvqError::Codec(format!("unknown algorithm `{algo}`")))?;
             let n_layers = r.usize()?;
-            let mut layers = Vec::with_capacity(n_layers.min(1 << 16));
+            let mut layers = Vec::new();
             for _ in 0..n_layers {
                 let conv_index = r.usize()?;
                 let artifact = read_artifact(r)?;
                 layers.push(LayerArtifact { conv_index, artifact });
             }
             let n_skipped = r.usize()?;
-            let mut skipped = Vec::with_capacity(n_skipped.min(1 << 16));
+            let mut skipped = Vec::new();
             for _ in 0..n_skipped {
                 skipped.push(r.usize()?);
             }
@@ -936,12 +1070,12 @@ impl Persist for ModelIndex {
                 .map_err(|e| MvqError::Codec(format!("model index kernel: {e}")))?;
             let seed = r.u64()?;
             let n_layers = r.usize()?;
-            let mut layers = Vec::with_capacity(n_layers.min(1 << 16));
+            let mut layers = Vec::new();
             for _ in 0..n_layers {
                 layers.push(r.usize()?);
             }
             let n_skipped = r.usize()?;
-            let mut skipped = Vec::with_capacity(n_skipped.min(1 << 16));
+            let mut skipped = Vec::new();
             for _ in 0..n_skipped {
                 skipped.push(r.usize()?);
             }
@@ -1016,6 +1150,66 @@ mod tests {
         let mut wn = w.clone();
         wn.data_mut()[0] = -0.0;
         assert_ne!(weight_hash(&wz), weight_hash(&wn));
+        // NaNs with different payloads are different content
+        let mut nan_a = w.clone();
+        nan_a.data_mut()[1] = f32::from_bits(0x7fc0_0001);
+        let mut nan_b = w.clone();
+        nan_b.data_mut()[1] = f32::from_bits(0x7fc0_0002);
+        assert_ne!(weight_hash(&nan_a), weight_hash(&nan_b));
+        // the same values under every shape, odd value counts included
+        let flat = Tensor::from_vec(vec![7], (0..7).map(|i| i as f32).collect()).unwrap();
+        let column = flat.reshape(vec![7, 1]).unwrap();
+        assert_ne!(weight_hash(&flat), weight_hash(&column));
+        let mut last = flat.clone();
+        last.data_mut()[6] = -6.0;
+        assert_ne!(weight_hash(&flat), weight_hash(&last));
+    }
+
+    #[test]
+    fn xxh64_matches_the_published_vectors() {
+        assert_eq!(xxh64(b"", 0), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a", 0), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc", 0), 0x44BC_2CF5_AD77_0999);
+        // 39 bytes: one stripe, then the 8-byte and 4-byte tail paths and
+        // three single bytes
+        assert_eq!(xxh64(b"Nobody inspects the spammish repetition", 0), 0xFBCE_A83C_8A37_8BF1);
+    }
+
+    #[test]
+    fn weight_hash_reads_values_as_the_xxh64_of_their_bytes() {
+        // the in-place u64 pairs must be exactly the byte stream's words,
+        // for every stripe/tail split of the value count
+        for n in [0usize, 1, 2, 3, 7, 8, 9, 16, 17, 33] {
+            let t = Tensor::from_vec(vec![n], (0..n).map(|i| i as f32 - 2.5).collect()).unwrap();
+            let mut shape = b"mvq.weight.v2".to_vec();
+            shape.extend_from_slice(&1u64.to_le_bytes());
+            shape.extend_from_slice(&(n as u64).to_le_bytes());
+            let bytes: Vec<u8> = t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+            assert_eq!(weight_hash(&t), xxh64(&bytes, xxh64(&shape, 0)), "{n} values");
+        }
+    }
+
+    #[test]
+    fn the_checksum_must_be_the_one_its_version_names() {
+        let bytes = artifact("mvq").to_bytes().unwrap();
+        let payload = &bytes[HEADER_LEN..];
+        let mut fnv = Fnv1a::new();
+        fnv.update(payload);
+        let with = |version: u16, checksum: u64| {
+            let mut blob = bytes.clone();
+            blob[4..6].copy_from_slice(&version.to_le_bytes());
+            blob[15..23].copy_from_slice(&checksum.to_le_bytes());
+            CompressedArtifact::from_bytes(&blob).map(|_| ())
+        };
+        assert!(with(3, xxh64(payload, 0)).is_ok());
+        assert!(with(2, fnv.finish()).is_ok());
+        for (version, checksum) in [(3, fnv.finish()), (2, xxh64(payload, 0))] {
+            let err = with(version, checksum).unwrap_err();
+            assert!(
+                matches!(&err, MvqError::Codec(msg) if msg.contains("checksum")),
+                "v{version} accepted the other version's checksum: {err}"
+            );
+        }
     }
 
     #[test]

@@ -48,12 +48,13 @@
 //! The `tag-drift` rule makes tag edits loud, not impossible. To change
 //! the serialized layout for real, in **one** change:
 //!
-//! 1. bump `FORMAT_VERSION` in `crates/mvq-core/src/store.rs`
+//! 1. bump `FORMAT_VERSION` in `crates/mvq-core/src/store/codec.rs`
 //!    (append new tags; never renumber or reuse old values);
 //! 2. update the pinned values in `lint.toml` to match;
-//! 3. update the golden-blob decode test in `store.rs` so the old
-//!    format either still decodes (compatible read path) or fails with
-//!    a typed error — the test documents which;
+//! 3. update the golden-blob decode tests in `tests/roundtrip.rs` (and
+//!    the wire goldens in `tests/wire_codec.rs`) so the old format
+//!    either still decodes (compatible read path) or fails with a typed
+//!    error — the test documents which;
 //! 4. run `cargo run -p mvq-lint -- --workspace` and the tier-1 tests.
 //!
 //! If the lint still complains, the manifest and source disagree —

@@ -42,13 +42,14 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "MVQA"
-//! 4       2     u16 le FORMAT_VERSION (currently 2; future versions
+//! 4       2     u16 le FORMAT_VERSION (currently 3; future versions
 //!               are refused, never guessed at)
 //! 6       1     BlobKind tag: 4 = WireRequest, 5 = WireResponse,
 //!               0 = Artifact (response bodies), 7 = StatsRequest,
 //!               8 = StatsResponse
 //! 7       8     u64 le payload length
-//! 15      8     u64 le FNV-1a payload checksum
+//! 15      8     u64 le payload checksum, by version: XXH64 (seed 0)
+//!               for v3, FNV-1a for v1 and v2
 //! 23      …     payload
 //! ```
 //!

@@ -2,7 +2,8 @@
 //!
 //! Every message is `[u32 le length][MVQA frame]`; the frame reuses the
 //! store codec's header (magic, format version, kind tag, payload
-//! length, FNV-1a payload checksum) under the append-only wire kinds
+//! length, and the payload checksum the version names: XXH64 for the
+//! current v3, FNV-1a for v1 and v2) under the append-only wire kinds
 //! ([`BlobKind::WireRequest`], [`BlobKind::WireResponse`], the stats
 //! pair), and the payload fields go through the store codec's own
 //! [`Writer`]/[`Reader`] pair and [`decode_blob`]. Artifact
@@ -568,7 +569,7 @@ impl WireStatsReply {
         decode_blob(BlobKind::StatsResponse, bytes, |r| {
             let id = r.u64()?;
             let n_metrics = r.u32()? as usize;
-            let mut metrics = Vec::with_capacity(n_metrics.min(1 << 16));
+            let mut metrics = Vec::new();
             for _ in 0..n_metrics {
                 let raw_id = r.u32()?;
                 let mid = u16::try_from(raw_id)
@@ -593,7 +594,7 @@ impl WireStatsReply {
                 metrics.push(WireMetric { id: mid, name, value });
             }
             let n_traces = r.u32()? as usize;
-            let mut traces = Vec::with_capacity(n_traces.min(1 << 16));
+            let mut traces = Vec::new();
             for _ in 0..n_traces {
                 let name = r.str()?;
                 let deduped = r.u8()? != 0;

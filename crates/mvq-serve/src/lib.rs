@@ -527,9 +527,9 @@ mod tests {
             seed,
         };
         let matrix = service.submit_one(matrix.unwrap());
-        assert_eq!(matrix.key(), &key(0xf87f_6046_f06a_3cad, 0x3a40_1bef_37fc_81da));
+        assert_eq!(matrix.key(), &key(0xfcfd_a69e_f90f_cae8, 0x8812_2e03_db6f_0ed9));
         let model = service.submit_one(model.unwrap());
-        assert_eq!(model.key(), &key(0x890f_c4a9_9bb5_c31a, 0x9bce_a4f1_2ada_b7ca));
+        assert_eq!(model.key(), &key(0xed64_b535_fa2b_1c5b, 0x2b40_0406_02c7_3b05));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use mvq::core::baselines::pqf::PqfCompressed;
 use mvq::core::pipeline::{by_name, PipelineSpec, ALGORITHM_NAMES};
-use mvq::core::store::{frame_blob, BlobKind, Persist, FORMAT_VERSION, HEADER_LEN};
+use mvq::core::store::{frame_blob, BlobKind, Fnv1a, Persist, FORMAT_VERSION, HEADER_LEN};
 use mvq::core::{
     Assignments, Codebook, CompressedArtifact, GroupingStrategy, LayerArtifact, ModelArtifacts,
 };
@@ -216,9 +216,10 @@ fn tiny_permuted() -> CompressedArtifact {
     CompressedArtifact::Permuted(pqf)
 }
 
-/// Golden-blob regression pin for format v2's sparse permutation
-/// (`TAG_PERMUTED_SPARSE`). If the layout ever changes this fails: bump
-/// `FORMAT_VERSION`, re-pin, and keep this blob decodable.
+/// Format v2's sparse permutation (`TAG_PERMUTED_SPARSE`) as a v2 writer
+/// framed it, FNV-1a checksum included: decode-only since format v3,
+/// which keeps the payload byte for byte and changes only the header
+/// ([`V3_PERMUTED_HEADER`]).
 const V2_PERMUTED_GOLDEN: [u8; 153] = [
     // magic "MVQA", version 2, kind 0
     0x4d, 0x56, 0x51, 0x41, 0x02, 0x00, 0x00, //
@@ -255,19 +256,56 @@ const V2_PERMUTED_GOLDEN: [u8; 153] = [
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
 ];
 
-#[test]
-fn format_v2_permuted_golden_blob_is_pinned() {
-    let artifact = tiny_permuted();
-    let encoded = artifact.to_bytes().expect("encode");
-    assert_eq!(u16::from_le_bytes(encoded[4..6].try_into().unwrap()), FORMAT_VERSION);
-    assert_eq!(
-        encoded, V2_PERMUTED_GOLDEN,
-        "format v2 layout drifted — bump FORMAT_VERSION and keep this blob decodable"
-    );
-    let decoded = CompressedArtifact::from_bytes(&V2_PERMUTED_GOLDEN).expect("golden v2 decodes");
+/// Golden-blob regression pin for format v3: [`tiny_permuted`] encodes to
+/// this header followed by [`V2_PERMUTED_GOLDEN`]'s payload. If the layout
+/// ever changes this fails: bump `FORMAT_VERSION`, re-pin, and keep this
+/// blob decodable.
+const V3_PERMUTED_HEADER: [u8; HEADER_LEN] = [
+    // magic "MVQA", version 3, kind 0
+    0x4d, 0x56, 0x51, 0x41, 0x03, 0x00, 0x00, //
+    // payload length 130
+    0x82, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+    // XXH64 payload checksum
+    0xf9, 0xef, 0x5b, 0xa8, 0x9b, 0x97, 0xd2, 0x72, //
+];
+
+/// Decodes `blob` and checks it is [`tiny_permuted`].
+fn assert_tiny_permuted(blob: &[u8]) {
+    let decoded = CompressedArtifact::from_bytes(blob).expect("golden blob decodes");
     let CompressedArtifact::Permuted(p) = &decoded else { panic!("decoded {decoded:?}") };
     assert_eq!(p.permutation(), &[1, 0, 2, 3]);
-    assert_eq!(bits(&decoded.reconstruct().unwrap()), bits(&artifact.reconstruct().unwrap()));
+    assert_eq!(
+        bits(&decoded.reconstruct().unwrap()),
+        bits(&tiny_permuted().reconstruct().unwrap())
+    );
+}
+
+#[test]
+fn format_v2_permuted_golden_blob_is_pinned() {
+    assert_tiny_permuted(&V2_PERMUTED_GOLDEN);
+}
+
+#[test]
+fn format_v3_permuted_golden_blob_is_pinned() {
+    let encoded = tiny_permuted().to_bytes().expect("encode");
+    assert_eq!(u16::from_le_bytes(encoded[4..6].try_into().unwrap()), FORMAT_VERSION);
+    let golden = [&V3_PERMUTED_HEADER[..], &V2_PERMUTED_GOLDEN[HEADER_LEN..]].concat();
+    assert_eq!(
+        encoded, golden,
+        "format v3 layout drifted — bump FORMAT_VERSION and keep this blob decodable"
+    );
+    assert_tiny_permuted(&golden);
+}
+
+/// Frames `payload` as a format-v1 `Artifact` blob, whose header carries
+/// an FNV-1a payload checksum (the current version's is XXH64).
+fn v1_artifact_blob(payload: Vec<u8>) -> Vec<u8> {
+    let mut h = Fnv1a::new();
+    h.update(&payload);
+    let mut blob = frame_blob(BlobKind::Artifact, payload);
+    blob[4..6].copy_from_slice(&1u16.to_le_bytes());
+    blob[15..HEADER_LEN].copy_from_slice(&h.finish().to_le_bytes());
+    blob
 }
 
 #[test]
@@ -281,8 +319,7 @@ fn format_v1_dense_permutation_still_decodes() {
     for v in [1u64, 0, 2, 3] {
         payload.extend_from_slice(&v.to_le_bytes());
     }
-    let mut blob = frame_blob(BlobKind::Artifact, payload);
-    blob[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let blob = v1_artifact_blob(payload);
     let decoded = CompressedArtifact::from_bytes(&blob).expect("v1 permuted blob must decode");
     let CompressedArtifact::Permuted(p) = &decoded else { panic!("decoded {decoded:?}") };
     assert_eq!(p.permutation(), &[1, 0, 2, 3]);
@@ -356,7 +393,7 @@ fn corrupt_sparse_permutations_are_codec_errors() {
 fn decoded_digest(artifact: &CompressedArtifact) -> u64 {
     let decoded =
         CompressedArtifact::from_bytes(&artifact.to_bytes().expect("encode")).expect("decode");
-    let mut h = mvq::core::store::Fnv1a::new();
+    let mut h = Fnv1a::new();
     for v in decoded.reconstruct().expect("reconstruct").data() {
         h.update(&v.to_bits().to_le_bytes());
     }

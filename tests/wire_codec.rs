@@ -4,6 +4,11 @@
 //! failing golden means the wire layout changed, which every deployed
 //! client/server pair would see.
 //!
+//! Each message is pinned twice: the format v2 frame a v2 peer sent
+//! (FNV-1a checksum), which must still decode, and the v3 header this
+//! version writes (XXH64 checksum) over the same payload bytes, which
+//! `encode` must reproduce.
+//!
 //! The same frames, cut short, drive the shared codec's field bounds:
 //! every truncated payload (re-framed, so its checksum holds) must
 //! decode to `MvqError::Codec`, and a length that promises more values
@@ -13,8 +18,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mvq::core::pipeline::{by_name, PipelineSpec};
-use mvq::core::store::{frame_blob, peek_kind, BlobKind, HEADER_LEN};
-use mvq::core::{CompressedArtifact, GroupingStrategy, KernelStrategy, MvqError, Persist};
+use mvq::core::store::{frame_blob, peek_kind, BlobKind, Fnv1a, HEADER_LEN};
+use mvq::core::{
+    CompressedArtifact, GroupingStrategy, KernelStrategy, ModelArtifacts, MvqError, Persist,
+};
 use mvq::net::{
     WireErrorKind, WireMetric, WireMetricValue, WireRequest, WireResponse, WireStatsReply,
     WireStatsRequest,
@@ -79,7 +86,8 @@ fn golden_request() -> WireRequest {
     }
 }
 
-/// [`golden_request`]: every optional field `Some`, a 2×2 weight.
+/// [`golden_request`]: every optional field `Some`, a 2×2 weight, as a
+/// format v2 frame.
 const REQUEST_GOLDEN: [u8; 161] = [
     0x4d, 0x56, 0x51, 0x41, 0x02, 0x00, 0x04, // magic "MVQA", version 2, kind 4
     0x8a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 138
@@ -107,7 +115,8 @@ const REQUEST_GOLDEN: [u8; 161] = [
     0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x00, // 1.0, 0.0
 ];
 
-/// `WireResponse::Ok { id: 1, name: "c1", from_cache: true, deduped: false }`.
+/// `WireResponse::Ok { id: 1, name: "c1", from_cache: true, deduped: false }`
+/// as a format v2 frame.
 const RESPONSE_OK_GOLDEN: [u8; 40] = [
     0x4d, 0x56, 0x51, 0x41, 0x02, 0x00, 0x05, // magic, version 2, kind 5
     0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 17
@@ -117,7 +126,8 @@ const RESPONSE_OK_GOLDEN: [u8; 40] = [
     0x02, 0x00, 0x00, 0x00, 0x63, 0x31, // name "c1"
 ];
 
-/// `WireResponse::Err { id: 2, kind: CancelledDeadline, message: "late" }`.
+/// `WireResponse::Err { id: 2, kind: CancelledDeadline, message: "late" }`
+/// as a format v2 frame.
 const RESPONSE_ERR_GOLDEN: [u8; 41] = [
     0x4d, 0x56, 0x51, 0x41, 0x02, 0x00, 0x05, // magic, version 2, kind 5
     0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 18
@@ -127,7 +137,7 @@ const RESPONSE_ERR_GOLDEN: [u8; 41] = [
     0x04, 0x00, 0x00, 0x00, 0x6c, 0x61, 0x74, 0x65, // message "late"
 ];
 
-/// `WireStatsRequest { id: 3, max_traces: 16 }`.
+/// `WireStatsRequest { id: 3, max_traces: 16 }` as a format v2 frame.
 const STATS_REQUEST_GOLDEN: [u8; 35] = [
     0x4d, 0x56, 0x51, 0x41, 0x02, 0x00, 0x07, // magic, version 2, kind 7
     0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 12
@@ -155,7 +165,8 @@ fn golden_stats_reply() -> WireStatsReply {
     }
 }
 
-/// [`golden_stats_reply`]: one counter, one gauge, one histogram, one trace.
+/// [`golden_stats_reply`]: one counter, one gauge, one histogram, one
+/// trace, as a format v2 frame.
 const STATS_REPLY_GOLDEN: [u8; 172] = [
     0x4d, 0x56, 0x51, 0x41, 0x02, 0x00, 0x08, // magic, version 2, kind 8
     0x95, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 149
@@ -185,15 +196,51 @@ const STATS_REPLY_GOLDEN: [u8; 172] = [
     0x07, 0xfa, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // stage 7 (replied) at 250 µs
 ];
 
+/// The format v3 headers of the goldens above: version 3, the same kind
+/// and payload length, and the XXH64 checksum of the same payload.
+const REQUEST_V3_HEADER: [u8; HEADER_LEN] = [
+    0x4d, 0x56, 0x51, 0x41, 0x03, 0x00, 0x04, // magic "MVQA", version 3, kind 4
+    0x8a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 138
+    0x43, 0x87, 0x6d, 0xad, 0x88, 0xd8, 0x74, 0x38, // XXH64 payload checksum
+];
+const RESPONSE_OK_V3_HEADER: [u8; HEADER_LEN] = [
+    0x4d, 0x56, 0x51, 0x41, 0x03, 0x00, 0x05, // magic, version 3, kind 5
+    0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 17
+    0xd5, 0x9e, 0x2c, 0x34, 0xca, 0x10, 0xd1, 0xe7, // checksum
+];
+const RESPONSE_ERR_V3_HEADER: [u8; HEADER_LEN] = [
+    0x4d, 0x56, 0x51, 0x41, 0x03, 0x00, 0x05, // magic, version 3, kind 5
+    0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 18
+    0x25, 0x73, 0x68, 0xc4, 0xf2, 0x00, 0x91, 0x3d, // checksum
+];
+const STATS_REQUEST_V3_HEADER: [u8; HEADER_LEN] = [
+    0x4d, 0x56, 0x51, 0x41, 0x03, 0x00, 0x07, // magic, version 3, kind 7
+    0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 12
+    0x68, 0x97, 0xba, 0x24, 0x08, 0x59, 0x9f, 0xf4, // checksum
+];
+const STATS_REPLY_V3_HEADER: [u8; HEADER_LEN] = [
+    0x4d, 0x56, 0x51, 0x41, 0x03, 0x00, 0x08, // magic, version 3, kind 8
+    0x95, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // payload length 149
+    0x0c, 0x61, 0x8a, 0xe5, 0x8d, 0x0b, 0x2e, 0xf1, // checksum
+];
+
+/// The v3 golden frame: `v3_header`, then `v2_golden`'s payload.
+fn v3(v3_header: [u8; HEADER_LEN], v2_golden: &[u8]) -> Vec<u8> {
+    [&v3_header[..], &v2_golden[HEADER_LEN..]].concat()
+}
+
 const DRIFT: &str = "wire layout drifted — every deployed client/server pair breaks";
 
 #[test]
 fn wire_request_golden_frame_is_pinned() {
     let req = golden_request();
-    assert_eq!(req.encode().unwrap(), REQUEST_GOLDEN, "{DRIFT}");
-    let decoded = WireRequest::decode(&REQUEST_GOLDEN).expect("golden request decodes");
-    // WireRequest has no PartialEq; Debug covers every field and each f32
-    assert_eq!(format!("{decoded:?}"), format!("{req:?}"));
+    let golden = v3(REQUEST_V3_HEADER, &REQUEST_GOLDEN);
+    assert_eq!(req.encode().unwrap(), golden, "{DRIFT}");
+    for frame in [&golden[..], &REQUEST_GOLDEN[..]] {
+        let decoded = WireRequest::decode(frame).expect("golden request decodes");
+        // WireRequest has no PartialEq; Debug covers every field and each f32
+        assert_eq!(format!("{decoded:?}"), format!("{req:?}"));
+    }
 }
 
 #[test]
@@ -201,20 +248,32 @@ fn wire_response_golden_frames_are_pinned() {
     let ok = WireResponse::Ok { id: 1, name: "c1".into(), from_cache: true, deduped: false };
     let err =
         WireResponse::Err { id: 2, kind: WireErrorKind::CancelledDeadline, message: "late".into() };
-    for (value, golden) in [(ok, &RESPONSE_OK_GOLDEN[..]), (err, &RESPONSE_ERR_GOLDEN[..])] {
+    for (value, header, v2) in [
+        (ok, RESPONSE_OK_V3_HEADER, &RESPONSE_OK_GOLDEN[..]),
+        (err, RESPONSE_ERR_V3_HEADER, &RESPONSE_ERR_GOLDEN[..]),
+    ] {
+        let golden = v3(header, v2);
         assert_eq!(value.encode().unwrap(), golden, "{DRIFT}");
-        assert_eq!(WireResponse::decode(golden).expect("golden response decodes"), value);
+        for frame in [&golden[..], v2] {
+            assert_eq!(WireResponse::decode(frame).expect("golden response decodes"), value);
+        }
     }
 }
 
 #[test]
 fn wire_stats_golden_frames_are_pinned() {
     let req = WireStatsRequest { id: 3, max_traces: 16 };
-    assert_eq!(req.encode(), STATS_REQUEST_GOLDEN, "{DRIFT}");
-    assert_eq!(WireStatsRequest::decode(&STATS_REQUEST_GOLDEN).unwrap(), req);
+    let golden = v3(STATS_REQUEST_V3_HEADER, &STATS_REQUEST_GOLDEN);
+    assert_eq!(req.encode(), golden, "{DRIFT}");
+    for frame in [&golden[..], &STATS_REQUEST_GOLDEN[..]] {
+        assert_eq!(WireStatsRequest::decode(frame).unwrap(), req);
+    }
     let reply = golden_stats_reply();
-    assert_eq!(reply.encode().unwrap(), STATS_REPLY_GOLDEN, "{DRIFT}");
-    assert_eq!(WireStatsReply::decode(&STATS_REPLY_GOLDEN).unwrap(), reply);
+    let golden = v3(STATS_REPLY_V3_HEADER, &STATS_REPLY_GOLDEN);
+    assert_eq!(reply.encode().unwrap(), golden, "{DRIFT}");
+    for frame in [&golden[..], &STATS_REPLY_GOLDEN[..]] {
+        assert_eq!(WireStatsReply::decode(frame).unwrap(), reply);
+    }
 }
 
 /// Cuts `frame`'s payload at every length and re-frames each prefix, so
@@ -288,9 +347,39 @@ fn a_v1_permutation_length_fails_before_allocating() {
     let mut payload = bytes[HEADER_LEN..bytes.len() - 16 - 16 * moved].to_vec();
     payload[0] = 2;
     payload.extend_from_slice(&u64::MAX.to_le_bytes());
-    let mut blob = frame_blob(BlobKind::Artifact, payload);
-    blob[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let blob = v1_artifact_blob(payload);
     let (decoded, peak) = with_peak_alloc(|| CompressedArtifact::from_bytes(&blob));
     assert!(matches!(decoded, Err(MvqError::Codec(_))), "{decoded:?}");
     assert!(peak < 1 << 16, "decode reserved {peak} bytes for indices it was never sent");
+}
+
+/// Frames `payload` as a format-v1 `Artifact` blob, whose header carries
+/// an FNV-1a payload checksum (the current version's is XXH64).
+fn v1_artifact_blob(payload: Vec<u8>) -> Vec<u8> {
+    let mut h = Fnv1a::new();
+    h.update(&payload);
+    let mut blob = frame_blob(BlobKind::Artifact, payload);
+    blob[4..6].copy_from_slice(&1u16.to_le_bytes());
+    blob[15..HEADER_LEN].copy_from_slice(&h.finish().to_le_bytes());
+    blob
+}
+
+#[test]
+fn record_counts_fail_before_reserving_records() {
+    // a stats reply claiming u32::MAX metrics and a model claiming
+    // u64::MAX layers, neither carrying a single record
+    let mut stats = 4u64.to_le_bytes().to_vec();
+    stats.extend_from_slice(&u32::MAX.to_le_bytes());
+    let stats = frame_blob(BlobKind::StatsResponse, stats);
+    let (decoded, peak) = with_peak_alloc(|| WireStatsReply::decode(&stats));
+    assert!(matches!(decoded, Err(MvqError::Codec(_))), "{decoded:?}");
+    assert!(peak < 1 << 16, "stats decode reserved {peak} bytes for metrics it was never sent");
+
+    let mut model = 3u32.to_le_bytes().to_vec();
+    model.extend_from_slice(b"mvq");
+    model.extend_from_slice(&u64::MAX.to_le_bytes());
+    let model = frame_blob(BlobKind::Model, model);
+    let (decoded, peak) = with_peak_alloc(|| ModelArtifacts::from_bytes(&model));
+    assert!(matches!(decoded, Err(MvqError::Codec(_))), "{decoded:?}");
+    assert!(peak < 1 << 16, "model decode reserved {peak} bytes for layers it was never sent");
 }
