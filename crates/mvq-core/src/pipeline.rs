@@ -45,7 +45,6 @@ use mvq_nn::layers::Sequential;
 use mvq_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use rayon::prelude::*;
 
 use crate::baselines::bgd::bgd_compress;
 use crate::baselines::dkm::{dkm_compress, DkmConfig};
@@ -374,7 +373,7 @@ impl ModelArtifacts {
 
 /// A compression algorithm usable through the unified pipeline.
 ///
-/// `Send + Sync` so registry entries can fan out across layers with rayon.
+/// `Send + Sync` so the service and stream workers can share one entry.
 pub trait Compressor: Send + Sync {
     /// Short registry name (e.g. `"mvq"`, `"pqf"`).
     fn name(&self) -> &'static str;
@@ -406,9 +405,9 @@ pub trait Compressor: Send + Sync {
 
     /// Compresses every compatible conv of `model` without touching its
     /// weights: skips depthwise convs, incompatible shapes, and dead
-    /// (all-zero) layers. Layers are compressed rayon-parallel; each
-    /// layer gets an independent RNG seeded from `rng`, so results are
-    /// deterministic and identical to a serial walk.
+    /// (all-zero) layers. Layers are compressed serially, each with an RNG
+    /// seeded from one `rng` draw per conv, so results are deterministic
+    /// and `rng` advances [`Sequential::num_convs`] times, failures included.
     ///
     /// # Errors
     ///
@@ -440,10 +439,10 @@ pub trait Compressor: Send + Sync {
 }
 
 /// Shared implementation behind [`Compressor::compress_model_artifacts`]:
-/// draws one seed per conv serially from `rng`, compresses the eligible
-/// layers rayon-parallel (bit-identical to a serial walk), and collects
-/// the outcomes in conv order. Skips depthwise convs (when asked), shapes
-/// the grouping rejects, and dead all-zero layers.
+/// walks the convs in order, drawing one seed per conv from `rng` (past a
+/// failure too; the first error is returned after the walk), and compresses
+/// each eligible layer from a borrow of its weight. Skips depthwise convs
+/// (when asked), shapes the grouping rejects, and dead all-zero layers.
 ///
 /// # Errors
 ///
@@ -454,32 +453,28 @@ pub fn compress_model_with<C: Compressor + ?Sized>(
     rng: &mut StdRng,
     skip_depthwise: bool,
 ) -> Result<ModelArtifacts, MvqError> {
-    let mut jobs: Vec<(usize, Tensor, bool, u64)> = Vec::new();
-    model.visit_convs(&mut |conv| {
-        jobs.push((jobs.len(), conv.weight.value.clone(), conv.is_depthwise(), rng.next_u64()));
-    });
-    let outcomes: Vec<(usize, Result<Option<CompressedArtifact>, MvqError>)> = jobs
-        .into_par_iter()
-        .map(|(idx, w, depthwise, seed)| {
-            // depthwise or dead layer: nothing to cluster or quantize
-            if (skip_depthwise && depthwise) || w.data().iter().all(|&x| x == 0.0) {
-                return (idx, Ok(None));
-            }
-            match comp.compress_matrix(&w, &mut StdRng::seed_from_u64(seed)) {
-                Ok(artifact) => (idx, Ok(Some(artifact))),
-                Err(MvqError::IncompatibleShape { .. }) => (idx, Ok(None)),
-                Err(e) => (idx, Err(e)),
-            }
-        })
-        .collect();
     let mut layers = Vec::new();
     let mut skipped = Vec::new();
-    for (conv_index, outcome) in outcomes {
-        match outcome? {
-            Some(artifact) => layers.push(LayerArtifact { conv_index, artifact }),
-            None => skipped.push(conv_index),
+    let mut failure = Ok(());
+    model.visit_convs(&mut |conv| {
+        let seed = rng.next_u64();
+        if failure.is_err() {
+            return;
         }
-    }
+        let conv_index = layers.len() + skipped.len();
+        let w = &conv.weight.value;
+        // depthwise or dead layer: nothing to cluster or quantize
+        if (skip_depthwise && conv.is_depthwise()) || w.data().iter().all(|&x| x == 0.0) {
+            skipped.push(conv_index);
+            return;
+        }
+        match comp.compress_matrix(w, &mut StdRng::seed_from_u64(seed)) {
+            Ok(artifact) => layers.push(LayerArtifact { conv_index, artifact }),
+            Err(MvqError::IncompatibleShape { .. }) => skipped.push(conv_index),
+            Err(e) => failure = Err(e),
+        }
+    });
+    failure?;
     if layers.is_empty() {
         return Err(no_compressible_layer_error(comp.name(), &skipped));
     }
@@ -1312,6 +1307,35 @@ mod tests {
             "skipped count missing from `{msg}`"
         );
         assert!(msg.contains("0,"), "skipped index list missing from `{msg}`");
+    }
+
+    /// `stream.rs` draws "the same draws `compress_model_with` makes": one
+    /// `next_u64` per conv, skipped and failed convs included, so on every
+    /// path the caller's `rng` ends `num_convs()` draws past its seed.
+    #[test]
+    fn model_walk_draws_one_seed_per_conv_on_every_path() {
+        let mut model = mvq_nn::models::mobilenet_v1_lite(4, &mut StdRng::seed_from_u64(5));
+        let n = model.num_convs();
+        let spec = PipelineSpec { k: 8, keep_n: 8, scalar_bits: 1, ..PipelineSpec::default() };
+        // (dense convs zeroed, algorithm, error): 1-bit pvq fails past the zero stem
+        let cases = [(1, "mvq", ""), (1, "pvq", "bits must be in 2..=16"), (n, "mvq", "skipped")];
+        for (zeroed, algo, fails_with) in cases {
+            let mut dense = 0;
+            model.visit_convs_mut(&mut |conv| {
+                if !conv.is_depthwise() && dense < zeroed {
+                    dense += 1;
+                    conv.weight.value.data_mut().fill(0.0);
+                }
+            });
+            let (mut rng, mut fresh) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+            let out = by_name(algo, &spec).unwrap().compress_model_artifacts(&model, &mut rng);
+            let _: Vec<u64> = (0..n).map(|_| fresh.next_u64()).collect();
+            assert_eq!(rng, fresh, "`{algo}` left the caller's rng elsewhere ({fails_with})");
+            match out {
+                Ok(arts) => assert!(fails_with.is_empty() && arts.skipped.len() > 1, "{arts:?}"),
+                Err(e) => assert!(!fails_with.is_empty() && e.to_string().contains(fails_with)),
+            }
+        }
     }
 
     #[test]

@@ -338,10 +338,9 @@ impl Writer {
     ///
     /// Returns [`MvqError::Codec`] for a rank the `u8` field cannot hold.
     pub fn tensor(&mut self, t: &Tensor) -> Result<(), MvqError> {
+        self.0.reserve(1 + 8 * t.rank() + 4 * t.numel());
         self.dims(t.dims())?;
-        for &v in t.data() {
-            self.f32(v);
-        }
+        self.0.extend(t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()));
         Ok(())
     }
 

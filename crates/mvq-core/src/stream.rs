@@ -1,9 +1,9 @@
 //! Bounded-memory streaming model compression.
 //!
 //! The in-memory model path ([`Compressor::compress_model_artifacts`])
-//! clones every conv weight up front and assembles a [`ModelArtifacts`]
-//! holding every compressed layer at once — fine for the paper's test
-//! CNNs, hopeless for model-scale inputs. This module streams instead: a
+//! walks the convs serially and assembles a [`ModelArtifacts`] holding
+//! every compressed layer at once — fine for the paper's test CNNs,
+//! hopeless for model-scale inputs. This module streams instead: a
 //! **producer** materializes one layer at a time into a bounded window
 //! (at most [`StreamConfig::max_layers`] layers and
 //! [`StreamConfig::max_bytes`] weight bytes in flight), **workers**
@@ -676,9 +676,9 @@ mod tests {
 
     /// Satellite: the streamed path is bit-identical to the in-memory
     /// oracle for every registry algorithm — byte-identical layer blobs
-    /// and an identical `ModelArtifacts` fingerprint. The one-worker
-    /// stream is a serial walk, so this also pins the rayon-parallel
-    /// oracle to serial execution.
+    /// and an identical `ModelArtifacts` fingerprint. The oracle is a
+    /// serial walk, so the default multi-worker stream also pins
+    /// layer-parallel execution to it.
     #[test]
     fn streamed_matches_in_memory_oracle_for_every_algorithm() {
         let mut rng = StdRng::seed_from_u64(3);

@@ -1,18 +1,12 @@
-//! Blocked, parallel matrix multiplication kernels.
+//! Serial matrix multiplication kernels.
 //!
 //! These back both the convolution layers (via im2col) and the clustering
 //! distance computations, so they are written for cache friendliness:
-//! row-major accumulation with the `k` loop innermost-but-one and rayon
-//! parallelism across output rows.
-
-use rayon::prelude::*;
+//! row-major accumulation with the `k` loop innermost-but-one. Callers
+//! that want threads (the service and stream workers) fan out above them.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
-
-/// Minimum number of output rows before the kernels bother spawning rayon
-/// tasks; below this the fork/join overhead dominates.
-const PAR_THRESHOLD: usize = 8;
 
 /// `C = A (m×k) · B (k×n)`.
 ///
@@ -43,7 +37,7 @@ pub fn gemm(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let mut out = Tensor::zeros(vec![m, n]);
     let a_data = a.data();
     let b_data = b.data();
-    let body = |(i, out_row): (usize, &mut [f32])| {
+    for (i, out_row) in out.data_mut().chunks_mut(n).enumerate() {
         let a_row = &a_data[i * k..(i + 1) * k];
         for (p, &av) in a_row.iter().enumerate() {
             if av == 0.0 {
@@ -54,11 +48,6 @@ pub fn gemm(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
                 *o += av * bv;
             }
         }
-    };
-    if m >= PAR_THRESHOLD {
-        out.data_mut().par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        out.data_mut().chunks_mut(n).enumerate().for_each(body);
     }
     Ok(out)
 }
@@ -126,17 +115,12 @@ pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError>
     let mut out = Tensor::zeros(vec![m, n]);
     let a_data = a.data();
     let b_data = b.data();
-    let body = |(i, out_row): (usize, &mut [f32])| {
+    for (i, out_row) in out.data_mut().chunks_mut(n).enumerate() {
         let a_row = &a_data[i * k..(i + 1) * k];
         for (j, o) in out_row.iter_mut().enumerate() {
             let b_row = &b_data[j * k..(j + 1) * k];
             *o = a_row.iter().zip(b_row).map(|(&x, &y)| x * y).sum();
         }
-    };
-    if m >= PAR_THRESHOLD {
-        out.data_mut().par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        out.data_mut().chunks_mut(n).enumerate().for_each(body);
     }
     Ok(out)
 }
@@ -186,12 +170,14 @@ mod tests {
 
     #[test]
     fn gemm_matches_naive() {
-        let a = seq_tensor(vec![13, 7]);
-        let b = seq_tensor(vec![7, 9]);
-        let fast = gemm(&a, &b).unwrap();
-        let slow = naive(&a, &b);
-        for (x, y) in fast.data().iter().zip(slow.data()) {
-            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
+        for (m, k, n, tol) in [(13, 7, 9, 1e-4), (64, 32, 16, 1e-3)] {
+            let a = seq_tensor(vec![m, k]);
+            let b = seq_tensor(vec![k, n]);
+            let fast = gemm(&a, &b).unwrap();
+            let slow = naive(&a, &b);
+            for (x, y) in fast.data().iter().zip(slow.data()) {
+                assert!((x - y).abs() < tol, "{m}x{k}x{n}: {x} vs {y}");
+            }
         }
     }
 
@@ -226,25 +212,15 @@ mod tests {
 
     #[test]
     fn transpose_b_matches_explicit() {
-        let a = seq_tensor(vec![6, 4]);
-        let b = seq_tensor(vec![9, 4]);
-        let fast = matmul_transpose_b(&a, &b).unwrap();
-        let slow = naive(&a, &b.transpose().unwrap());
-        assert_eq!(fast.dims(), &[6, 9]);
-        for (x, y) in fast.data().iter().zip(slow.data()) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn large_parallel_path() {
-        // Exceeds PAR_THRESHOLD so the rayon branch is exercised.
-        let a = seq_tensor(vec![64, 32]);
-        let b = seq_tensor(vec![32, 16]);
-        let fast = gemm(&a, &b).unwrap();
-        let slow = naive(&a, &b);
-        for (x, y) in fast.data().iter().zip(slow.data()) {
-            assert!((x - y).abs() < 1e-3);
+        for (m, k, n) in [(6, 4, 9), (20, 12, 7)] {
+            let a = seq_tensor(vec![m, k]);
+            let b = seq_tensor(vec![n, k]);
+            let fast = matmul_transpose_b(&a, &b).unwrap();
+            let slow = naive(&a, &b.transpose().unwrap());
+            assert_eq!(fast.dims(), &[m, n]);
+            for (x, y) in fast.data().iter().zip(slow.data()) {
+                assert!((x - y).abs() < 1e-4, "{m}x{k}x{n}: {x} vs {y}");
+            }
         }
     }
 }

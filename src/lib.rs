@@ -65,7 +65,7 @@
 //! ```
 //!
 //! Whole models compress the same way ([`core::Compressor::compress_model`]
-//! walks a network's convs rayon-parallel with per-layer seeded RNGs, one
+//! walks a network's convs in order with per-layer seeded RNGs, one
 //! codebook per layer), and
 //! [`core::MvqCompressor::compress_model_crosslayer`] clusters every layer
 //! against one shared codebook instead.
