@@ -228,12 +228,17 @@ fn check_shapes(wmat: &Tensor, x: &Tensor) -> Result<(usize, usize), AccelError>
 mod tests {
     use super::*;
     use crate::config::HwSetting;
-    use mvq_core::{MvqCompressor, MvqConfig};
+    use mvq_core::{MvqCompressor, PipelineSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
+    }
+
+    /// MVQ at d=16, 4:16, int8 codebook with `k` codewords.
+    fn mvq(k: usize) -> MvqCompressor {
+        MvqCompressor::new(PipelineSpec::default().with_k(k)).unwrap()
     }
 
     fn close(a: &Tensor, b: &Tensor, tol: f32) -> bool {
@@ -257,8 +262,7 @@ mod tests {
     fn compressed_run_matches_decoded_gemm() {
         let mut r = rng();
         let w = mvq_tensor::kaiming_normal(vec![32, 24], 24, &mut r);
-        let cfg = MvqConfig::new(16, 16, 4, 16).unwrap().with_codebook_bits(Some(8));
-        let compressed = MvqCompressor::new(cfg).compress_matrix(&w, &mut r).unwrap();
+        let compressed = mvq(16).compress_matrix(&w, &mut r).unwrap();
         let decoded = compressed.reconstruct().unwrap();
         let x = mvq_tensor::uniform(vec![24, 10], -1.0, 1.0, &mut r);
         let arr = FunctionalEws::new(HwConfig::new(HwSetting::EwsCms, 16).unwrap());
@@ -271,8 +275,7 @@ mod tests {
     fn compressed_run_executes_quarter_of_the_macs() {
         let mut r = rng();
         let w = mvq_tensor::kaiming_normal(vec![64, 18], 18, &mut r);
-        let cfg = MvqConfig::new(8, 16, 4, 16).unwrap();
-        let compressed = MvqCompressor::new(cfg).compress_matrix(&w, &mut r).unwrap();
+        let compressed = mvq(8).compress_matrix(&w, &mut r).unwrap();
         let x = mvq_tensor::uniform(vec![18, 5], 0.1, 1.0, &mut r); // no zeros
         let arr = FunctionalEws::new(HwConfig::new(HwSetting::EwsCms, 16).unwrap());
         let run = arr.run_compressed(&compressed, &x).unwrap();
@@ -284,8 +287,7 @@ mod tests {
     fn zero_activations_are_gated() {
         let mut r = rng();
         let w = mvq_tensor::kaiming_normal(vec![16, 8], 8, &mut r);
-        let cfg = MvqConfig::new(4, 16, 4, 16).unwrap();
-        let compressed = MvqCompressor::new(cfg).compress_matrix(&w, &mut r).unwrap();
+        let compressed = mvq(4).compress_matrix(&w, &mut r).unwrap();
         let mut x = mvq_tensor::uniform(vec![8, 6], 0.1, 1.0, &mut r);
         // zero half the activations
         for (i, v) in x.data_mut().iter_mut().enumerate() {
@@ -302,8 +304,7 @@ mod tests {
     fn compressed_loading_is_much_narrower() {
         let mut r = rng();
         let w = mvq_tensor::kaiming_normal(vec![64, 36], 36, &mut r);
-        let cfg = MvqConfig::new(16, 16, 4, 16).unwrap();
-        let compressed = MvqCompressor::new(cfg).compress_matrix(&w, &mut r).unwrap();
+        let compressed = mvq(16).compress_matrix(&w, &mut r).unwrap();
         let x = mvq_tensor::uniform(vec![36, 4], -1.0, 1.0, &mut r);
         let arr = FunctionalEws::new(HwConfig::new(HwSetting::EwsCms, 16).unwrap());
         let dense = arr.run_dense(&w, &x).unwrap();
@@ -326,8 +327,7 @@ mod tests {
         assert!(arr.reference(&w, &x).is_err());
         let mut r = rng();
         let w2 = mvq_tensor::kaiming_normal(vec![16, 8], 8, &mut r);
-        let cfg = MvqConfig::new(4, 16, 4, 16).unwrap();
-        let compressed = MvqCompressor::new(cfg).compress_matrix(&w2, &mut r).unwrap();
+        let compressed = mvq(4).compress_matrix(&w2, &mut r).unwrap();
         assert!(arr.run_compressed(&compressed, &x).is_err());
     }
 }

@@ -9,7 +9,7 @@
 use mvq_core::pipeline::{by_name, Compressor, PipelineSpec};
 use mvq_core::{
     finetune_codebooks, prune_model, sparse_finetune, CodebookFinetuneConfig, GroupingStrategy,
-    ModelArtifacts, MvqCompressor, MvqConfig, PruneMethod, SparseFinetuneConfig,
+    ModelArtifacts, MvqCompressor, PruneMethod, SparseFinetuneConfig,
 };
 use mvq_nn::data::{SyntheticClassification, SyntheticSegmentation};
 use mvq_nn::flops::count_flops;
@@ -136,8 +136,8 @@ pub fn run_mvq(
     }
     let reference = model.clone();
     // steps 2-3: masked k-means + int8 codebook
-    let mvq_cfg = MvqConfig::new(k, d, keep_n, m).expect("validated dims");
-    let compressor = MvqCompressor::new(mvq_cfg);
+    let spec = PipelineSpec { k, d, keep_n, m, grouping, ..PipelineSpec::default() };
+    let compressor = MvqCompressor::new(spec).expect("validated dims");
     let mut compressed = if crosslayer {
         compressor.compress_model_crosslayer(&mut model, &mut rng)
     } else {
@@ -390,8 +390,8 @@ pub fn table6(cfg: &ExperimentConfig) -> String {
 
     // MVQ at 1:2 pruning (CR ~ paper's 19x table row)
     let mut mvq_model = model.clone();
-    let mvq_cfg = MvqConfig::new(64, 16, 8, 16).expect("valid");
-    let cr = MvqCompressor::new(mvq_cfg)
+    let cr = MvqCompressor::new(PipelineSpec::default().with_nm(8, 16))
+        .expect("valid")
         .compress_model(&mut mvq_model, &mut rng)
         .expect("compressible")
         .compression_ratio();

@@ -11,13 +11,12 @@
 use mvq_tensor::Tensor;
 use rand::Rng;
 
-use crate::baselines::vq_plain::DenseVq;
+use crate::baselines::vq_plain::{cluster, DenseVq};
 use crate::error::MvqError;
-use crate::grouping::GroupingStrategy;
-use crate::kernels::KernelStrategy;
-use crate::kmeans::{kmeans, KmeansConfig};
+use crate::pipeline::PipelineSpec;
 
-/// Compresses `weight` with activation-weighted k-means.
+/// Compresses `weight` with activation-weighted k-means. Reads `k`, `d`,
+/// grouping, codebook bits and kernel from `spec`.
 ///
 /// `activation_moments`, when given, must hold one non-negative weight per
 /// subvector (e.g. the mean squared activation flowing through that
@@ -26,18 +25,13 @@ use crate::kmeans::{kmeans, KmeansConfig};
 /// # Errors
 ///
 /// Propagates grouping/clustering errors and rejects negative importance.
-#[allow(clippy::too_many_arguments)]
 pub fn bgd_compress<R: Rng>(
     weight: &Tensor,
-    k: usize,
-    d: usize,
-    grouping: GroupingStrategy,
-    codebook_bits: Option<u32>,
+    spec: &PipelineSpec,
     activation_moments: Option<&[f32]>,
-    kernel: KernelStrategy,
     rng: &mut R,
 ) -> Result<DenseVq, MvqError> {
-    let grouped = grouping.group(weight, d)?;
+    let grouped = spec.grouping.group(weight, spec.d)?;
     let ng = grouped.dims()[0];
     let importance: Vec<f32> = match activation_moments {
         Some(m) => {
@@ -56,12 +50,8 @@ pub fn bgd_compress<R: Rng>(
             (0..ng).map(|j| grouped.row(j).iter().map(|&v| v * v).sum::<f32>().max(1e-8)).collect()
         }
     };
-    let mut res =
-        kmeans(&grouped, &KmeansConfig::new(k).with_kernel(kernel), Some(&importance), rng)?;
-    if let Some(b) = codebook_bits {
-        res.codebook.quantize(b)?;
-    }
-    Ok(DenseVq::from_clustering(res, weight.dims().to_vec(), grouping, d))
+    let res = cluster(&grouped, spec, Some(&importance), rng)?;
+    Ok(DenseVq::from_clustering(res, weight.dims().to_vec(), spec.grouping, spec.d))
 }
 
 #[cfg(test)]
@@ -70,21 +60,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn spec(k: usize, d: usize, bits: Option<u32>) -> PipelineSpec {
+        PipelineSpec { k, d, codebook_bits: bits, ..PipelineSpec::default() }
+    }
+
     #[test]
     fn default_importance_compresses() {
         let mut rng = StdRng::seed_from_u64(0);
         let w = mvq_tensor::kaiming_normal(vec![32, 16], 16, &mut rng);
-        let vq = bgd_compress(
-            &w,
-            8,
-            16,
-            GroupingStrategy::OutputChannelWise,
-            Some(8),
-            None,
-            KernelStrategy::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let vq = bgd_compress(&w, &spec(8, 16, Some(8)), None, &mut rng).unwrap();
         let r = vq.reconstruct().unwrap();
         assert_eq!(r.dims(), w.dims());
         assert!(vq.sse.is_finite());
@@ -107,17 +91,7 @@ mod tests {
             *x = 1000.0;
         }
         let mut rng = StdRng::seed_from_u64(1);
-        let vq = bgd_compress(
-            &w,
-            1,
-            2,
-            GroupingStrategy::OutputChannelWise,
-            None,
-            Some(&imp),
-            KernelStrategy::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let vq = bgd_compress(&w, &spec(1, 2, None), Some(&imp), &mut rng).unwrap();
         let c = vq.codebook().codeword(0);
         assert!(c[0] > 0.9, "weighted centroid {c:?}");
     }
@@ -126,19 +100,8 @@ mod tests {
     fn validates_importance() {
         let mut rng = StdRng::seed_from_u64(2);
         let w = mvq_tensor::kaiming_normal(vec![8, 4], 4, &mut rng);
-        let g = GroupingStrategy::OutputChannelWise;
-        assert!(bgd_compress(&w, 2, 4, g, None, Some(&[1.0]), KernelStrategy::default(), &mut rng)
-            .is_err());
-        assert!(bgd_compress(
-            &w,
-            2,
-            4,
-            g,
-            None,
-            Some(&[-1.0; 8]),
-            KernelStrategy::default(),
-            &mut rng
-        )
-        .is_err());
+        let spec = spec(2, 4, None);
+        assert!(bgd_compress(&w, &spec, Some(&[1.0]), &mut rng).is_err());
+        assert!(bgd_compress(&w, &spec, Some(&[-1.0; 8]), &mut rng).is_err());
     }
 }

@@ -15,9 +15,9 @@ use rand::Rng;
 use crate::baselines::vq_plain::DenseVq;
 use crate::codebook::{Assignments, Codebook};
 use crate::error::MvqError;
-use crate::grouping::GroupingStrategy;
 use crate::kernels::{dense_assign_step, KernelStrategy};
 use crate::kmeans::{check_data, kmeanspp_init, sse_of, KmeansResult};
+use crate::pipeline::PipelineSpec;
 
 /// DKM hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,25 +132,24 @@ pub fn dkm_cluster<R: Rng>(
 }
 
 /// Compresses a weight tensor with DKM clustering (dense reconstruction,
-/// like the other maskless baselines).
+/// like the other maskless baselines). Reads `k`, `d`, grouping, codebook
+/// bits and kernel from `spec`; the soft-clustering schedule is
+/// [`DkmConfig::new`]'s.
 ///
 /// # Errors
 ///
 /// Propagates grouping/clustering errors.
 pub fn dkm_compress<R: Rng>(
     weight: &Tensor,
-    cfg: &DkmConfig,
-    d: usize,
-    grouping: GroupingStrategy,
-    codebook_bits: Option<u32>,
+    spec: &PipelineSpec,
     rng: &mut R,
 ) -> Result<DenseVq, MvqError> {
-    let grouped = grouping.group(weight, d)?;
-    let mut res = dkm_cluster(&grouped, cfg, rng)?;
-    if let Some(b) = codebook_bits {
+    let grouped = spec.grouping.group(weight, spec.d)?;
+    let mut res = dkm_cluster(&grouped, &DkmConfig::new(spec.k).with_kernel(spec.kernel), rng)?;
+    if let Some(b) = spec.codebook_bits {
         res.codebook.quantize(b)?;
     }
-    Ok(DenseVq::from_clustering(res, weight.dims().to_vec(), grouping, d))
+    Ok(DenseVq::from_clustering(res, weight.dims().to_vec(), spec.grouping, spec.d))
 }
 
 #[cfg(test)]
@@ -192,15 +191,7 @@ mod tests {
     fn compress_round_trip() {
         let mut rng = StdRng::seed_from_u64(3);
         let w = mvq_tensor::kaiming_normal(vec![32, 16], 16, &mut rng);
-        let vq = dkm_compress(
-            &w,
-            &DkmConfig::new(8),
-            16,
-            GroupingStrategy::OutputChannelWise,
-            Some(8),
-            &mut rng,
-        )
-        .unwrap();
+        let vq = dkm_compress(&w, &PipelineSpec::default().with_k(8), &mut rng).unwrap();
         let r = vq.reconstruct().unwrap();
         assert_eq!(r.dims(), w.dims());
         assert!(vq.storage().mask_bits == 0);

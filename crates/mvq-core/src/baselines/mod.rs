@@ -23,5 +23,5 @@ pub mod vq_plain;
 pub use bgd::bgd_compress;
 pub use dkm::{dkm_cluster, dkm_compress, DkmConfig};
 pub use pqf::{pqf_compress, PqfCompressed};
-pub use pvq::{pvq_compress_model, pvq_quantize, PvqResult};
+pub use pvq::{pvq_quantize, PvqResult};
 pub use vq_plain::{vq_case_a, vq_case_b, vq_case_c, DenseVq};

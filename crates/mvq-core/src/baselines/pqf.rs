@@ -17,13 +17,12 @@
 use mvq_tensor::Tensor;
 use rand::Rng;
 
-use crate::baselines::vq_plain::DenseVq;
+use crate::baselines::vq_plain::cluster;
 use crate::codebook::{Assignments, Codebook};
 use crate::error::MvqError;
 use crate::grouping::GroupingStrategy;
-use crate::kernels::KernelStrategy;
-use crate::kmeans::{kmeans, KmeansConfig};
 use crate::metrics::{vq_compression_ratio, StorageBreakdown};
+use crate::pipeline::PipelineSpec;
 
 /// A PQF-compressed weight: permutation + codebook + assignments.
 #[derive(Debug, Clone)]
@@ -147,26 +146,22 @@ impl PqfCompressed {
 }
 
 /// Compresses `weight` with the PQF recipe: permutation search, then
-/// k-means, then (optional) int8 codebook.
+/// k-means, then (optional) int8 codebook. Reads `k`, `d`, grouping,
+/// codebook bits, kernel and `swap_trials` from `spec`.
 ///
-/// `swap_trials` bounds the hill-climb (PQF uses a comparable
+/// `spec.swap_trials` bounds the hill-climb (PQF uses a comparable
 /// iteration-bounded local search).
 ///
 /// # Errors
 ///
 /// Propagates grouping/clustering errors.
-#[allow(clippy::too_many_arguments)]
 pub fn pqf_compress<R: Rng>(
     weight: &Tensor,
-    k: usize,
-    d: usize,
-    grouping: GroupingStrategy,
-    codebook_bits: Option<u32>,
-    swap_trials: usize,
-    kernel: KernelStrategy,
+    spec: &PipelineSpec,
     rng: &mut R,
 ) -> Result<PqfCompressed, MvqError> {
-    let grouped = grouping.group(weight, d)?;
+    let d = spec.d;
+    let grouped = spec.grouping.group(weight, d)?;
     let ng = grouped.dims()[0];
     let flat = grouped.data();
     let total = ng * d;
@@ -177,7 +172,7 @@ pub fn pqf_compress<R: Rng>(
     let mut row_sq: Vec<f32> =
         (0..ng).map(|j| values[j * d..(j + 1) * d].iter().map(|&v| v * v).sum()).collect();
     let scatter = |sum: f32, sq: f32| sq - sum * sum / d as f32;
-    for _ in 0..swap_trials {
+    for _ in 0..spec.swap_trials {
         let a = rng.gen_range(0..total);
         let b = rng.gen_range(0..total);
         let (ja, jb) = (a / d, b / d);
@@ -201,39 +196,16 @@ pub fn pqf_compress<R: Rng>(
         }
     }
     let permuted = Tensor::from_vec(vec![ng, d], values)?;
-    let mut res = kmeans(&permuted, &KmeansConfig::new(k).with_kernel(kernel), None, rng)?;
-    if let Some(b) = codebook_bits {
-        res.codebook.quantize(b)?;
-    }
+    let res = cluster(&permuted, spec, None, rng)?;
     Ok(PqfCompressed {
         permutation: perm,
         codebook: res.codebook,
         assignments: res.assignments,
         orig_dims: weight.dims().to_vec(),
-        grouping,
+        grouping: spec.grouping,
         d,
         sse: res.sse,
     })
-}
-
-/// Convenience: PQF with zero swap trials degrades to plain VQ (case A);
-/// used in tests to isolate the permutation's benefit.
-pub fn pqf_no_permutation<R: Rng>(
-    weight: &Tensor,
-    k: usize,
-    d: usize,
-    grouping: GroupingStrategy,
-    rng: &mut R,
-) -> Result<DenseVq, MvqError> {
-    crate::baselines::vq_plain::vq_case_a(
-        weight,
-        k,
-        d,
-        grouping,
-        None,
-        KernelStrategy::default(),
-        rng,
-    )
 }
 
 #[cfg(test)]
@@ -241,6 +213,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn spec(k: usize, d: usize, bits: Option<u32>, swap_trials: usize) -> PipelineSpec {
+        PipelineSpec { k, d, codebook_bits: bits, swap_trials, ..PipelineSpec::default() }
+    }
 
     fn weight(seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -251,17 +227,7 @@ mod tests {
     fn permutation_is_a_bijection() {
         let w = weight(0);
         let mut rng = StdRng::seed_from_u64(1);
-        let pqf = pqf_compress(
-            &w,
-            8,
-            16,
-            GroupingStrategy::OutputChannelWise,
-            None,
-            2_000,
-            KernelStrategy::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let pqf = pqf_compress(&w, &spec(8, 16, None, 2_000), &mut rng).unwrap();
         let mut seen = vec![false; pqf.permutation().len()];
         for &p in pqf.permutation() {
             assert!(!seen[p]);
@@ -274,17 +240,7 @@ mod tests {
     fn reconstruct_round_trips_shape() {
         let w = weight(2);
         let mut rng = StdRng::seed_from_u64(3);
-        let pqf = pqf_compress(
-            &w,
-            8,
-            16,
-            GroupingStrategy::OutputChannelWise,
-            Some(8),
-            1_000,
-            KernelStrategy::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let pqf = pqf_compress(&w, &spec(8, 16, Some(8), 1_000), &mut rng).unwrap();
         let r = pqf.reconstruct().unwrap();
         assert_eq!(r.dims(), w.dims());
     }
@@ -302,28 +258,9 @@ mod tests {
             }
         }
         let w = Tensor::from_vec(vec![64, 8], data).unwrap();
-        let base = pqf_compress(
-            &w,
-            4,
-            8,
-            GroupingStrategy::OutputChannelWise,
-            None,
-            0,
-            KernelStrategy::default(),
-            &mut StdRng::seed_from_u64(5),
-        )
-        .unwrap();
-        let searched = pqf_compress(
-            &w,
-            4,
-            8,
-            GroupingStrategy::OutputChannelWise,
-            None,
-            20_000,
-            KernelStrategy::default(),
-            &mut StdRng::seed_from_u64(5),
-        )
-        .unwrap();
+        let base = pqf_compress(&w, &spec(4, 8, None, 0), &mut StdRng::seed_from_u64(5)).unwrap();
+        let searched =
+            pqf_compress(&w, &spec(4, 8, None, 20_000), &mut StdRng::seed_from_u64(5)).unwrap();
         assert!(searched.sse < base.sse, "searched {} !< unpermuted {}", searched.sse, base.sse);
     }
 
@@ -333,17 +270,7 @@ mod tests {
         // must reproduce the weights exactly
         let w = weight(6);
         let mut rng = StdRng::seed_from_u64(7);
-        let pqf = pqf_compress(
-            &w,
-            32,
-            16,
-            GroupingStrategy::OutputChannelWise,
-            None,
-            5_000,
-            KernelStrategy::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let pqf = pqf_compress(&w, &spec(32, 16, None, 5_000), &mut rng).unwrap();
         let r = pqf.reconstruct().unwrap();
         let err = w.sse(&r).unwrap();
         assert!(err < 1e-6, "reconstruction error {err}");
@@ -353,17 +280,7 @@ mod tests {
     fn storage_has_no_mask_or_permutation_cost() {
         let w = weight(8);
         let mut rng = StdRng::seed_from_u64(9);
-        let pqf = pqf_compress(
-            &w,
-            8,
-            16,
-            GroupingStrategy::OutputChannelWise,
-            Some(8),
-            100,
-            KernelStrategy::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let pqf = pqf_compress(&w, &spec(8, 16, Some(8), 100), &mut rng).unwrap();
         assert_eq!(pqf.storage().mask_bits, 0);
     }
 }

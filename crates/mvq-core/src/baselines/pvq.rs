@@ -3,9 +3,7 @@
 //! The paper's Tables 4/6 compare MVQ against 2-bit PvQ on MobileNets,
 //! EfficientNet and DeepLab.
 
-use mvq_nn::layers::Sequential;
 use mvq_tensor::{quantize_symmetric, Tensor};
-use rand::SeedableRng;
 
 use crate::error::MvqError;
 
@@ -30,6 +28,18 @@ impl PvqResult {
     }
 }
 
+/// Rejects a scalar bit width outside `2..=16`.
+///
+/// # Errors
+///
+/// Returns [`MvqError::InvalidConfig`] naming the width.
+pub(crate) fn check_bits(bits: u32) -> Result<(), MvqError> {
+    if !(2..=16).contains(&bits) {
+        return Err(MvqError::InvalidConfig(format!("bits must be in 2..=16, got {bits}")));
+    }
+    Ok(())
+}
+
 /// Uniformly quantizes `weight` to `bits` with an alternating-minimization
 /// learned scale (same scale solver as the MVQ codebook quantizer).
 ///
@@ -38,9 +48,7 @@ impl PvqResult {
 /// Returns [`MvqError::InvalidConfig`] for bits outside `2..=16` or
 /// all-zero input.
 pub fn pvq_quantize(weight: &Tensor, bits: u32) -> Result<PvqResult, MvqError> {
-    if !(2..=16).contains(&bits) {
-        return Err(MvqError::InvalidConfig(format!("bits must be in 2..=16, got {bits}")));
-    }
+    check_bits(bits)?;
     let qmax = ((1i64 << (bits - 1)) - 1) as f32;
     let mean_abs =
         weight.data().iter().map(|x| x.abs()).sum::<f32>() / weight.numel().max(1) as f32;
@@ -65,25 +73,6 @@ pub fn pvq_quantize(weight: &Tensor, bits: u32) -> Result<PvqResult, MvqError> {
     let quantized = quantize_symmetric(weight, s, bits)?.dequantize();
     let sse = weight.sse(&quantized)?;
     Ok(PvqResult { quantized, scale: s, bits, sse })
-}
-
-/// Applies PvQ to every conv layer of a model (depthwise included —
-/// scalar quantization has no shape constraints), writes the quantized
-/// weights back, and returns the per-layer artifacts with the same
-/// `storage()` / `compression_ratio()` / `reconstructions()` surface as
-/// every other model-level compression path.
-///
-/// # Errors
-///
-/// Propagates per-layer quantization errors.
-pub fn pvq_compress_model(
-    model: &mut Sequential,
-    bits: u32,
-) -> Result<crate::pipeline::ModelArtifacts, MvqError> {
-    use crate::pipeline::Compressor;
-    // scalar quantization is deterministic; the RNG is unused
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    crate::pipeline::Pvq { bits }.compress_model(model, &mut rng)
 }
 
 #[cfg(test)]
@@ -121,7 +110,9 @@ mod tests {
     fn model_quantization_applies_to_all_convs() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut model = mvq_nn::models::tiny_cnn(3, 8, &mut rng);
-        let artifacts = pvq_compress_model(&mut model, 2).unwrap();
+        let spec = crate::pipeline::PipelineSpec::default(); // 2-bit
+        let pvq = crate::pipeline::by_name("pvq", &spec).unwrap();
+        let artifacts = pvq.compress_model(&mut model, &mut rng).unwrap();
         assert!(artifacts.total_sse().unwrap() > 0.0);
         assert_eq!(artifacts.layers.len(), model.num_convs());
         assert!(artifacts.skipped.is_empty());

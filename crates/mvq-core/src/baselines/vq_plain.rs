@@ -8,10 +8,9 @@ use crate::codebook::{Assignments, Codebook};
 use crate::compress::CompressedMatrix;
 use crate::error::MvqError;
 use crate::grouping::GroupingStrategy;
-use crate::kernels::KernelStrategy;
-use crate::kmeans::{kmeans, KmeansConfig};
-use crate::mask::NmMask;
+use crate::kmeans::{kmeans, KmeansConfig, KmeansResult};
 use crate::metrics::{vq_compression_ratio, StorageBreakdown};
+use crate::pipeline::PipelineSpec;
 use crate::pruning::prune_matrix_nm;
 
 /// A maskless VQ-compressed weight (cases A and B): codebook +
@@ -31,7 +30,7 @@ impl DenseVq {
     /// Assembles a [`DenseVq`] from a clustering result (shared with the
     /// PQF/BGD baselines).
     pub(crate) fn from_clustering(
-        res: crate::kmeans::KmeansResult,
+        res: KmeansResult,
         orig_dims: Vec<usize>,
         grouping: GroupingStrategy,
         d: usize,
@@ -124,105 +123,95 @@ impl DenseVq {
     }
 }
 
+/// Plain k-means over the rows of `grouped` with the spec's `k` and
+/// kernel (weighted by `importance` when given), then the spec's codebook
+/// quantization: the clustering step every hard-assignment baseline shares.
+///
+/// # Errors
+///
+/// Propagates clustering and quantization errors.
+pub(crate) fn cluster<R: Rng>(
+    grouped: &Tensor,
+    spec: &PipelineSpec,
+    importance: Option<&[f32]>,
+    rng: &mut R,
+) -> Result<KmeansResult, MvqError> {
+    let cfg = KmeansConfig::new(spec.k).with_kernel(spec.kernel);
+    let mut res = kmeans(grouped, &cfg, importance, rng)?;
+    if let Some(b) = spec.codebook_bits {
+        res.codebook.quantize(b)?;
+    }
+    Ok(res)
+}
+
 /// Case A: dense weights, common k-means, dense reconstruction — the
-/// simplest VQ procedure.
+/// simplest VQ procedure. Reads `k`, `d`, grouping, codebook bits and
+/// kernel from `spec`.
 ///
 /// # Errors
 ///
 /// Propagates grouping/clustering errors.
 pub fn vq_case_a<R: Rng>(
     weight: &Tensor,
-    k: usize,
-    d: usize,
-    grouping: GroupingStrategy,
-    codebook_bits: Option<u32>,
-    kernel: KernelStrategy,
+    spec: &PipelineSpec,
     rng: &mut R,
 ) -> Result<DenseVq, MvqError> {
-    let grouped = grouping.group(weight, d)?;
-    let mut res = kmeans(&grouped, &KmeansConfig::new(k).with_kernel(kernel), None, rng)?;
-    if let Some(b) = codebook_bits {
-        res.codebook.quantize(b)?;
-    }
-    Ok(DenseVq {
-        codebook: res.codebook,
-        assignments: res.assignments,
-        orig_dims: weight.dims().to_vec(),
-        grouping,
-        d,
-        sse: res.sse,
-    })
+    let grouped = spec.grouping.group(weight, spec.d)?;
+    let res = cluster(&grouped, spec, None, rng)?;
+    Ok(DenseVq::from_clustering(res, weight.dims().to_vec(), spec.grouping, spec.d))
 }
 
 /// Case B: N:M-pruned weights, common k-means, dense reconstruction — the
 /// mask is *not* stored, so reconstruction does not re-zero pruned lanes
-/// and FLOPs are not reduced.
+/// and FLOPs are not reduced. The N:M pattern lives on the
+/// `spec.prune_d` grid (default `d`); when that differs from `d`, the
+/// pruned weight is regrouped at `d` before clustering (the paper's
+/// two-grid setup).
 ///
 /// # Errors
 ///
 /// Propagates grouping/pruning/clustering errors.
-#[allow(clippy::too_many_arguments)]
 pub fn vq_case_b<R: Rng>(
     weight: &Tensor,
-    k: usize,
-    d: usize,
-    keep_n: usize,
-    m: usize,
-    grouping: GroupingStrategy,
-    codebook_bits: Option<u32>,
-    kernel: KernelStrategy,
+    spec: &PipelineSpec,
     rng: &mut R,
 ) -> Result<DenseVq, MvqError> {
-    let grouped = grouping.group(weight, d)?;
-    let (pruned, _mask) = prune_matrix_nm(&grouped, keep_n, m)?;
-    let mut res = kmeans(&pruned, &KmeansConfig::new(k).with_kernel(kernel), None, rng)?;
-    if let Some(b) = codebook_bits {
-        res.codebook.quantize(b)?;
+    let prune_d = spec.prune_d.unwrap_or(spec.d);
+    let grouped = spec.grouping.group(weight, prune_d)?;
+    let (pruned, _mask) = prune_matrix_nm(&grouped, spec.keep_n, spec.m)?;
+    if prune_d != spec.d {
+        let sparse = spec.grouping.ungroup(&pruned, weight.dims(), prune_d)?;
+        return vq_case_a(&sparse, spec, rng);
     }
-    Ok(DenseVq {
-        codebook: res.codebook,
-        assignments: res.assignments,
-        orig_dims: weight.dims().to_vec(),
-        grouping,
-        d,
-        sse: res.sse,
-    })
+    let res = cluster(&pruned, spec, None, rng)?;
+    Ok(DenseVq::from_clustering(res, weight.dims().to_vec(), spec.grouping, spec.d))
 }
 
 /// Case C: N:M-pruned weights, *common* k-means, sparse reconstruction —
 /// the mask is stored and applied at decode, but clustering ignored it, so
-/// codewords are dragged toward the structural zeros.
+/// codewords are dragged toward the structural zeros. Prunes and clusters
+/// on the `d` grid ([`crate::pipeline::by_name`] rejects a `prune_d` that
+/// differs).
 ///
 /// # Errors
 ///
 /// Propagates grouping/pruning/clustering errors.
-#[allow(clippy::too_many_arguments)]
 pub fn vq_case_c<R: Rng>(
     weight: &Tensor,
-    k: usize,
-    d: usize,
-    keep_n: usize,
-    m: usize,
-    grouping: GroupingStrategy,
-    codebook_bits: Option<u32>,
-    kernel: KernelStrategy,
+    spec: &PipelineSpec,
     rng: &mut R,
-) -> Result<(CompressedMatrix, NmMask), MvqError> {
-    let grouped = grouping.group(weight, d)?;
-    let (pruned, mask) = prune_matrix_nm(&grouped, keep_n, m)?;
-    let mut res = kmeans(&pruned, &KmeansConfig::new(k).with_kernel(kernel), None, rng)?;
-    if let Some(b) = codebook_bits {
-        res.codebook.quantize(b)?;
-    }
+) -> Result<CompressedMatrix, MvqError> {
+    let grouped = spec.grouping.group(weight, spec.d)?;
+    let (pruned, mask) = prune_matrix_nm(&grouped, spec.keep_n, spec.m)?;
+    let res = cluster(&pruned, spec, None, rng)?;
     let cm = CompressedMatrix::from_parts(
         res.codebook,
         res.assignments,
-        mask.clone(),
+        mask,
         weight.dims().to_vec(),
-        grouping,
-    )?
-    .with_sse(res.sse);
-    Ok((cm, mask))
+        spec.grouping,
+    )?;
+    Ok(cm.with_sse(res.sse))
 }
 
 #[cfg(test)]
@@ -231,6 +220,10 @@ mod tests {
     use crate::masked_kmeans::masked_sse;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn spec(k: usize, d: usize, keep_n: usize, m: usize, bits: Option<u32>) -> PipelineSpec {
+        PipelineSpec { k, d, keep_n, m, codebook_bits: bits, ..PipelineSpec::default() }
+    }
 
     fn weight(seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -241,16 +234,7 @@ mod tests {
     fn case_a_reconstruction_is_dense() {
         let w = weight(0);
         let mut rng = StdRng::seed_from_u64(1);
-        let vq = vq_case_a(
-            &w,
-            16,
-            8,
-            GroupingStrategy::OutputChannelWise,
-            Some(8),
-            KernelStrategy::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let vq = vq_case_a(&w, &spec(16, 8, 4, 8, Some(8)), &mut rng).unwrap();
         let r = vq.reconstruct().unwrap();
         assert_eq!(r.dims(), w.dims());
         assert!(r.sparsity() < 0.2, "dense reconstruction, sparsity {}", r.sparsity());
@@ -261,18 +245,7 @@ mod tests {
     fn case_b_clusters_sparse_but_reconstructs_dense() {
         let w = weight(2);
         let mut rng = StdRng::seed_from_u64(3);
-        let vq = vq_case_b(
-            &w,
-            16,
-            8,
-            2,
-            8,
-            GroupingStrategy::OutputChannelWise,
-            Some(8),
-            KernelStrategy::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let vq = vq_case_b(&w, &spec(16, 8, 2, 8, Some(8)), &mut rng).unwrap();
         let r = vq.reconstruct().unwrap();
         // codewords carry many near-zero lanes but reconstruction is not
         // exactly sparse
@@ -284,21 +257,10 @@ mod tests {
     fn case_c_reconstruction_is_sparse() {
         let w = weight(4);
         let mut rng = StdRng::seed_from_u64(5);
-        let (cm, mask) = vq_case_c(
-            &w,
-            16,
-            8,
-            2,
-            8,
-            GroupingStrategy::OutputChannelWise,
-            Some(8),
-            KernelStrategy::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let cm = vq_case_c(&w, &spec(16, 8, 2, 8, Some(8)), &mut rng).unwrap();
         let r = cm.reconstruct().unwrap();
         assert!((r.sparsity() - 0.75).abs() < 0.05, "sparsity {}", r.sparsity());
-        assert_eq!(mask.sparsity(), 0.75);
+        assert_eq!(cm.mask().sparsity(), 0.75);
         assert!(cm.storage().mask_bits > 0);
     }
 
@@ -308,24 +270,15 @@ mod tests {
         // lower masked SSE than (C) common k-means on sparse weights.
         let w = weight(6);
         let grouping = GroupingStrategy::OutputChannelWise;
-        let (cm_c, mask) = vq_case_c(
-            &w,
-            16,
-            16,
-            4,
-            16,
-            grouping,
-            None,
-            KernelStrategy::default(),
-            &mut StdRng::seed_from_u64(7),
-        )
-        .unwrap();
+        let cm_c =
+            vq_case_c(&w, &spec(16, 16, 4, 16, None), &mut StdRng::seed_from_u64(7)).unwrap();
+        let mask = cm_c.mask();
         let grouped = grouping.group(&w, 16).unwrap();
         let (pruned, _) = crate::pruning::prune_matrix_nm(&grouped, 4, 16).unwrap();
-        let sse_c = masked_sse(&pruned, &mask, cm_c.codebook(), cm_c.assignments()).unwrap();
+        let sse_c = masked_sse(&pruned, mask, cm_c.codebook(), cm_c.assignments()).unwrap();
         let d_res = crate::masked_kmeans::masked_kmeans(
             &pruned,
-            &mask,
+            mask,
             &KmeansConfig::new(16),
             &mut StdRng::seed_from_u64(7),
         )

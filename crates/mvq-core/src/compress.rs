@@ -7,111 +7,41 @@ use rand::Rng;
 use crate::codebook::{Assignments, Codebook};
 use crate::error::MvqError;
 use crate::grouping::GroupingStrategy;
-use crate::kernels::KernelStrategy;
 use crate::kmeans::KmeansConfig;
-use crate::mask::{validate_nm, NmMask};
+use crate::mask::NmMask;
 use crate::masked_kmeans::masked_kmeans;
 use crate::metrics::{mvq_compression_ratio, StorageBreakdown};
+use crate::pipeline::{check_spec, PipelineSpec};
 use crate::pruning::prune_matrix_nm;
 
-/// Hyperparameters of the MVQ pipeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MvqConfig {
-    /// Number of codewords `k`.
-    pub k: usize,
-    /// Subvector length `d`.
-    pub d: usize,
-    /// Kept weights per group (the paper's N in "N:M").
-    pub keep_n: usize,
-    /// Pruning group size M (`d` must be a multiple of it).
-    pub m: usize,
-    /// Grouping strategy (paper default: output-channel-wise).
-    pub grouping: GroupingStrategy,
-    /// Codebook quantization width; `None` keeps fp32 codewords.
-    pub codebook_bits: Option<u32>,
-    /// k-means iteration cap.
-    pub max_iters: usize,
-    /// k-means convergence threshold as a fraction of `NG`.
-    pub tol_frac: f64,
-    /// Distance/assignment kernel the clustering dispatches to.
-    pub kernel: KernelStrategy,
-}
-
-impl MvqConfig {
-    /// Creates a config with the paper's defaults: output-channel-wise
-    /// grouping, int8 codebook, 50 iterations, 0.1 % tolerance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MvqError::InvalidConfig`] when the N:M/d combination is
-    /// inconsistent or `k == 0`.
-    pub fn new(k: usize, d: usize, keep_n: usize, m: usize) -> Result<MvqConfig, MvqError> {
-        if k == 0 {
-            return Err(MvqError::InvalidConfig("k must be positive".into()));
-        }
-        validate_nm(d, keep_n, m)?;
-        Ok(MvqConfig {
-            k,
-            d,
-            keep_n,
-            m,
-            grouping: GroupingStrategy::OutputChannelWise,
-            codebook_bits: Some(8),
-            max_iters: 50,
-            tol_frac: 0.001,
-            kernel: KernelStrategy::default(),
-        })
-    }
-
-    /// Overrides the grouping strategy.
-    pub fn with_grouping(mut self, grouping: GroupingStrategy) -> MvqConfig {
-        self.grouping = grouping;
-        self
-    }
-
-    /// Overrides codebook quantization (`None` disables it).
-    pub fn with_codebook_bits(mut self, bits: Option<u32>) -> MvqConfig {
-        self.codebook_bits = bits;
-        self
-    }
-
-    /// Overrides the distance/assignment kernel strategy.
-    pub fn with_kernel(mut self, kernel: KernelStrategy) -> MvqConfig {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Weight sparsity this config produces.
-    pub fn sparsity(&self) -> f32 {
-        1.0 - self.keep_n as f32 / self.m as f32
-    }
-
-    /// The k-means sub-config (carries the kernel strategy).
-    pub fn kmeans(&self) -> KmeansConfig {
-        KmeansConfig {
-            k: self.k,
-            max_iters: self.max_iters,
-            tol_frac: self.tol_frac,
-            kernel: self.kernel,
-        }
-    }
-}
-
-/// Compresses weight matrices with MVQ.
+/// Compresses weight matrices with MVQ. Reads `k`, `d`, `keep_n:m`,
+/// grouping, codebook bits and kernel from its [`PipelineSpec`]; k-means
+/// runs with [`KmeansConfig::new`]'s 50-iteration cap and 0.1 % tolerance.
 #[derive(Debug, Clone)]
 pub struct MvqCompressor {
-    config: MvqConfig,
+    spec: PipelineSpec,
 }
 
 impl MvqCompressor {
     /// Creates a compressor.
-    pub fn new(config: MvqConfig) -> MvqCompressor {
-        MvqCompressor { config }
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvqError::InvalidConfig`] when `k == 0` or the N:M/d
+    /// combination is inconsistent.
+    pub fn new(spec: PipelineSpec) -> Result<MvqCompressor, MvqError> {
+        check_spec("mvq", &spec)?;
+        Ok(MvqCompressor { spec })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &MvqConfig {
-        &self.config
+    /// The spec the compressor reads.
+    pub(crate) fn spec(&self) -> &PipelineSpec {
+        &self.spec
+    }
+
+    /// The spec's `k` and kernel at the paper's iteration cap and tolerance.
+    pub(crate) fn kmeans(&self) -> KmeansConfig {
+        KmeansConfig::new(self.spec.k).with_kernel(self.spec.kernel)
     }
 
     /// Compresses a weight tensor (rank 2 or 4): groups it into subvectors,
@@ -127,11 +57,11 @@ impl MvqCompressor {
         weight: &Tensor,
         rng: &mut R,
     ) -> Result<CompressedMatrix, MvqError> {
-        let cfg = &self.config;
-        let grouped = cfg.grouping.group(weight, cfg.d)?;
-        let (pruned, mask) = prune_matrix_nm(&grouped, cfg.keep_n, cfg.m)?;
-        let mut result = masked_kmeans(&pruned, &mask, &cfg.kmeans(), rng)?;
-        if let Some(bits) = cfg.codebook_bits {
+        let spec = &self.spec;
+        let grouped = spec.grouping.group(weight, spec.d)?;
+        let (pruned, mask) = prune_matrix_nm(&grouped, spec.keep_n, spec.m)?;
+        let mut result = masked_kmeans(&pruned, &mask, &self.kmeans(), rng)?;
+        if let Some(bits) = spec.codebook_bits {
             result.codebook.quantize(bits)?;
         }
         Ok(CompressedMatrix {
@@ -139,9 +69,9 @@ impl MvqCompressor {
             assignments: result.assignments,
             mask,
             orig_dims: weight.dims().to_vec(),
-            grouping: cfg.grouping,
-            keep_n: cfg.keep_n,
-            m: cfg.m,
+            grouping: spec.grouping,
+            keep_n: spec.keep_n,
+            m: spec.m,
             sse: Some(result.sse),
         })
     }
@@ -288,18 +218,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn spec(k: usize, d: usize, keep_n: usize, m: usize) -> PipelineSpec {
+        PipelineSpec { k, d, keep_n, m, ..PipelineSpec::default() }
+    }
+
     fn compressor(k: usize, d: usize, n: usize, m: usize) -> MvqCompressor {
-        MvqCompressor::new(MvqConfig::new(k, d, n, m).unwrap())
+        MvqCompressor::new(spec(k, d, n, m)).unwrap()
     }
 
     #[test]
     fn config_validation() {
-        assert!(MvqConfig::new(0, 16, 4, 16).is_err());
-        assert!(MvqConfig::new(8, 12, 4, 16).is_err(), "d not multiple of m");
-        assert!(MvqConfig::new(8, 16, 17, 16).is_err());
-        let c = MvqConfig::new(8, 16, 4, 16).unwrap();
-        assert_eq!(c.sparsity(), 0.75);
-        assert_eq!(c.kmeans().k, 8);
+        assert!(MvqCompressor::new(spec(0, 16, 4, 16)).is_err());
+        assert!(MvqCompressor::new(spec(8, 12, 4, 16)).is_err(), "d not multiple of m");
+        assert!(MvqCompressor::new(spec(8, 16, 17, 16)).is_err());
+        let c = compressor(8, 16, 4, 16);
+        assert_eq!(c.kmeans(), KmeansConfig::new(8));
     }
 
     #[test]
@@ -333,9 +266,8 @@ mod tests {
         let w = mvq_tensor::kaiming_normal(vec![64, 16], 16, &mut rng);
         let c = compressor(8, 16, 4, 16).compress_matrix(&w, &mut rng).unwrap();
         assert_eq!(c.codebook().bits(), Some(8));
-        let c2 = MvqCompressor::new(MvqConfig::new(8, 16, 4, 16).unwrap().with_codebook_bits(None))
-            .compress_matrix(&w, &mut rng)
-            .unwrap();
+        let fp32 = PipelineSpec { codebook_bits: None, ..spec(8, 16, 4, 16) };
+        let c2 = MvqCompressor::new(fp32).unwrap().compress_matrix(&w, &mut rng).unwrap();
         assert_eq!(c2.codebook().bits(), None);
     }
 

@@ -13,6 +13,7 @@ use rand::Rng;
 use crate::baselines::vq_plain::vq_case_a;
 use crate::error::MvqError;
 use crate::grouping::GroupingStrategy;
+use crate::pipeline::PipelineSpec;
 
 /// Result of one arm of the Table 1 case study.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,10 +66,10 @@ pub fn importance_case_study<R: Rng>(
     // snapshot dense weights and compute per-conv VQ reconstructions
     let mut dense: Vec<Tensor> = Vec::new();
     model.visit_convs(&mut |c| dense.push(c.weight.value.clone()));
+    let spec = PipelineSpec { k, d, grouping, ..PipelineSpec::default() };
     let mut vq: Vec<Option<Tensor>> = Vec::new();
     for w in &dense {
-        match vq_case_a(w, k, d, grouping, Some(8), crate::kernels::KernelStrategy::default(), rng)
-        {
+        match vq_case_a(w, &spec, rng) {
             Ok(res) => vq.push(Some(res.reconstruct()?)),
             Err(MvqError::IncompatibleShape { .. }) => vq.push(None),
             Err(e) => return Err(e),

@@ -172,13 +172,17 @@ fn gather(data: &SyntheticClassification, idx: &[usize]) -> (Tensor, Vec<usize>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::{MvqCompressor, MvqConfig};
+    use crate::compress::MvqCompressor;
     use crate::pipeline::{by_name, Compressor, PipelineSpec};
     use mvq_nn::models::tiny_cnn;
     use mvq_nn::optim::{Optimizer as NnOpt, OptimizerKind as NnOptKind};
     use mvq_nn::train::{evaluate_classifier, train_classifier, TrainConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn mvq(spec: PipelineSpec) -> MvqCompressor {
+        MvqCompressor::new(spec).unwrap()
+    }
 
     fn codebooks(artifacts: &ModelArtifacts) -> Vec<&crate::Codebook> {
         artifacts.layers.iter().map(|l| l.artifact.codebook().unwrap()).collect()
@@ -201,8 +205,8 @@ mod tests {
         .unwrap();
         let acc_before = evaluate_classifier(&mut model, &data).unwrap();
         // fp32 codebook isolates the gradient path from grid-snap noise
-        let cfg = MvqConfig::new(8, 16, 4, 16).unwrap().with_codebook_bits(None);
-        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
+        let spec = PipelineSpec { k: 8, codebook_bits: None, ..PipelineSpec::default() };
+        let mut compressed = mvq(spec).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig {
             epochs: 3,
             batch_size: 32,
@@ -223,8 +227,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let data = SyntheticClassification::generate(3, 32, 16, 8, &mut rng);
         let mut model = tiny_cnn(3, 8, &mut rng);
-        let cfg = MvqConfig::new(8, 16, 4, 16).unwrap();
-        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
+        let spec = PipelineSpec::default().with_k(8);
+        let mut compressed = mvq(spec).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig { epochs: 1, batch_size: 16, ..Default::default() };
         finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).unwrap();
         for cb in codebooks(&compressed) {
@@ -241,8 +245,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let data = SyntheticClassification::generate(3, 32, 16, 8, &mut rng);
         let mut model = tiny_cnn(3, 8, &mut rng);
-        let cfg = MvqConfig::new(8, 16, 8, 16).unwrap();
-        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
+        let spec = PipelineSpec::default().with_k(8).with_nm(8, 16);
+        let mut compressed = mvq(spec).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig { epochs: 1, batch_size: 16, ..Default::default() };
         finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).unwrap();
         // model weights equal the decoded representation
@@ -260,9 +264,8 @@ mod tests {
         let data = SyntheticClassification::generate(3, 32, 16, 8, &mut rng);
         let mut model = tiny_cnn(3, 8, &mut rng);
         // fp32 codebook: Adam's small steps would snap back to the int8 grid
-        let cfg = MvqConfig::new(8, 16, 4, 16).unwrap().with_codebook_bits(None);
-        let mut compressed =
-            MvqCompressor::new(cfg).compress_model_crosslayer(&mut model, &mut rng).unwrap();
+        let spec = PipelineSpec { k: 8, codebook_bits: None, ..PipelineSpec::default() };
+        let mut compressed = mvq(spec).compress_model_crosslayer(&mut model, &mut rng).unwrap();
         let before = codebooks(&compressed)[0].clone();
         let ft = CodebookFinetuneConfig { epochs: 1, batch_size: 16, ..Default::default() };
         finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).unwrap();
@@ -278,8 +281,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let data = SyntheticClassification::generate(2, 8, 4, 8, &mut rng);
         let mut model = tiny_cnn(2, 8, &mut rng);
-        let cfg = MvqConfig::new(4, 16, 4, 16).unwrap();
-        let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng).unwrap();
+        let spec = PipelineSpec::default().with_k(4);
+        let mut compressed = mvq(spec).compress_model(&mut model, &mut rng).unwrap();
         let ft = CodebookFinetuneConfig { epochs: 0, batch_size: 16, ..Default::default() };
         assert!(finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).is_err());
 

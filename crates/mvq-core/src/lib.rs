@@ -18,7 +18,8 @@
 //!
 //! The distance/assignment hot loops inside every clustering algorithm
 //! dispatch through [`kernels`], selected by a [`KernelStrategy`] knob on
-//! [`PipelineSpec`] (and on [`MvqConfig`] / [`KmeansConfig`]):
+//! [`PipelineSpec`], the one set of hyperparameters every registry
+//! algorithm reads (and on [`KmeansConfig`] for direct clustering calls):
 //!
 //! * `Naive` — the per-row reference kernels. These are the **oracle**:
 //!   deliberately simple, fixed left-to-right accumulation, no tricks.
@@ -112,7 +113,7 @@ pub mod store;
 pub mod stream;
 
 pub use codebook::{Assignments, Codebook};
-pub use compress::{CompressedMatrix, MvqCompressor, MvqConfig};
+pub use compress::{CompressedMatrix, MvqCompressor};
 pub use error::MvqError;
 pub use finetune::{finetune_codebooks, CodebookFinetuneConfig};
 pub use grouping::GroupingStrategy;

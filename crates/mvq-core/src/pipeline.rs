@@ -49,14 +49,14 @@ use rand::{RngCore, SeedableRng};
 use crate::baselines::bgd::bgd_compress;
 use crate::baselines::dkm::{dkm_compress, DkmConfig};
 use crate::baselines::pqf::{pqf_compress, PqfCompressed};
-use crate::baselines::pvq::{pvq_quantize, PvqResult};
+use crate::baselines::pvq::{check_bits, pvq_quantize, PvqResult};
 use crate::baselines::vq_plain::{vq_case_a, vq_case_b, vq_case_c, DenseVq};
 use crate::codebook::{Assignments, Codebook};
-use crate::compress::{CompressedMatrix, MvqCompressor, MvqConfig};
+use crate::compress::{CompressedMatrix, MvqCompressor};
 use crate::error::MvqError;
 use crate::grouping::GroupingStrategy;
 use crate::kernels::KernelStrategy;
-use crate::mask::NmMask;
+use crate::mask::{validate_nm, NmMask};
 use crate::masked_kmeans::{masked_kmeans, masked_sse};
 use crate::metrics::{StorageBreakdown, FULL_PRECISION_BITS};
 use crate::pruning::prune_matrix_nm;
@@ -383,10 +383,9 @@ pub trait Compressor: Send + Sync {
 
     /// Whether the model path skips depthwise convs. Codebook methods do
     /// (their grouping cannot use the degenerate shapes); scalar
-    /// quantizers override to `false`. Must agree with the algorithm's
-    /// [`Compressor::compress_model_artifacts`] behavior — the streaming
-    /// pipeline (`crate::stream`) queries this to replicate the in-memory
-    /// path's skip decisions bit-identically.
+    /// quantization (`pvq`) does not. Both model paths read it:
+    /// [`Compressor::compress_model_artifacts`] and the streaming pipeline
+    /// (`crate::stream`), so their skip decisions agree bit-identically.
     fn skips_depthwise(&self) -> bool {
         true
     }
@@ -403,11 +402,13 @@ pub trait Compressor: Send + Sync {
         rng: &mut StdRng,
     ) -> Result<CompressedArtifact, MvqError>;
 
-    /// Compresses every compatible conv of `model` without touching its
-    /// weights: skips depthwise convs, incompatible shapes, and dead
-    /// (all-zero) layers. Layers are compressed serially, each with an RNG
-    /// seeded from one `rng` draw per conv, so results are deterministic
-    /// and `rng` advances [`Sequential::num_convs`] times, failures included.
+    /// Compresses every compatible conv of `model` from a borrow of its
+    /// weight, without touching it: skips depthwise convs (when
+    /// [`Compressor::skips_depthwise`]), shapes the grouping rejects, and
+    /// dead (all-zero) layers. Layers are compressed serially, each with an
+    /// RNG seeded from one `rng` draw per conv, so results are deterministic
+    /// and `rng` advances [`Sequential::num_convs`] times, failures included
+    /// (the first error is returned after the walk).
     ///
     /// # Errors
     ///
@@ -418,7 +419,33 @@ pub trait Compressor: Send + Sync {
         model: &Sequential,
         rng: &mut StdRng,
     ) -> Result<ModelArtifacts, MvqError> {
-        compress_model_with(self, model, rng, true)
+        let mut layers = Vec::new();
+        let mut skipped = Vec::new();
+        let mut failure = Ok(());
+        model.visit_convs(&mut |conv| {
+            let seed = rng.next_u64();
+            if failure.is_err() {
+                return;
+            }
+            let conv_index = layers.len() + skipped.len();
+            let w = &conv.weight.value;
+            // depthwise or dead layer: nothing to cluster or quantize
+            if (self.skips_depthwise() && conv.is_depthwise()) || w.data().iter().all(|&x| x == 0.0)
+            {
+                skipped.push(conv_index);
+                return;
+            }
+            match self.compress_matrix(w, &mut StdRng::seed_from_u64(seed)) {
+                Ok(artifact) => layers.push(LayerArtifact { conv_index, artifact }),
+                Err(MvqError::IncompatibleShape { .. }) => skipped.push(conv_index),
+                Err(e) => failure = Err(e),
+            }
+        });
+        failure?;
+        if layers.is_empty() {
+            return Err(no_compressible_layer_error(self.name(), &skipped));
+        }
+        Ok(ModelArtifacts { algorithm: self.name(), layers, skipped })
     }
 
     /// [`Compressor::compress_model_artifacts`] plus writing the
@@ -436,49 +463,6 @@ pub trait Compressor: Send + Sync {
         artifacts.apply_to(model)?;
         Ok(artifacts)
     }
-}
-
-/// Shared implementation behind [`Compressor::compress_model_artifacts`]:
-/// walks the convs in order, drawing one seed per conv from `rng` (past a
-/// failure too; the first error is returned after the walk), and compresses
-/// each eligible layer from a borrow of its weight. Skips depthwise convs
-/// (when asked), shapes the grouping rejects, and dead all-zero layers.
-///
-/// # Errors
-///
-/// See [`Compressor::compress_model_artifacts`].
-pub fn compress_model_with<C: Compressor + ?Sized>(
-    comp: &C,
-    model: &Sequential,
-    rng: &mut StdRng,
-    skip_depthwise: bool,
-) -> Result<ModelArtifacts, MvqError> {
-    let mut layers = Vec::new();
-    let mut skipped = Vec::new();
-    let mut failure = Ok(());
-    model.visit_convs(&mut |conv| {
-        let seed = rng.next_u64();
-        if failure.is_err() {
-            return;
-        }
-        let conv_index = layers.len() + skipped.len();
-        let w = &conv.weight.value;
-        // depthwise or dead layer: nothing to cluster or quantize
-        if (skip_depthwise && conv.is_depthwise()) || w.data().iter().all(|&x| x == 0.0) {
-            skipped.push(conv_index);
-            return;
-        }
-        match comp.compress_matrix(w, &mut StdRng::seed_from_u64(seed)) {
-            Ok(artifact) => layers.push(LayerArtifact { conv_index, artifact }),
-            Err(MvqError::IncompatibleShape { .. }) => skipped.push(conv_index),
-            Err(e) => failure = Err(e),
-        }
-    });
-    failure?;
-    if layers.is_empty() {
-        return Err(no_compressible_layer_error(comp.name(), &skipped));
-    }
-    Ok(ModelArtifacts { algorithm: comp.name(), layers, skipped })
 }
 
 /// The "nothing compressed" failure, with the skipped conv indices in the
@@ -499,16 +483,8 @@ impl Compressor for MvqCompressor {
     }
 
     fn config_summary(&self) -> String {
-        let cfg = self.config();
-        format!(
-            "k={} d={} {}:{} grouping={} codebook={}",
-            cfg.k,
-            cfg.d,
-            cfg.keep_n,
-            cfg.m,
-            cfg.grouping.name(),
-            bits_label(cfg.codebook_bits)
-        )
+        let s = self.spec();
+        format!("k={} d={} {}:{} {}", s.k, s.d, s.keep_n, s.m, codebook_summary(s))
     }
 
     fn compress_matrix(
@@ -541,41 +517,45 @@ impl MvqCompressor {
         model: &mut Sequential,
         rng: &mut StdRng,
     ) -> Result<ModelArtifacts, MvqError> {
-        let cfg = self.config();
-        let mut convs: Vec<(Tensor, bool)> = Vec::new();
-        model.visit_convs(&mut |conv| convs.push((conv.weight.value.clone(), conv.is_depthwise())));
+        let spec = self.spec();
         let mut eligible: Vec<(usize, Tensor, NmMask, Vec<usize>)> = Vec::new();
         let mut skipped = Vec::new();
-        for (idx, (w, depthwise)) in convs.into_iter().enumerate() {
-            if depthwise || w.data().iter().all(|&x| x == 0.0) {
-                skipped.push(idx);
-                continue;
+        let mut failure = Ok(());
+        model.visit_convs(&mut |conv| {
+            if failure.is_err() {
+                return;
             }
-            let grouped = match cfg.grouping.group(&w, cfg.d) {
-                Ok(g) => g,
-                Err(MvqError::IncompatibleShape { .. }) => {
-                    skipped.push(idx);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            let (pruned, mask) = prune_matrix_nm(&grouped, cfg.keep_n, cfg.m)?;
-            eligible.push((idx, pruned, mask, w.dims().to_vec()));
-        }
+            let idx = eligible.len() + skipped.len();
+            let w = &conv.weight.value;
+            if conv.is_depthwise() || w.data().iter().all(|&x| x == 0.0) {
+                skipped.push(idx);
+                return;
+            }
+            let pruned = spec
+                .grouping
+                .group(w, spec.d)
+                .and_then(|grouped| prune_matrix_nm(&grouped, spec.keep_n, spec.m));
+            match pruned {
+                Ok((pruned, mask)) => eligible.push((idx, pruned, mask, w.dims().to_vec())),
+                Err(MvqError::IncompatibleShape { .. }) => skipped.push(idx),
+                Err(e) => failure = Err(e),
+            }
+        });
+        failure?;
         if eligible.is_empty() {
             return Err(no_compressible_layer_error(self.name(), &skipped));
         }
         let total_ng: usize = eligible.iter().map(|(_, _, mask, _)| mask.ng()).sum();
-        let mut data = Vec::with_capacity(total_ng * cfg.d);
-        let mut bits = Vec::with_capacity(total_ng * cfg.d);
+        let mut data = Vec::with_capacity(total_ng * spec.d);
+        let mut bits = Vec::with_capacity(total_ng * spec.d);
         for (_, pruned, mask, _) in &eligible {
             data.extend_from_slice(pruned.data());
             bits.extend_from_slice(mask.bits());
         }
-        let all = Tensor::from_vec(vec![total_ng, cfg.d], data)?;
-        let all_mask = NmMask::from_bits(total_ng, cfg.d, cfg.keep_n, cfg.m, bits)?;
-        let mut res = masked_kmeans(&all, &all_mask, &cfg.kmeans(), rng)?;
-        if let Some(b) = cfg.codebook_bits {
+        let all = Tensor::from_vec(vec![total_ng, spec.d], data)?;
+        let all_mask = NmMask::from_bits(total_ng, spec.d, spec.keep_n, spec.m, bits)?;
+        let mut res = masked_kmeans(&all, &all_mask, &self.kmeans(), rng)?;
+        if let Some(b) = spec.codebook_bits {
             res.codebook.quantize(b)?;
         }
         let mut layers = Vec::with_capacity(eligible.len());
@@ -590,7 +570,7 @@ impl MvqCompressor {
                 assignments,
                 mask,
                 orig_dims,
-                cfg.grouping,
+                spec.grouping,
             )?;
             layers.push(LayerArtifact { conv_index, artifact: CompressedArtifact::Masked(matrix) });
         }
@@ -600,324 +580,65 @@ impl MvqCompressor {
     }
 }
 
-/// Which plain-VQ ablation arm a [`PlainVq`] runs (paper Fig. 12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VqVariant {
-    /// Dense weights, common k-means, dense reconstruction.
-    CaseA,
-    /// N:M-pruned weights, common k-means, dense reconstruction (mask not
-    /// stored).
-    CaseB,
-    /// N:M-pruned weights, common k-means, sparse reconstruction (mask
-    /// stored).
-    CaseC,
-}
-
-/// Conventional vector quantization (ablation cases A/B/C).
+/// Every registry algorithm but `mvq`: the VQ ablation arms `vq-a/b/c`
+/// (paper Fig. 12), `pqf`, `bgd`, `dkm` and `pvq`, told apart by their
+/// canonical name. Each reads its hyperparameters from the one spec.
 #[derive(Debug, Clone)]
-pub struct PlainVq {
-    /// Which ablation arm.
-    pub variant: VqVariant,
-    /// Codewords.
-    pub k: usize,
-    /// Subvector length used for clustering.
-    pub d: usize,
-    /// Kept weights per pruning group (cases B/C).
-    pub keep_n: usize,
-    /// Pruning group size (cases B/C).
-    pub m: usize,
-    /// Subvector length the pruning grid lives on (case B's two-grid
-    /// setup: prune at `prune_d`, recluster at `d`). Must equal `d` for
-    /// case C.
-    pub prune_d: usize,
-    /// Grouping strategy.
-    pub grouping: GroupingStrategy,
-    /// Codebook quantization.
-    pub codebook_bits: Option<u32>,
-    /// Distance/assignment kernel for the clustering loop.
-    pub kernel: KernelStrategy,
+struct Baseline {
+    name: &'static str,
+    spec: PipelineSpec,
 }
 
-impl Compressor for PlainVq {
+impl Compressor for Baseline {
     fn name(&self) -> &'static str {
-        match self.variant {
-            VqVariant::CaseA => "vq-a",
-            VqVariant::CaseB => "vq-b",
-            VqVariant::CaseC => "vq-c",
-        }
+        self.name
     }
 
     fn config_summary(&self) -> String {
-        match self.variant {
-            VqVariant::CaseA => format!(
-                "k={} d={} grouping={} codebook={}",
-                self.k,
-                self.d,
-                self.grouping.name(),
-                bits_label(self.codebook_bits)
+        let s = &self.spec;
+        let tail = codebook_summary(s);
+        match self.name {
+            "vq-a" => format!("k={} d={} {tail}", s.k, s.d),
+            "vq-b" | "vq-c" => format!(
+                "k={} d={} {}:{} (pruned at d={}) {tail}",
+                s.k,
+                s.d,
+                s.keep_n,
+                s.m,
+                s.prune_d.unwrap_or(s.d)
             ),
-            _ => format!(
-                "k={} d={} {}:{} (pruned at d={}) grouping={} codebook={}",
-                self.k,
-                self.d,
-                self.keep_n,
-                self.m,
-                self.prune_d,
-                self.grouping.name(),
-                bits_label(self.codebook_bits)
-            ),
+            "pqf" => format!("k={} d={} swaps={} {tail}", s.k, s.d, s.swap_trials),
+            "bgd" => format!("k={} d={} {tail} importance=norm2", s.k, s.d),
+            "dkm" => {
+                let c = DkmConfig::new(s.k);
+                let (tau, anneal, iters) = (c.temperature, c.anneal, c.iters);
+                format!("k={} d={} tau={tau} anneal={anneal} iters={iters} {tail}", s.k, s.d)
+            }
+            _ => format!("bits={}", s.scalar_bits),
         }
     }
 
-    fn compress_matrix(
-        &self,
-        weight: &Tensor,
-        rng: &mut StdRng,
-    ) -> Result<CompressedArtifact, MvqError> {
-        match self.variant {
-            VqVariant::CaseA => vq_case_a(
-                weight,
-                self.k,
-                self.d,
-                self.grouping,
-                self.codebook_bits,
-                self.kernel,
-                rng,
-            )
-            .map(CompressedArtifact::Dense),
-            VqVariant::CaseB if self.prune_d == self.d => vq_case_b(
-                weight,
-                self.k,
-                self.d,
-                self.keep_n,
-                self.m,
-                self.grouping,
-                self.codebook_bits,
-                self.kernel,
-                rng,
-            )
-            .map(CompressedArtifact::Dense),
-            VqVariant::CaseB => {
-                // two-grid setup: the N:M pattern lives on the prune_d
-                // grouping, clustering happens on the d grouping
-                let grouped = self.grouping.group(weight, self.prune_d)?;
-                let (pruned, _mask) = prune_matrix_nm(&grouped, self.keep_n, self.m)?;
-                let sparse = self.grouping.ungroup(&pruned, weight.dims(), self.prune_d)?;
-                vq_case_a(
-                    &sparse,
-                    self.k,
-                    self.d,
-                    self.grouping,
-                    self.codebook_bits,
-                    self.kernel,
-                    rng,
-                )
-                .map(CompressedArtifact::Dense)
-            }
-            VqVariant::CaseC => {
-                if self.prune_d != self.d {
-                    return Err(MvqError::InvalidConfig(
-                        "case C stores the mask on the clustering grid; prune_d must equal d"
-                            .into(),
-                    ));
-                }
-                vq_case_c(
-                    weight,
-                    self.k,
-                    self.d,
-                    self.keep_n,
-                    self.m,
-                    self.grouping,
-                    self.codebook_bits,
-                    self.kernel,
-                    rng,
-                )
-                .map(|(cm, _mask)| CompressedArtifact::Masked(cm))
-            }
-        }
-    }
-}
-
-/// PQF: permutation search + k-means (Martinez et al., CVPR '21).
-#[derive(Debug, Clone)]
-pub struct Pqf {
-    /// Codewords.
-    pub k: usize,
-    /// Subvector length.
-    pub d: usize,
-    /// Hill-climb swap trials.
-    pub swap_trials: usize,
-    /// Grouping strategy.
-    pub grouping: GroupingStrategy,
-    /// Codebook quantization.
-    pub codebook_bits: Option<u32>,
-    /// Distance/assignment kernel for the clustering loop.
-    pub kernel: KernelStrategy,
-}
-
-impl Compressor for Pqf {
-    fn name(&self) -> &'static str {
-        "pqf"
-    }
-
-    fn config_summary(&self) -> String {
-        format!(
-            "k={} d={} swaps={} grouping={} codebook={}",
-            self.k,
-            self.d,
-            self.swap_trials,
-            self.grouping.name(),
-            bits_label(self.codebook_bits)
-        )
-    }
-
-    fn compress_matrix(
-        &self,
-        weight: &Tensor,
-        rng: &mut StdRng,
-    ) -> Result<CompressedArtifact, MvqError> {
-        pqf_compress(
-            weight,
-            self.k,
-            self.d,
-            self.grouping,
-            self.codebook_bits,
-            self.swap_trials,
-            self.kernel,
-            rng,
-        )
-        .map(CompressedArtifact::Permuted)
-    }
-}
-
-/// BGD: importance-weighted k-means (Stock et al., ICLR '20). Importance
-/// defaults to squared subvector norms (no activation statistics).
-#[derive(Debug, Clone)]
-pub struct Bgd {
-    /// Codewords.
-    pub k: usize,
-    /// Subvector length.
-    pub d: usize,
-    /// Grouping strategy.
-    pub grouping: GroupingStrategy,
-    /// Codebook quantization.
-    pub codebook_bits: Option<u32>,
-    /// Distance/assignment kernel for the clustering loop.
-    pub kernel: KernelStrategy,
-}
-
-impl Compressor for Bgd {
-    fn name(&self) -> &'static str {
-        "bgd"
-    }
-
-    fn config_summary(&self) -> String {
-        format!(
-            "k={} d={} grouping={} codebook={} importance=norm2",
-            self.k,
-            self.d,
-            self.grouping.name(),
-            bits_label(self.codebook_bits)
-        )
-    }
-
-    fn compress_matrix(
-        &self,
-        weight: &Tensor,
-        rng: &mut StdRng,
-    ) -> Result<CompressedArtifact, MvqError> {
-        bgd_compress(
-            weight,
-            self.k,
-            self.d,
-            self.grouping,
-            self.codebook_bits,
-            None,
-            self.kernel,
-            rng,
-        )
-        .map(CompressedArtifact::Dense)
-    }
-}
-
-/// DKM: differentiable (attention) k-means (Cho et al., ICLR '22).
-#[derive(Debug, Clone)]
-pub struct Dkm {
-    /// Soft-clustering hyperparameters.
-    pub config: DkmConfig,
-    /// Subvector length.
-    pub d: usize,
-    /// Grouping strategy.
-    pub grouping: GroupingStrategy,
-    /// Codebook quantization.
-    pub codebook_bits: Option<u32>,
-}
-
-impl Compressor for Dkm {
-    fn name(&self) -> &'static str {
-        "dkm"
-    }
-
-    fn config_summary(&self) -> String {
-        format!(
-            "k={} d={} tau={} anneal={} iters={} grouping={} codebook={}",
-            self.config.k,
-            self.d,
-            self.config.temperature,
-            self.config.anneal,
-            self.config.iters,
-            self.grouping.name(),
-            bits_label(self.codebook_bits)
-        )
-    }
-
-    fn compress_matrix(
-        &self,
-        weight: &Tensor,
-        rng: &mut StdRng,
-    ) -> Result<CompressedArtifact, MvqError> {
-        dkm_compress(weight, &self.config, self.d, self.grouping, self.codebook_bits, rng)
-            .map(CompressedArtifact::Dense)
-    }
-}
-
-/// PvQ: uniform scalar quantization at a fixed bit width (Kuzmin et al.).
-#[derive(Debug, Clone)]
-pub struct Pvq {
-    /// Bit width (2..=16).
-    pub bits: u32,
-}
-
-impl Compressor for Pvq {
-    fn name(&self) -> &'static str {
-        "pvq"
-    }
-
-    fn config_summary(&self) -> String {
-        format!("bits={}", self.bits)
-    }
-
-    fn compress_matrix(
-        &self,
-        weight: &Tensor,
-        _rng: &mut StdRng,
-    ) -> Result<CompressedArtifact, MvqError> {
-        pvq_quantize(weight, self.bits)
-            .map(|result| CompressedArtifact::Scalar(ScalarQuantized { result }))
-    }
-
-    // Scalar quantization has no shape constraints, so depthwise convs are
-    // quantized too.
     fn skips_depthwise(&self) -> bool {
-        false
+        // scalar quantization has no shape constraints
+        self.name != "pvq"
     }
 
-    fn compress_model_artifacts(
+    fn compress_matrix(
         &self,
-        model: &Sequential,
+        weight: &Tensor,
         rng: &mut StdRng,
-    ) -> Result<ModelArtifacts, MvqError> {
-        compress_model_with(self, model, rng, false)
+    ) -> Result<CompressedArtifact, MvqError> {
+        let s = &self.spec;
+        match self.name {
+            "vq-a" => vq_case_a(weight, s, rng).map(CompressedArtifact::Dense),
+            "vq-b" => vq_case_b(weight, s, rng).map(CompressedArtifact::Dense),
+            "vq-c" => vq_case_c(weight, s, rng).map(CompressedArtifact::Masked),
+            "pqf" => pqf_compress(weight, s, rng).map(CompressedArtifact::Permuted),
+            "bgd" => bgd_compress(weight, s, None, rng).map(CompressedArtifact::Dense),
+            "dkm" => dkm_compress(weight, s, rng).map(CompressedArtifact::Dense),
+            _ => pvq_quantize(weight, s.scalar_bits)
+                .map(|result| CompressedArtifact::Scalar(ScalarQuantized { result })),
+        }
     }
 }
 
@@ -1118,64 +839,53 @@ pub fn canonical_name(name: &str) -> Option<&'static str> {
     ALGORITHM_NAMES.iter().find(|&&n| n == name).copied()
 }
 
+/// Rejects spec values the named (canonical) algorithm cannot run, so a
+/// bad spec fails when its compressor is built, not inside a worker. The
+/// rules are listed on [`by_name`]; an algorithm that ignores a field does
+/// not check it.
+///
+/// # Errors
+///
+/// Returns [`MvqError::InvalidConfig`] naming the offending value.
+pub(crate) fn check_spec(name: &str, spec: &PipelineSpec) -> Result<(), MvqError> {
+    if name == "pvq" {
+        return check_bits(spec.scalar_bits);
+    }
+    if spec.k == 0 {
+        return Err(MvqError::InvalidConfig("k must be positive".into()));
+    }
+    match name {
+        "mvq" => validate_nm(spec.d, spec.keep_n, spec.m),
+        "vq-b" => validate_nm(spec.prune_d.unwrap_or(spec.d), spec.keep_n, spec.m),
+        "vq-c" if spec.prune_d.is_some_and(|p| p != spec.d) => Err(MvqError::InvalidConfig(
+            "case C stores the mask on the clustering grid; prune_d must equal d".into(),
+        )),
+        "vq-c" => validate_nm(spec.d, spec.keep_n, spec.m),
+        _ => Ok(()),
+    }
+}
+
 /// Builds the named compressor from `spec`.
 ///
 /// # Errors
 ///
-/// Returns [`MvqError::InvalidConfig`] for unknown names or spec values
-/// the algorithm rejects (e.g. inconsistent N:M for MVQ).
+/// Returns [`MvqError::InvalidConfig`] for unknown names and for spec
+/// values the algorithm cannot run: `k == 0` for a codebook algorithm, an
+/// N:M pattern off its pruning grid (`mvq`, `vq-c`, and `vq-b` on
+/// `prune_d`), a `vq-c` `prune_d` other than `d`, or a `pvq` bit width
+/// outside `2..=16`.
 pub fn by_name(name: &str, spec: &PipelineSpec) -> Result<Box<dyn Compressor>, MvqError> {
-    let plain = |variant: VqVariant| PlainVq {
-        variant,
-        k: spec.k,
-        d: spec.d,
-        keep_n: spec.keep_n,
-        m: spec.m,
-        prune_d: spec.prune_d.unwrap_or(spec.d),
-        grouping: spec.grouping,
-        codebook_bits: spec.codebook_bits,
-        kernel: spec.kernel,
-    };
-    Ok(match name {
-        "mvq" => {
-            let cfg = MvqConfig::new(spec.k, spec.d, spec.keep_n, spec.m)?
-                .with_grouping(spec.grouping)
-                .with_codebook_bits(spec.codebook_bits)
-                .with_kernel(spec.kernel);
-            Box::new(MvqCompressor::new(cfg))
-        }
-        "vq" | "vq-a" => Box::new(plain(VqVariant::CaseA)),
-        "vq-b" => Box::new(plain(VqVariant::CaseB)),
-        "vq-c" => Box::new(plain(VqVariant::CaseC)),
-        "pqf" => Box::new(Pqf {
-            k: spec.k,
-            d: spec.d,
-            swap_trials: spec.swap_trials,
-            grouping: spec.grouping,
-            codebook_bits: spec.codebook_bits,
-            kernel: spec.kernel,
-        }),
-        "bgd" => Box::new(Bgd {
-            k: spec.k,
-            d: spec.d,
-            grouping: spec.grouping,
-            codebook_bits: spec.codebook_bits,
-            kernel: spec.kernel,
-        }),
-        "dkm" => Box::new(Dkm {
-            config: DkmConfig::new(spec.k).with_kernel(spec.kernel),
-            d: spec.d,
-            grouping: spec.grouping,
-            codebook_bits: spec.codebook_bits,
-        }),
-        "pvq" => Box::new(Pvq { bits: spec.scalar_bits }),
-        other => {
-            return Err(MvqError::InvalidConfig(format!(
-                "unknown compressor `{other}` (known: {})",
-                ALGORITHM_NAMES.join(", ")
-            )))
-        }
-    })
+    let name = canonical_name(name).ok_or_else(|| {
+        MvqError::InvalidConfig(format!(
+            "unknown compressor `{name}` (known: {})",
+            ALGORITHM_NAMES.join(", ")
+        ))
+    })?;
+    if name == "mvq" {
+        return Ok(Box::new(MvqCompressor::new(spec.clone())?));
+    }
+    check_spec(name, spec)?;
+    Ok(Box::new(Baseline { name, spec: spec.clone() }))
 }
 
 /// Every registered algorithm built from `spec`, in canonical order.
@@ -1192,8 +902,10 @@ pub fn registry() -> Vec<Box<dyn Compressor>> {
     registry_with(&PipelineSpec::default()).expect("default spec is valid for every algorithm")
 }
 
-fn bits_label(bits: Option<u32>) -> String {
-    bits.map_or_else(|| "fp32".to_string(), |b| format!("int{b}"))
+/// The `grouping=… codebook=…` tail every codebook summary ends with.
+fn codebook_summary(spec: &PipelineSpec) -> String {
+    let bits = spec.codebook_bits.map_or_else(|| "fp32".to_string(), |b| format!("int{b}"));
+    format!("grouping={} codebook={bits}", spec.grouping.name())
 }
 
 #[cfg(test)]
@@ -1219,28 +931,36 @@ mod tests {
     }
 
     #[test]
-    fn config_summaries_are_nonempty() {
-        for comp in registry() {
-            assert!(!comp.config_summary().is_empty(), "{}", comp.name());
-        }
+    fn config_summaries_are_pinned() {
+        let tail = "grouping=output-wise codebook=int8";
+        let pinned = [
+            format!("k=64 d=16 4:16 {tail}"),
+            format!("k=64 d=16 {tail}"),
+            format!("k=64 d=16 4:16 (pruned at d=16) {tail}"),
+            format!("k=64 d=16 4:16 (pruned at d=16) {tail}"),
+            format!("k=64 d=16 swaps=1000 {tail}"),
+            format!("k=64 d=16 {tail} importance=norm2"),
+            format!("k=64 d=16 tau=1 anneal=0.9 iters=30 {tail}"),
+            "bits=2".to_string(),
+        ];
+        let summaries: Vec<String> = registry().iter().map(|c| c.config_summary()).collect();
+        assert_eq!(summaries, pinned);
+        // Table 3's case B: clusters at d=8, prunes 4:16 on the d=16 grid
+        let two_grid = PipelineSpec::default().with_k(128).with_d(8).with_prune_d(16);
+        let summary = by_name("vq-b", &two_grid).unwrap().config_summary();
+        assert_eq!(summary, format!("k=128 d=8 4:16 (pruned at d=16) {tail}"));
+    }
+
+    /// Table 3's two-grid shape: cluster at d=8, prune 4:16 on the d=16 grid.
+    fn two_grid() -> PipelineSpec {
+        PipelineSpec { k: 8, d: 8, prune_d: Some(16), codebook_bits: None, ..Default::default() }
     }
 
     #[test]
     fn case_b_two_grid_prunes_before_clustering() {
         let mut rng = StdRng::seed_from_u64(0);
         let w = mvq_tensor::kaiming_normal(vec![32, 16], 16, &mut rng);
-        let two_grid = PlainVq {
-            variant: VqVariant::CaseB,
-            k: 8,
-            d: 8,
-            keep_n: 4,
-            m: 16,
-            prune_d: 16,
-            grouping: GroupingStrategy::OutputChannelWise,
-            codebook_bits: None,
-            kernel: KernelStrategy::default(),
-        };
-        let artifact = two_grid.compress_matrix(&w, &mut rng).unwrap();
+        let artifact = by_name("vq-b", &two_grid()).unwrap().compress_matrix(&w, &mut rng).unwrap();
         assert_eq!(artifact.reconstruct().unwrap().dims(), w.dims());
         // dense decode: mask not stored
         assert_eq!(artifact.storage().mask_bits, 0);
@@ -1248,20 +968,32 @@ mod tests {
 
     #[test]
     fn case_c_rejects_two_grid() {
-        let c = PlainVq {
-            variant: VqVariant::CaseC,
-            k: 8,
-            d: 8,
-            keep_n: 4,
-            m: 16,
-            prune_d: 16,
-            grouping: GroupingStrategy::OutputChannelWise,
-            codebook_bits: None,
-            kernel: KernelStrategy::default(),
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        let w = mvq_tensor::kaiming_normal(vec![32, 16], 16, &mut rng);
-        assert!(c.compress_matrix(&w, &mut rng).is_err());
+        let err = by_name("vq-c", &two_grid()).err().expect("two-grid case C must not build");
+        assert!(err.to_string().contains("prune_d must equal d"), "{err}");
+    }
+
+    #[test]
+    fn by_name_rejects_what_each_algorithm_cannot_run() {
+        let base = PipelineSpec::default();
+        let rejected = [
+            ("mvq", base.clone().with_k(0)),
+            ("dkm", base.clone().with_k(0)),
+            ("mvq", base.clone().with_nm(4, 12)),
+            ("vq-b", base.clone().with_prune_d(8)),
+            ("vq-c", base.clone().with_nm(17, 16)),
+            ("vq-c", base.clone().with_prune_d(8)),
+            ("pvq", base.clone().with_scalar_bits(1)),
+            ("pvq", base.clone().with_scalar_bits(17)),
+        ];
+        for (name, spec) in rejected {
+            assert!(matches!(by_name(name, &spec), Err(MvqError::InvalidConfig(_))), "{name}");
+        }
+        // fields an algorithm ignores are not checked: Table 3's `vq-a` arm
+        // clusters at d=8 under a 4:16 spec, `pvq` has no codebook
+        let accepted = [("vq-a", base.clone().with_d(8)), ("pvq", base.clone().with_k(0))];
+        for (name, spec) in accepted {
+            assert!(by_name(name, &spec).is_ok(), "{name}");
+        }
     }
 
     #[test]
@@ -1309,17 +1041,40 @@ mod tests {
         assert!(msg.contains("0,"), "skipped index list missing from `{msg}`");
     }
 
-    /// `stream.rs` draws "the same draws `compress_model_with` makes": one
+    /// `stream.rs` draws "the same draws `compress_model_artifacts` makes": one
     /// `next_u64` per conv, skipped and failed convs included, so on every
     /// path the caller's `rng` ends `num_convs()` draws past its seed.
+    /// A compressor whose every layer fails with a non-shape error.
+    struct Failing;
+
+    impl Compressor for Failing {
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+
+        fn config_summary(&self) -> String {
+            String::new()
+        }
+
+        fn compress_matrix(
+            &self,
+            _: &Tensor,
+            _: &mut StdRng,
+        ) -> Result<CompressedArtifact, MvqError> {
+            Err(MvqError::InvalidConfig("injected failure".into()))
+        }
+    }
+
     #[test]
     fn model_walk_draws_one_seed_per_conv_on_every_path() {
         let mut model = mvq_nn::models::mobilenet_v1_lite(4, &mut StdRng::seed_from_u64(5));
         let n = model.num_convs();
-        let spec = PipelineSpec { k: 8, keep_n: 8, scalar_bits: 1, ..PipelineSpec::default() };
-        // (dense convs zeroed, algorithm, error): 1-bit pvq fails past the zero stem
-        let cases = [(1, "mvq", ""), (1, "pvq", "bits must be in 2..=16"), (n, "mvq", "skipped")];
-        for (zeroed, algo, fails_with) in cases {
+        let mvq = by_name("mvq", &PipelineSpec { k: 8, keep_n: 8, ..PipelineSpec::default() });
+        let (mvq, failing): (_, Box<dyn Compressor>) = (mvq.unwrap(), Box::new(Failing));
+        // (dense convs zeroed, compressor, error): `failing` fails past the zero stem
+        let cases = [(1, &mvq, ""), (1, &failing, "injected failure"), (n, &mvq, "skipped")];
+        for (zeroed, comp, fails_with) in cases {
+            let algo = comp.name();
             let mut dense = 0;
             model.visit_convs_mut(&mut |conv| {
                 if !conv.is_depthwise() && dense < zeroed {
@@ -1328,7 +1083,7 @@ mod tests {
                 }
             });
             let (mut rng, mut fresh) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
-            let out = by_name(algo, &spec).unwrap().compress_model_artifacts(&model, &mut rng);
+            let out = comp.compress_model_artifacts(&model, &mut rng);
             let _: Vec<u64> = (0..n).map(|_| fresh.next_u64()).collect();
             assert_eq!(rng, fresh, "`{algo}` left the caller's rng elsewhere ({fails_with})");
             match out {
@@ -1388,10 +1143,10 @@ mod tests {
     }
 
     /// MVQ on a fresh seeded tiny CNN in either clustering scope.
-    fn compress_tiny(crosslayer: bool, cfg: MvqConfig, seed: u64) -> ModelArtifacts {
+    fn compress_tiny(crosslayer: bool, spec: PipelineSpec, seed: u64) -> ModelArtifacts {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut model = tiny_cnn(4, 8, &mut rng);
-        let comp = MvqCompressor::new(cfg);
+        let comp = MvqCompressor::new(spec).unwrap();
         let artifacts = if crosslayer {
             comp.compress_model_crosslayer(&mut model, &mut rng)
         } else {
@@ -1400,8 +1155,8 @@ mod tests {
         artifacts.unwrap()
     }
 
-    fn cfg(k: usize) -> MvqConfig {
-        MvqConfig::new(k, 16, 4, 16).unwrap()
+    fn cfg(k: usize) -> PipelineSpec {
+        PipelineSpec::default().with_k(k)
     }
 
     #[test]
@@ -1438,7 +1193,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut model = tiny_cnn(4, 8, &mut rng);
         let reference = model.clone();
-        let arts = MvqCompressor::new(cfg(16)).compress_model(&mut model, &mut rng).unwrap();
+        let arts =
+            MvqCompressor::new(cfg(16)).unwrap().compress_model(&mut model, &mut rng).unwrap();
         let sse = arts.total_masked_sse(&reference).unwrap();
         assert!(sse.is_finite() && sse > 0.0, "{sse}");
         // against the reconstructed model the SSE is ~0

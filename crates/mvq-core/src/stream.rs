@@ -18,9 +18,9 @@
 //! The streamed result is **bit-identical** to the in-memory path for
 //! every registry algorithm: per-conv seeds are drawn serially up front
 //! from `StdRng::seed_from_u64(model_key.seed)` (the same draws
-//! `compress_model_with` makes), each admitted layer is compressed with
-//! `StdRng::seed_from_u64(seed)`, and the skip rules replicate the
-//! oracle's exactly — depthwise convs (unless the algorithm opts in via
+//! `Compressor::compress_model_artifacts` makes), each admitted layer is
+//! compressed with `StdRng::seed_from_u64(seed)`, and the skip rules
+//! replicate the oracle's exactly — depthwise convs (when
 //! [`Compressor::skips_depthwise`]), all-zero layers, and shapes the
 //! grouping rejects. The in-memory path stays as the oracle; tests assert
 //! equality of [`ModelArtifacts::fingerprint`] on small models.

@@ -395,6 +395,16 @@ mod tests {
     }
 
     #[test]
+    fn baseline_spec_mismatches_fail_at_build_not_in_a_worker() {
+        let two_grid_case_c = PipelineSpec::default().with_d(8).with_prune_d(16).with_nm(4, 8);
+        let one_bit_pvq = PipelineSpec::default().with_scalar_bits(1);
+        for (algo, spec) in [("vq-c", two_grid_case_c), ("pvq", one_bit_pvq)] {
+            let request = CompressionRequest::builder("a", weight(), algo).spec(spec).build();
+            assert!(matches!(request, Err(MvqError::InvalidConfig(_))), "{algo}: {request:?}");
+        }
+    }
+
+    #[test]
     fn aliases_canonicalize_and_share_content_seeds() {
         let a = CompressionRequest::builder("a", weight(), "vq").build().unwrap();
         let b = CompressionRequest::builder("b", weight(), "vq-a").build().unwrap();

@@ -8,7 +8,7 @@
 //! ```
 
 use mvq::accel::{FunctionalEws, HwConfig, HwSetting};
-use mvq::core::{MvqCompressor, MvqConfig};
+use mvq::core::{MvqCompressor, PipelineSpec};
 use mvq::tensor::kaiming_normal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,8 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ifmap = mvq::tensor::uniform(vec![r, e2], -1.0, 1.0, &mut rng);
 
     // Compress the weights: k=256 codewords, d=16, 4:16.
-    let cfg = MvqConfig::new(256, 16, 4, 16)?;
-    let compressed = MvqCompressor::new(cfg).compress_matrix(&weights, &mut rng)?;
+    let spec = PipelineSpec::default().with_k(256);
+    let compressed = MvqCompressor::new(spec)?.compress_matrix(&weights, &mut rng)?;
     let decoded = compressed.reconstruct()?;
     println!(
         "weights: [{k}, {r}] compressed {:.1}x, {:.0}% sparse",

@@ -8,7 +8,7 @@
 
 use mvq::core::{
     finetune_codebooks, prune_model, sparse_finetune, CodebookFinetuneConfig, Compressor,
-    GroupingStrategy, MvqCompressor, MvqConfig, PruneMethod, SparseFinetuneConfig,
+    GroupingStrategy, MvqCompressor, PipelineSpec, PruneMethod, SparseFinetuneConfig,
 };
 use mvq::nn::data::SyntheticClassification;
 use mvq::nn::models::resnet18_lite;
@@ -49,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("after sparse fine-tune:   {:.1}%", sparse_acc * 100.0);
 
     // 3. masked k-means + int8 codebook
-    let cfg = MvqConfig::new(64, 16, 4, 16)?;
-    let mut compressed = MvqCompressor::new(cfg).compress_model(&mut model, &mut rng)?;
+    let spec = PipelineSpec { grouping, ..PipelineSpec::default() }; // k=64, d=16, 4:16
+    let mut compressed = MvqCompressor::new(spec)?.compress_model(&mut model, &mut rng)?;
     let clustered_acc = evaluate_classifier(&mut model, &data)?;
     println!(
         "after masked k-means:     {:.1}%  (CR {:.1}x)",

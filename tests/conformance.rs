@@ -7,7 +7,7 @@
 
 use mvq::core::pipeline::{by_name, registry, PipelineSpec, ALGORITHM_NAMES};
 use mvq::core::store::CacheBudget;
-use mvq::core::{CompressedArtifact, KernelStrategy, MvqConfig};
+use mvq::core::{CompressedArtifact, KernelStrategy};
 use mvq::serve::{CachePolicy, CompressionRequest, CompressionService, JobOutcome, Ticket};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,11 +147,8 @@ fn trait_object_and_concrete_mvq_agree() {
     let spec = PipelineSpec::default();
     let via_registry =
         by_name("mvq", &spec).unwrap().compress_matrix(&w, &mut StdRng::seed_from_u64(9)).unwrap();
-    let cfg = MvqConfig::new(spec.k, spec.d, spec.keep_n, spec.m)
+    let concrete = mvq::core::MvqCompressor::new(spec)
         .unwrap()
-        .with_grouping(spec.grouping)
-        .with_codebook_bits(spec.codebook_bits);
-    let concrete = mvq::core::MvqCompressor::new(cfg)
         .compress_matrix(&w, &mut StdRng::seed_from_u64(9))
         .unwrap();
     assert_eq!(via_registry.reconstruct().unwrap().data(), concrete.reconstruct().unwrap().data());

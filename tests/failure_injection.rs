@@ -6,7 +6,7 @@ use mvq::core::pipeline::{by_name, PipelineSpec};
 use mvq::core::store::{ArtifactCache, CacheKey, Persist, FORMAT_VERSION};
 use mvq::core::{
     masked_assign_with, masked_kmeans, masked_sse_with, prune_matrix_nm, CompressedArtifact,
-    GroupingStrategy, KernelStrategy, KmeansConfig, MvqCompressor, MvqConfig, MvqError, NmMask,
+    GroupingStrategy, KernelStrategy, KmeansConfig, MvqCompressor, MvqError, NmMask,
 };
 use mvq::nn::layers::{Conv2d, Module, Sequential};
 use mvq::nn::NnError;
@@ -52,14 +52,16 @@ fn compression_rejects_incompatible_models() {
 
 #[test]
 fn compression_config_errors_cascade_cleanly() {
-    assert!(matches!(MvqConfig::new(0, 16, 4, 16), Err(MvqError::InvalidConfig(_))));
-    assert!(matches!(MvqConfig::new(8, 10, 4, 16), Err(MvqError::InvalidConfig(_))));
+    let spec = PipelineSpec::default();
+    let k0 = MvqCompressor::new(spec.clone().with_k(0));
+    assert!(matches!(k0, Err(MvqError::InvalidConfig(_))));
+    let d10 = MvqCompressor::new(spec.clone().with_k(8).with_d(10));
+    assert!(matches!(d10, Err(MvqError::InvalidConfig(_))));
     // valid config, hostile data: all-zero weights cannot quantize a
     // codebook (every codeword collapses to zero)
     let mut rng = StdRng::seed_from_u64(1);
     let zeros = Tensor::zeros(vec![32, 16]);
-    let cfg = MvqConfig::new(4, 16, 4, 16).unwrap();
-    let res = MvqCompressor::new(cfg).compress_matrix(&zeros, &mut rng);
+    let res = MvqCompressor::new(spec.with_k(4)).unwrap().compress_matrix(&zeros, &mut rng);
     assert!(matches!(res, Err(MvqError::InvalidConfig(_))), "{res:?}");
 }
 
@@ -172,10 +174,11 @@ fn all_zero_masks_cannot_be_constructed() {
 #[test]
 fn mask_rejects_d_not_dividing_group_size() {
     // d = 6 is not a multiple of M = 4: typed error from the mask, and the
-    // same config is uncompilable into an MvqConfig
+    // same config builds no MVQ compressor
     let err = NmMask::from_bits(1, 6, 2, 4, vec![true; 6]).unwrap_err();
     assert!(matches!(err, MvqError::InvalidConfig(_)));
-    assert!(matches!(MvqConfig::new(8, 6, 2, 4), Err(MvqError::InvalidConfig(_))));
+    let spec = PipelineSpec::default().with_k(8).with_d(6).with_nm(2, 4);
+    assert!(matches!(MvqCompressor::new(spec), Err(MvqError::InvalidConfig(_))));
 }
 
 fn sample_artifact(algo: &str) -> CompressedArtifact {

@@ -4,7 +4,7 @@
 use mvq::accel::{
     lzc_encode_mask, simulate_network, weight_load_bits, workloads, HwConfig, HwSetting, SparseTile,
 };
-use mvq::core::{prune_matrix_nm, MaskLut, MvqCompressor, MvqConfig};
+use mvq::core::{prune_matrix_nm, MaskLut, MvqCompressor, PipelineSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,8 +16,9 @@ fn weight_load_bits_match_algorithm_storage() {
     let mut rng = StdRng::seed_from_u64(0);
     let elems = 512usize * 16;
     let w = mvq::tensor::kaiming_normal(vec![512, 16], 16, &mut rng);
-    let algo_cfg = MvqConfig::new(cfg.k, cfg.d, cfg.keep_n, cfg.m).unwrap();
-    let compressed = MvqCompressor::new(algo_cfg).compress_matrix(&w, &mut rng).unwrap();
+    let spec =
+        PipelineSpec { k: cfg.k, d: cfg.d, keep_n: cfg.keep_n, m: cfg.m, ..Default::default() };
+    let compressed = MvqCompressor::new(spec).unwrap().compress_matrix(&w, &mut rng).unwrap();
     let storage = compressed.storage();
     let hw_bits = weight_load_bits(&cfg, elems as u64, false);
     assert_eq!(
@@ -33,8 +34,8 @@ fn sparse_tile_computes_real_compressed_weights() {
     // subvector and verify it against the dense decode.
     let mut rng = StdRng::seed_from_u64(1);
     let w = mvq::tensor::kaiming_normal(vec![64, 16], 16, &mut rng);
-    let cfg = MvqConfig::new(16, 16, 4, 16).unwrap();
-    let compressed = MvqCompressor::new(cfg).compress_matrix(&w, &mut rng).unwrap();
+    let spec = PipelineSpec::default().with_k(16);
+    let compressed = MvqCompressor::new(spec).unwrap().compress_matrix(&w, &mut rng).unwrap();
     let decoded = compressed.reconstruct_grouped().unwrap();
     for j in 0..8 {
         let mask: Vec<bool> = compressed.mask().row(j).to_vec();

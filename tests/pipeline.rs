@@ -3,7 +3,7 @@
 
 use mvq::core::{
     finetune_codebooks, prune_model, CodebookFinetuneConfig, Compressor, GroupingStrategy,
-    MvqCompressor, MvqConfig,
+    MvqCompressor, PipelineSpec,
 };
 use mvq::nn::data::SyntheticClassification;
 use mvq::nn::models::tiny_cnn;
@@ -30,9 +30,9 @@ fn full_pipeline_recovers_accuracy() {
     let mut rng = StdRng::seed_from_u64(1);
     let mut compressed_model = model.clone();
     // moderate compression: 2:4 within d=16 (50% sparsity), 16 codewords
-    let cfg = MvqConfig::new(16, 16, 8, 16).unwrap();
+    let spec = PipelineSpec::default().with_k(16).with_nm(8, 16);
     let mut compressed =
-        MvqCompressor::new(cfg).compress_model(&mut compressed_model, &mut rng).unwrap();
+        MvqCompressor::new(spec).unwrap().compress_model(&mut compressed_model, &mut rng).unwrap();
     let after_cluster = evaluate_classifier(&mut compressed_model, &data).unwrap();
     let ft =
         CodebookFinetuneConfig { epochs: 3, batch_size: 32, optimizer: OptimizerKind::adam(2e-3) };
@@ -50,8 +50,9 @@ fn pruned_positions_stay_zero_through_finetuning() {
     let (model, data, _) = trained_tiny(2);
     let mut rng = StdRng::seed_from_u64(3);
     let mut m = model.clone();
-    let cfg = MvqConfig::new(8, 16, 4, 16).unwrap();
-    let mut compressed = MvqCompressor::new(cfg).compress_model(&mut m, &mut rng).unwrap();
+    let spec = PipelineSpec::default().with_k(8);
+    let mut compressed =
+        MvqCompressor::new(spec).unwrap().compress_model(&mut m, &mut rng).unwrap();
     let ft = CodebookFinetuneConfig { epochs: 2, batch_size: 32, ..Default::default() };
     finetune_codebooks(&mut m, &mut compressed, &data, &ft, &mut rng).unwrap();
     // every compressed conv must hold exactly 75% zeros at the masked
@@ -86,7 +87,7 @@ fn layerwise_beats_crosslayer_sse_at_equal_k() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut m = model.clone();
         let reference = model.clone();
-        let comp = MvqCompressor::new(MvqConfig::new(16, 16, 4, 16).unwrap());
+        let comp = MvqCompressor::new(PipelineSpec::default().with_k(16)).unwrap();
         let c = if crosslayer {
             comp.compress_model_crosslayer(&mut m, &mut rng)
         } else {
@@ -108,9 +109,9 @@ fn prune_then_compress_is_consistent_with_compress() {
     let masks = prune_model(&mut pruned, GroupingStrategy::OutputChannelWise, 16, 4, 16).unwrap();
     let mut compressed_model = model.clone();
     let mut rng = StdRng::seed_from_u64(7);
-    let cfg = MvqConfig::new(8, 16, 4, 16).unwrap();
+    let spec = PipelineSpec::default().with_k(8);
     let compressed =
-        MvqCompressor::new(cfg).compress_model(&mut compressed_model, &mut rng).unwrap();
+        MvqCompressor::new(spec).unwrap().compress_model(&mut compressed_model, &mut rng).unwrap();
     for (layer, mask) in compressed.layers.iter().zip(masks.iter()) {
         let mask = mask.as_ref().expect("tiny_cnn convs all compressible");
         assert_eq!(layer.artifact.mask().expect("mvq stores the mask").bits(), mask.bits());
@@ -125,8 +126,12 @@ fn compression_ratio_grows_with_sparsity_knob() {
     let ratio = |keep: usize| {
         let mut rng = StdRng::seed_from_u64(9);
         let mut m = model.clone();
-        let cfg = MvqConfig::new(8, 16, keep, 16).unwrap();
-        MvqCompressor::new(cfg).compress_model(&mut m, &mut rng).unwrap().compression_ratio()
+        let spec = PipelineSpec::default().with_k(8).with_nm(keep, 16);
+        MvqCompressor::new(spec)
+            .unwrap()
+            .compress_model(&mut m, &mut rng)
+            .unwrap()
+            .compression_ratio()
     };
     let r1 = ratio(1);
     let r8 = ratio(8);

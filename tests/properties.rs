@@ -9,7 +9,7 @@ use mvq::core::differential::{compare_dense, compare_masked, DiffConfig, DiffRep
 use mvq::core::{
     dense_assign_naive, dense_assign_with, masked_assign_naive, masked_assign_with, masked_kmeans,
     masked_sse, masked_sse_with, prune_matrix_nm, GroupingStrategy, KernelStrategy, KmeansConfig,
-    MaskLut, MvqCompressor, MvqConfig,
+    MaskLut, MvqCompressor, PipelineSpec,
 };
 use mvq::tensor::{dequantize_symmetric, Tensor};
 use proptest::prelude::*;
@@ -119,8 +119,8 @@ proptest! {
     fn reconstruction_respects_mask(seed in 0u64..200) {
         let mut rng = StdRng::seed_from_u64(seed);
         let w = mvq::tensor::uniform(vec![32, 16], -1.0, 1.0, &mut rng);
-        let cfg = MvqConfig::new(8, 16, 4, 16).expect("valid");
-        let c = MvqCompressor::new(cfg).compress_matrix(&w, &mut rng).expect("compressible");
+        let spec = PipelineSpec::default().with_k(8);
+        let c = MvqCompressor::new(spec).unwrap().compress_matrix(&w, &mut rng).expect("compressible");
         let g = c.reconstruct_grouped().expect("reconstructible");
         for j in 0..32 {
             for t in 0..16 {
@@ -137,8 +137,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(k as u64);
         let ng = ng_mult * 32;
         let w = mvq::tensor::uniform(vec![ng, 16], -1.0, 1.0, &mut rng);
-        let cfg = MvqConfig::new(k, 16, 4, 16).expect("valid");
-        let c = MvqCompressor::new(cfg).compress_matrix(&w, &mut rng).expect("compressible");
+        let spec = PipelineSpec::default().with_k(k);
+        let c = MvqCompressor::new(spec).unwrap().compress_matrix(&w, &mut rng).expect("compressible");
         let s = c.storage();
         let expected = s.original_bits as f64
             / (s.assignment_bits + s.mask_bits + s.codebook_bits) as f64;
