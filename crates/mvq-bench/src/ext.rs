@@ -7,6 +7,7 @@
 //!   measured on the masked SSE that governs accuracy (paper Tab. 3/5).
 
 use mvq_core::baselines::{dkm_cluster, DkmConfig};
+use mvq_core::pipeline::PipelineSpec;
 use mvq_core::{
     kmeans, masked_kmeans, masked_sse, prune_matrix_nm, search_mixed_nm, GroupingStrategy,
     KmeansConfig,
@@ -25,23 +26,23 @@ use crate::ExperimentConfig;
 /// clustering effects).
 pub fn ext1(cfg: &ExperimentConfig) -> String {
     let trained = train_arch(Arch::ResNet18, cfg);
-    let grouping = GroupingStrategy::OutputChannelWise;
     let mut rows = Vec::new();
     for target in [0.5f64, 0.7, 0.8] {
         // uniform arm: prune everything at the nearest single pattern
         let keep_uniform = (((1.0 - target) * 16.0).round() as usize).max(1);
+        let spec = PipelineSpec::default().with_nm(keep_uniform, 16);
         let uniform_acc = {
             let mut model = trained.model.clone();
-            mvq_core::prune_model(&mut model, grouping, 16, keep_uniform, 16).expect("groupable");
+            mvq_core::prune_model(&mut model, &spec).expect("groupable");
             bn_recalibrate(&mut model, &trained.data, 8);
             evaluate_classifier(&mut model, &trained.data).expect("eval")
         };
         // mixed arm: per-layer patterns chosen by retained-energy search
         let (mixed_acc, plan) = {
             let mut model = trained.model.clone();
-            let plan = search_mixed_nm(&model, grouping, 16, 16, &[12, 8, 6, 4, 3, 2], target)
-                .expect("searchable");
-            plan.apply(&mut model, grouping, 16).expect("appliable");
+            let plan =
+                search_mixed_nm(&model, &spec, &[12, 8, 6, 4, 3, 2], target).expect("searchable");
+            plan.apply(&mut model, &spec).expect("appliable");
             bn_recalibrate(&mut model, &trained.data, 8);
             (evaluate_classifier(&mut model, &trained.data).expect("eval"), plan)
         };

@@ -101,43 +101,46 @@ pub struct MvqRun {
     pub flops_dense: u64,
 }
 
+/// Prunes `model` to `spec`'s N:M pattern, then runs `epochs` of SR-STE
+/// sparse fine-tuning on `data` (the pipeline's step 1).
+fn prune_and_finetune(
+    model: &mut Sequential,
+    data: &SyntheticClassification,
+    spec: &PipelineSpec,
+    epochs: usize,
+    rng: &mut StdRng,
+) {
+    let masks = prune_model(model, spec).expect("groupable model");
+    if epochs > 0 {
+        let sf = SparseFinetuneConfig {
+            method: PruneMethod::SrSte { lambda: 2e-4 },
+            epochs,
+            batch_size: 32,
+        };
+        let mut opt = Optimizer::new(OptimizerKind::sgd(0.01, 0.9, 0.0));
+        sparse_finetune(model, masks, data, spec, &sf, &mut opt, rng)
+            .expect("sparse finetune succeeds");
+    }
+}
+
 /// Runs prune → sparse-finetune → masked k-means → int8 → (optional)
-/// codebook fine-tune on a clone of `trained`, with one codebook per layer
-/// or, when `crosslayer`, one codebook shared by all layers.
-#[allow(clippy::too_many_arguments)]
+/// codebook fine-tune on a clone of `trained`, every step on `spec`, with
+/// one codebook per layer or, when `crosslayer`, one codebook shared by all
+/// layers.
 pub fn run_mvq(
     trained: &Trained,
-    k: usize,
-    d: usize,
-    keep_n: usize,
-    m: usize,
+    spec: &PipelineSpec,
     crosslayer: bool,
     cfg: &ExperimentConfig,
     sparse_ft_epochs: usize,
 ) -> MvqRun {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xBEEF);
     let mut model = trained.model.clone();
-    let grouping = GroupingStrategy::OutputChannelWise;
     // step 1: prune and sparse-finetune
-    let masks = prune_model(&mut model, grouping, d, keep_n, m).expect("groupable model");
-    if sparse_ft_epochs > 0 {
-        let sf = SparseFinetuneConfig {
-            method: PruneMethod::SrSte { lambda: 2e-4 },
-            epochs: sparse_ft_epochs,
-            batch_size: 32,
-            grouping,
-            d,
-            keep_n,
-            m,
-        };
-        let mut opt = Optimizer::new(OptimizerKind::sgd(0.01, 0.9, 0.0));
-        sparse_finetune(&mut model, masks, &trained.data, &sf, &mut opt, &mut rng)
-            .expect("sparse finetune succeeds");
-    }
+    prune_and_finetune(&mut model, &trained.data, spec, sparse_ft_epochs, &mut rng);
     let reference = model.clone();
     // steps 2-3: masked k-means + int8 codebook
-    let spec = PipelineSpec { k, d, keep_n, m, grouping, ..PipelineSpec::default() };
-    let compressor = MvqCompressor::new(spec).expect("validated dims");
+    let compressor = MvqCompressor::new(spec.clone()).expect("validated dims");
     let mut compressed = if crosslayer {
         compressor.compress_model_crosslayer(&mut model, &mut rng)
     } else {
@@ -158,7 +161,7 @@ pub fn run_mvq(
         .expect("codebook finetune succeeds");
     bn_recalibrate(&mut model, &trained.data, 8);
     let acc_ft = evaluate_classifier(&mut model, &trained.data).expect("eval");
-    let sparsity = 1.0 - keep_n as f32 / m as f32;
+    let sparsity = 1.0 - spec.keep_n as f32 / spec.m as f32;
     let mut probe = trained.model.clone();
     let report = count_flops(&mut probe, INPUT_CHANNELS, INPUT_SIZE).expect("probe runs");
     let flops_dense = report.dense_total();
@@ -173,14 +176,11 @@ pub fn table1(cfg: &ExperimentConfig) -> String {
         let trained = train_arch(arch, cfg);
         let mut model = trained.model.clone();
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 1);
+        let spec = PipelineSpec::default().with_d(8).with_nm(2, 8);
         let study = mvq_core::experiments::importance_case_study(
             &mut model,
             &trained.data,
-            64,
-            8,
-            2,
-            8,
-            GroupingStrategy::OutputChannelWise,
+            &spec,
             &mut rng,
         )
         .expect("case study runs");
@@ -245,14 +245,11 @@ pub fn table3(cfg: &ExperimentConfig) -> String {
     // d=8 (B with its 4:16 pruning living on the d=16 grid — the paper's
     // two-grid setup), C clusters and stores the mask at d=16.
     let ab_spec = PipelineSpec::default().with_k(k_ab).with_d(d_ab).with_nm(keep_n, m);
+    let cd_spec = PipelineSpec::default().with_k(k_cd).with_d(d_cd).with_nm(keep_n, m);
     let arms: [(&str, &str, PipelineSpec); 3] = [
         ("A: DW+CK+DR", "vq-a", ab_spec.clone()),
         ("B: SW+CK+DR", "vq-b", ab_spec.with_prune_d(d_cd)),
-        (
-            "C: SW+CK+SR",
-            "vq-c",
-            PipelineSpec::default().with_k(k_cd).with_d(d_cd).with_nm(keep_n, m),
-        ),
+        ("C: SW+CK+SR", "vq-c", cd_spec.clone()),
     ];
     for (label, algorithm, spec) in arms {
         let (mut model, artifacts) = compress_clone(&trained.model, algorithm, &spec, cfg.seed ^ 3);
@@ -275,7 +272,7 @@ pub fn table3(cfg: &ExperimentConfig) -> String {
     // Case D (ours): masked k-means, sparse reconstruct, with the
     // pipeline's sparse fine-tuning step (the paper fine-tunes the sparse
     // model before clustering)
-    let run = run_mvq(&trained, k_cd, d_cd, keep_n, m, false, cfg, 1);
+    let run = run_mvq(&trained, &cd_spec, false, cfg, 1);
     rows.push(vec![
         "D: SW+MK+SR (ours)".into(),
         format!("{:.0}/{:.0}", run.sse, run.sse),
@@ -310,7 +307,8 @@ pub fn table4(cfg: &ExperimentConfig) -> String {
     ];
     for (arch, k, d, keep_n, m) in specs {
         let trained = train_arch(arch, cfg);
-        let run = run_mvq(&trained, k, d, keep_n, m, false, cfg, 1);
+        let spec = PipelineSpec::default().with_k(k).with_d(d).with_nm(keep_n, m);
+        let run = run_mvq(&trained, &spec, false, cfg, 1);
         rows.push(vec![
             format!("{arch} (dense {:.1}%)", trained.dense_acc * 100.0),
             "MVQ (ours)".into(),
@@ -348,7 +346,7 @@ pub fn table5(cfg: &ExperimentConfig) -> String {
     let mut rows = Vec::new();
     for arch in [Arch::ResNet18, Arch::ResNet50] {
         let trained = train_arch(arch, cfg);
-        let run = run_mvq(&trained, 64, 16, 4, 16, false, cfg, 0);
+        let run = run_mvq(&trained, &PipelineSpec::default(), false, cfg, 0);
         // PQF at comparable CR: d=8, k doubled (maskless). Only the SSE is
         // needed, so compress without writing reconstructions back.
         let spec = PipelineSpec::default().with_k(128).with_d(8).with_swap_trials(5_000);
@@ -442,26 +440,14 @@ pub fn fig10(cfg: &ExperimentConfig) -> String {
     let mut rows = Vec::new();
     for keep in [6usize, 5, 4, 3] {
         // pruning accuracy: prune + sparse finetune, no clustering
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 10);
+        let spec = PipelineSpec::default().with_nm(keep, 16);
         let mut model = trained.model.clone();
-        let masks = prune_model(&mut model, GroupingStrategy::OutputChannelWise, 16, keep, 16)
-            .expect("groupable");
-        let sf = SparseFinetuneConfig {
-            method: PruneMethod::SrSte { lambda: 2e-4 },
-            epochs: 1,
-            batch_size: 32,
-            grouping: GroupingStrategy::OutputChannelWise,
-            d: 16,
-            keep_n: keep,
-            m: 16,
-        };
-        let mut opt = Optimizer::new(OptimizerKind::sgd(0.01, 0.9, 0.0));
-        sparse_finetune(&mut model, masks, &trained.data, &sf, &mut opt, &mut rng)
-            .expect("finetune");
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 10);
+        prune_and_finetune(&mut model, &trained.data, &spec, 1, &mut rng);
         bn_recalibrate(&mut model, &trained.data, 8);
         let prune_acc = evaluate_classifier(&mut model, &trained.data).expect("eval");
         // clustering accuracy: full pipeline
-        let run = run_mvq(&trained, 64, 16, keep, 16, false, cfg, 1);
+        let run = run_mvq(&trained, &spec, false, cfg, 1);
         rows.push(vec![
             format!("{keep}:16"),
             pct(1.0 - keep as f64 / 16.0),
@@ -490,7 +476,8 @@ pub fn fig11(cfg: &ExperimentConfig) -> String {
         ("layerwise-2:4", 2, 4, false),
     ];
     for (label, keep_n, m, crosslayer) in arms {
-        let run = run_mvq(&trained, 48, 16, keep_n, m, crosslayer, cfg, 1);
+        let spec = PipelineSpec::default().with_k(48).with_nm(keep_n, m);
+        let run = run_mvq(&trained, &spec, crosslayer, cfg, 1);
         rows.push(vec![label.into(), ratio(run.cr), f(run.acc_ft as f64 * 100.0, 1)]);
     }
     let mut out = format!(
@@ -518,8 +505,9 @@ pub fn fig13(cfg: &ExperimentConfig) -> String {
         let mut rows = Vec::new();
         for k in [16usize, 32, 64, 128] {
             // the full pipeline includes sparse fine-tuning (step 1)
-            let lw = run_mvq(&trained, k, 16, 4, 16, false, cfg, 1);
-            let cl = run_mvq(&trained, k, 16, 4, 16, true, cfg, 1);
+            let spec = PipelineSpec::default().with_k(k);
+            let lw = run_mvq(&trained, &spec, false, cfg, 1);
+            let cl = run_mvq(&trained, &spec, true, cfg, 1);
             // PQF and BGD at matched assignment rate: d=8, 2k codewords —
             // one loop over registry names, no per-algorithm arms
             let baseline_spec =

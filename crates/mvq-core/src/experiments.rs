@@ -12,7 +12,6 @@ use rand::Rng;
 
 use crate::baselines::vq_plain::vq_case_a;
 use crate::error::MvqError;
-use crate::grouping::GroupingStrategy;
 use crate::pipeline::PipelineSpec;
 
 /// Result of one arm of the Table 1 case study.
@@ -37,10 +36,12 @@ pub struct ImportanceStudy {
 
 /// Reproduces the paper's §4.1 empirical observation (Table 1):
 ///
-/// 1. mark the top-`keep` weights by magnitude in every `group` consecutive
-///    weights as *important* (the paper uses 2 of 8, i.e. 25 %);
-/// 2. vector-quantize every compressible conv layerwise (`k`, `d`,
-///    common k-means — no masking, no fine-tuning);
+/// 1. mark the top-`spec.keep_n` weights by magnitude in every `spec.m`
+///    consecutive weights as *important* (the paper uses 2 of 8, i.e.
+///    25 %);
+/// 2. vector-quantize every compressible conv layerwise with
+///    [`vq_case_a`] on `spec` (`k`, `d`, grouping; common k-means — no
+///    masking, no fine-tuning);
 /// 3. Case 1 replaces only important weights with their quantized values;
 ///    Case 2 replaces only the unimportant ones;
 /// 4. report SSE and top-1 accuracy for both cases.
@@ -51,31 +52,25 @@ pub struct ImportanceStudy {
 /// # Errors
 ///
 /// Propagates clustering/evaluation errors.
-#[allow(clippy::too_many_arguments)]
 pub fn importance_case_study<R: Rng>(
     model: &mut Sequential,
     data: &SyntheticClassification,
-    k: usize,
-    d: usize,
-    keep: usize,
-    group: usize,
-    grouping: GroupingStrategy,
+    spec: &PipelineSpec,
     rng: &mut R,
 ) -> Result<ImportanceStudy, MvqError> {
     let dense_accuracy = evaluate_classifier(model, data)?;
     // snapshot dense weights and compute per-conv VQ reconstructions
     let mut dense: Vec<Tensor> = Vec::new();
     model.visit_convs(&mut |c| dense.push(c.weight.value.clone()));
-    let spec = PipelineSpec { k, d, grouping, ..PipelineSpec::default() };
     let mut vq: Vec<Option<Tensor>> = Vec::new();
     for w in &dense {
-        match vq_case_a(w, &spec, rng) {
+        match vq_case_a(w, spec, rng) {
             Ok(res) => vq.push(Some(res.reconstruct()?)),
             Err(MvqError::IncompatibleShape { .. }) => vq.push(None),
             Err(e) => return Err(e),
         }
     }
-    let important = importance_masks(&dense, keep, group);
+    let important = importance_masks(&dense, spec.keep_n, spec.m);
 
     let case1 = run_case(model, data, &dense, &vq, &important, true)?;
     let case2 = run_case(model, data, &dense, &vq, &important, false)?;
@@ -172,17 +167,8 @@ mod tests {
         let mut model = tiny_cnn(3, 8, &mut rng);
         let mut before = Vec::new();
         model.visit_convs(&mut |c| before.push(c.weight.value.clone()));
-        importance_case_study(
-            &mut model,
-            &data,
-            8,
-            8,
-            2,
-            8,
-            GroupingStrategy::OutputChannelWise,
-            &mut rng,
-        )
-        .unwrap();
+        let spec = PipelineSpec::default().with_k(8).with_d(8).with_nm(2, 8);
+        importance_case_study(&mut model, &data, &spec, &mut rng).unwrap();
         let mut after = Vec::new();
         model.visit_convs(&mut |c| after.push(c.weight.value.clone()));
         for (a, b) in before.iter().zip(&after) {
@@ -205,17 +191,9 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let study = importance_case_study(
-            &mut model,
-            &data,
-            4, // few codewords -> coarse quantization, visible damage
-            8,
-            2,
-            8,
-            GroupingStrategy::OutputChannelWise,
-            &mut rng,
-        )
-        .unwrap();
+        // few codewords -> coarse quantization, visible damage
+        let spec = PipelineSpec::default().with_k(4).with_d(8).with_nm(2, 8);
+        let study = importance_case_study(&mut model, &data, &spec, &mut rng).unwrap();
         // Case 2 replaces 75 % of the weights, so its SSE is at least
         // comparable to case 1's (the exact ordering depends on k — the
         // paper's k=512 gives case 2 slightly higher SSE).

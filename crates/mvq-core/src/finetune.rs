@@ -15,7 +15,7 @@
 //! slot and receive the same update, so a crosslayer codebook stays one
 //! codebook through fine-tuning.
 
-use mvq_nn::data::SyntheticClassification;
+use mvq_nn::data::{gather_batch, SyntheticClassification};
 use mvq_nn::layers::Sequential;
 use mvq_nn::loss::cross_entropy;
 use mvq_nn::optim::{Optimizer, OptimizerKind};
@@ -83,7 +83,7 @@ pub fn finetune_codebooks<R: Rng>(
         let mut start = 0;
         while start < n {
             let end = (start + cfg.batch_size).min(n);
-            let (xb, yb) = gather(data, &order[start..end]);
+            let (xb, yb) = gather_batch(&data.train_images, &data.train_labels, &order[start..end]);
             artifacts.apply_to(model)?;
             model.zero_grad();
             let logits = model.forward(&xb, true)?;
@@ -152,21 +152,6 @@ fn accumulate_masked_codebook_grads(
         }
     }
     Ok(())
-}
-
-fn gather(data: &SyntheticClassification, idx: &[usize]) -> (Tensor, Vec<usize>) {
-    let dims = data.train_images.dims();
-    let per = dims[1] * dims[2] * dims[3];
-    let mut buf = Vec::with_capacity(idx.len() * per);
-    let mut labels = Vec::with_capacity(idx.len());
-    for &i in idx {
-        buf.extend_from_slice(&data.train_images.data()[i * per..(i + 1) * per]);
-        labels.push(data.train_labels[i]);
-    }
-    (
-        Tensor::from_vec(vec![idx.len(), dims[1], dims[2], dims[3]], buf).expect("sized buffer"),
-        labels,
-    )
 }
 
 #[cfg(test)]

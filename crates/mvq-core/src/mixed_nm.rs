@@ -9,14 +9,18 @@
 //! budget is met. This mirrors DominoSearch's layerwise scheme search at a
 //! fraction of its cost and slots directly into the MVQ pipeline (the
 //! chosen per-layer patterns feed [`crate::prune_model`]-style masks).
+//!
+//! Both steps read the grid from a [`PipelineSpec`]:
+//! `search_mixed_nm(model, &spec, candidates, target)` searches over the
+//! convs [`crate::prune_model`] would prune, with groups of `spec.m`, and
+//! `plan.apply(model, &spec)` prunes them through the same conv walk.
 
 use mvq_nn::layers::Sequential;
-use mvq_tensor::Tensor;
 
 use crate::error::MvqError;
-use crate::grouping::GroupingStrategy;
 use crate::mask::NmMask;
-use crate::pruning::prune_matrix_nm;
+use crate::pipeline::PipelineSpec;
+use crate::pruning::{prunable_weights, prune_matrix_nm, prune_where};
 
 /// The per-layer outcome of a mixed-N:M search.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,9 +47,12 @@ pub struct MixedNmPlan {
 }
 
 impl MixedNmPlan {
-    /// Applies the plan: prunes each compressible conv with its chosen
-    /// pattern, returning the per-layer masks (indexed like
-    /// [`crate::prune_model`]'s output).
+    /// Applies the plan: prunes each planned conv with its chosen
+    /// pattern on the `spec.grouping`/`spec.d` grid (the plan carries
+    /// `keep_n` and `m`), returning the per-layer masks (indexed like
+    /// [`crate::prune_model`]'s output). It visits the convs
+    /// [`crate::prune_model`] visits, so a planned conv outside that set
+    /// stays dense.
     ///
     /// # Errors
     ///
@@ -53,45 +60,18 @@ impl MixedNmPlan {
     pub fn apply(
         &self,
         model: &mut Sequential,
-        grouping: GroupingStrategy,
-        d: usize,
+        spec: &PipelineSpec,
     ) -> Result<Vec<Option<NmMask>>, MvqError> {
-        let by_index: std::collections::HashMap<usize, &LayerPattern> =
-            self.layers.iter().map(|l| (l.conv_index, l)).collect();
-        let mut masks = Vec::new();
-        let mut idx = 0usize;
-        let mut first_err = None;
-        model.visit_convs_mut(&mut |conv| {
-            if first_err.is_some() {
-                return;
-            }
-            let Some(pat) = by_index.get(&idx) else {
-                masks.push(None);
-                idx += 1;
-                return;
-            };
-            let weight = conv.weight.value.clone();
-            let res = grouping
-                .group(&weight, d)
-                .and_then(|g| prune_matrix_nm(&g, pat.keep_n, pat.m))
-                .and_then(|(pruned, mask)| {
-                    grouping.ungroup(&pruned, weight.dims(), d).map(|w| (w, mask))
-                });
-            match res {
-                Ok((w, mask)) => {
-                    conv.weight.value = w;
-                    masks.push(Some(mask));
-                }
-                Err(e) => first_err = Some(e),
-            }
-            idx += 1;
-        });
-        first_err.map_or(Ok(masks), Err)
+        prune_where(model, spec, |idx| {
+            self.layers.iter().find(|l| l.conv_index == idx).map(|l| (l.keep_n, l.m))
+        })
     }
 }
 
 /// Searches per-layer kept counts (from `candidates`, e.g. `[8, 6, 4, 3]`
-/// of 16) meeting `target_sparsity` over all compressible convs.
+/// of `spec.m` = 16) meeting `target_sparsity` over the convs
+/// [`crate::prune_model`] prunes on the `spec.grouping`/`spec.d` grid.
+/// `spec.keep_n` is not read.
 ///
 /// # Errors
 ///
@@ -99,15 +79,14 @@ impl MixedNmPlan {
 /// or unreachable budget.
 pub fn search_mixed_nm(
     model: &Sequential,
-    grouping: GroupingStrategy,
-    d: usize,
-    m: usize,
+    spec: &PipelineSpec,
     candidates: &[usize],
     target_sparsity: f64,
 ) -> Result<MixedNmPlan, MvqError> {
     if candidates.is_empty() {
         return Err(MvqError::InvalidConfig("empty candidate set".into()));
     }
+    let m = spec.m;
     let mut cands: Vec<usize> = candidates.to_vec();
     cands.sort_unstable();
     cands.dedup();
@@ -122,27 +101,18 @@ pub fn search_mixed_nm(
             "target sparsity must be in [0, 1), got {target_sparsity}"
         )));
     }
-    // gather compressible layers and their retained-energy profile per
+    // compressible layers (grouped) and their retained-energy profile per
     // candidate
-    let mut weights: Vec<(usize, Tensor)> = Vec::new();
-    let mut idx = 0usize;
-    model.visit_convs(&mut |conv| {
-        if !conv.is_depthwise() && grouping.group(&conv.weight.value, d).is_ok() {
-            weights.push((idx, conv.weight.value.clone()));
-        }
-        idx += 1;
-    });
+    let weights = prunable_weights(model, spec)?;
     if weights.is_empty() {
         return Err(MvqError::InvalidConfig("no compressible conv layers".into()));
     }
-    // energy retained per layer per candidate
     let mut retained: Vec<Vec<f64>> = Vec::with_capacity(weights.len());
-    for (_, w) in &weights {
-        let grouped = grouping.group(w, d)?;
+    for (_, grouped) in &weights {
         let total: f64 = grouped.data().iter().map(|&x| (x as f64) * (x as f64)).sum();
         let mut per_candidate = Vec::with_capacity(cands.len());
         for &keep in &cands {
-            let (pruned, _) = prune_matrix_nm(&grouped, keep, m)?;
+            let (pruned, _) = prune_matrix_nm(grouped, keep, m)?;
             let kept: f64 = pruned.data().iter().map(|&x| (x as f64) * (x as f64)).sum();
             per_candidate.push(if total > 0.0 { kept / total } else { 1.0 });
         }
@@ -211,9 +181,7 @@ mod tests {
     #[test]
     fn meets_budget() {
         let m = model();
-        let plan =
-            search_mixed_nm(&m, GroupingStrategy::OutputChannelWise, 16, 16, &[8, 6, 4, 3], 0.7)
-                .unwrap();
+        let plan = search_mixed_nm(&m, &PipelineSpec::default(), &[8, 6, 4, 3], 0.7).unwrap();
         assert!(plan.achieved_sparsity >= 0.7, "{}", plan.achieved_sparsity);
         assert_eq!(plan.layers.len(), 2);
         for l in &plan.layers {
@@ -237,8 +205,7 @@ mod tests {
             }
             idx += 1;
         });
-        let plan =
-            search_mixed_nm(&m, GroupingStrategy::OutputChannelWise, 16, 16, &[8, 4], 0.6).unwrap();
+        let plan = search_mixed_nm(&m, &PipelineSpec::default(), &[8, 4], 0.6).unwrap();
         // conv 0 retains essentially all its energy even at 4:16, so the
         // greedy will push it to 4:16 first and it still keeps ~100%
         let l0 = plan.layers.iter().find(|l| l.conv_index == 0).unwrap();
@@ -248,9 +215,8 @@ mod tests {
     #[test]
     fn apply_prunes_to_chosen_patterns() {
         let mut m = model();
-        let plan =
-            search_mixed_nm(&m, GroupingStrategy::OutputChannelWise, 16, 16, &[8, 4], 0.6).unwrap();
-        let masks = plan.apply(&mut m, GroupingStrategy::OutputChannelWise, 16).unwrap();
+        let plan = search_mixed_nm(&m, &PipelineSpec::default(), &[8, 4], 0.6).unwrap();
+        let masks = plan.apply(&mut m, &PipelineSpec::default()).unwrap();
         let mut idx = 0;
         m.visit_convs_mut(&mut |c| {
             let expected = plan.layers.iter().find(|l| l.conv_index == idx).unwrap();
@@ -263,21 +229,39 @@ mod tests {
     }
 
     #[test]
+    fn uniform_plan_prunes_like_prune_model() {
+        let spec = PipelineSpec::default();
+        let mut planned = model();
+        let plan = search_mixed_nm(&planned, &spec, &[4], 0.74).unwrap();
+        let plan_masks = plan.apply(&mut planned, &spec).unwrap();
+        let mut uniform = model();
+        let uniform_masks = crate::prune_model(&mut uniform, &spec).unwrap();
+        assert_eq!(plan_masks, uniform_masks);
+        assert!(plan_masks.iter().all(Option::is_some));
+        let mut weights = Vec::new();
+        planned.visit_convs(&mut |c| weights.push(c.weight.value.clone()));
+        let mut idx = 0;
+        uniform.visit_convs(&mut |c| {
+            assert_eq!(c.weight.value.data(), weights[idx].data(), "conv {idx}");
+            idx += 1;
+        });
+    }
+
+    #[test]
     fn validates_inputs() {
         let m = model();
-        let g = GroupingStrategy::OutputChannelWise;
-        assert!(search_mixed_nm(&m, g, 16, 16, &[], 0.5).is_err());
-        assert!(search_mixed_nm(&m, g, 16, 16, &[20], 0.5).is_err());
-        assert!(search_mixed_nm(&m, g, 16, 16, &[8], 1.5).is_err());
+        let spec = &PipelineSpec::default();
+        assert!(search_mixed_nm(&m, spec, &[], 0.5).is_err());
+        assert!(search_mixed_nm(&m, spec, &[20], 0.5).is_err());
+        assert!(search_mixed_nm(&m, spec, &[8], 1.5).is_err());
         // unreachable budget: only 8:16 (50%) available but asking 80%
-        assert!(search_mixed_nm(&m, g, 16, 16, &[8], 0.8).is_err());
+        assert!(search_mixed_nm(&m, spec, &[8], 0.8).is_err());
     }
 
     #[test]
     fn uniform_candidates_degenerate_to_uniform_plan() {
         let m = model();
-        let plan =
-            search_mixed_nm(&m, GroupingStrategy::OutputChannelWise, 16, 16, &[4], 0.74).unwrap();
+        let plan = search_mixed_nm(&m, &PipelineSpec::default(), &[4], 0.74).unwrap();
         assert!(plan.layers.iter().all(|l| l.keep_n == 4));
         assert!((plan.achieved_sparsity - 0.75).abs() < 1e-9);
     }

@@ -6,18 +6,28 @@
 //! for detection/segmentation) or with the mask re-evaluated every step and
 //! a sparse-refining decay on pruned weights (SR-STE, used for
 //! classification).
+//!
+//! Pruning reads its grid and pattern from the same [`PipelineSpec`] the
+//! compressors read (`grouping`, `d`, `keep_n`, `m`):
+//! [`prune_model(model, &spec)`](prune_model), then
+//! [`sparse_finetune(model, masks, data, &spec, &cfg, opt, rng)`](sparse_finetune).
+//! Every model-level step here and in [`crate::mixed_nm`] walks the convs
+//! through one private walk, so one rule decides which convs are pruned:
+//! not depthwise, and groupable at `spec.d` (§7.5). Unlike the compressor
+//! walk, an all-zero conv is still pruned.
 
-use mvq_nn::data::SyntheticClassification;
+use mvq_nn::data::{gather_batch, SyntheticClassification};
 use mvq_nn::layers::Sequential;
 use mvq_nn::loss::cross_entropy;
 use mvq_nn::optim::Optimizer;
+use mvq_nn::Param;
 use mvq_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::error::MvqError;
-use crate::grouping::GroupingStrategy;
 use crate::mask::{validate_nm, NmMask};
+use crate::pipeline::PipelineSpec;
 
 /// How the sparse model is fine-tuned after pruning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,64 +101,104 @@ pub fn prune_matrix_nm(
     Ok((pruned, mask))
 }
 
-/// Prunes every compressible conv layer of `model` in place (grouping each
-/// weight with `grouping`/`d`, pruning N:M, writing the sparse weight
-/// back). Depthwise convs and convs whose shape is incompatible with the
-/// grouping are skipped, mirroring the paper (§7.5).
+/// Prunes every prunable conv of `model` in place to `spec.keep_n` of
+/// every `spec.m` weights on the `spec.grouping`/`spec.d` grid. Depthwise
+/// convs and convs whose shape is incompatible with the grouping are
+/// skipped, mirroring the paper (§7.5).
 ///
 /// Returns the per-layer masks, indexed by the conv's depth-first position
 /// (`None` for skipped layers).
 ///
 /// # Errors
 ///
-/// Propagates grouping errors other than shape incompatibility.
+/// Propagates grouping errors other than shape incompatibility, and
+/// [`prune_matrix_nm`]'s N:M checks.
 pub fn prune_model(
     model: &mut Sequential,
-    grouping: GroupingStrategy,
-    d: usize,
-    keep_n: usize,
-    m: usize,
+    spec: &PipelineSpec,
 ) -> Result<Vec<Option<NmMask>>, MvqError> {
-    let mut masks: Vec<Option<NmMask>> = Vec::new();
-    let mut first_err: Option<MvqError> = None;
+    prune_where(model, spec, |_| Some((spec.keep_n, spec.m)))
+}
+
+/// Prunes each prunable conv to the `(keep_n, m)` pattern that `pattern`
+/// picks for its depth-first index; a conv it picks `None` for keeps its
+/// weights and gets no mask. Returns masks indexed like [`prune_model`]'s.
+pub(crate) fn prune_where(
+    model: &mut Sequential,
+    spec: &PipelineSpec,
+    pattern: impl Fn(usize) -> Option<(usize, usize)>,
+) -> Result<Vec<Option<NmMask>>, MvqError> {
+    let mut masks = vec![None; model.num_convs()];
+    walk_prunable(model, spec, |idx, grouped, _| {
+        let Some((keep_n, m)) = pattern(idx) else { return Ok(None) };
+        let (pruned, mask) = prune_matrix_nm(&grouped, keep_n, m)?;
+        masks[idx] = Some(mask);
+        Ok(Some(pruned))
+    })?;
+    Ok(masks)
+}
+
+/// The convs pruning visits, in depth-first order, each with its conv
+/// index and its weight grouped on the `spec.grouping`/`spec.d` grid.
+/// This is the one rule for which convs pruning visits: not depthwise, and
+/// groupable at `spec.d`.
+///
+/// # Errors
+///
+/// Stops at the first grouping error other than shape incompatibility.
+pub(crate) fn prunable_weights(
+    model: &Sequential,
+    spec: &PipelineSpec,
+) -> Result<Vec<(usize, Tensor)>, MvqError> {
+    let mut out = Vec::new();
+    let mut idx = 0usize;
+    let mut first_err = None;
+    model.visit_convs(&mut |conv| {
+        if first_err.is_none() && !conv.is_depthwise() {
+            match spec.grouping.group(&conv.weight.value, spec.d) {
+                Ok(grouped) => out.push((idx, grouped)),
+                Err(MvqError::IncompatibleShape { .. }) => {}
+                Err(e) => first_err = Some(e),
+            }
+        }
+        idx += 1;
+    });
+    first_err.map_or(Ok(out), Err)
+}
+
+/// Runs `op` on every conv [`prunable_weights`] names, in order, stopping
+/// at the first error. `op` gets the conv index, the grouped weight and
+/// the conv's weight parameter; the grouped weight it returns, if any, is
+/// ungrouped and written back.
+fn walk_prunable(
+    model: &mut Sequential,
+    spec: &PipelineSpec,
+    mut op: impl FnMut(usize, Tensor, &mut Param) -> Result<Option<Tensor>, MvqError>,
+) -> Result<(), MvqError> {
+    let mut pending = prunable_weights(model, spec)?.into_iter().peekable();
+    let mut next = 0usize;
+    let mut first_err = None;
     model.visit_convs_mut(&mut |conv| {
+        let idx = next;
+        next += 1;
         if first_err.is_some() {
             return;
         }
-        if conv.is_depthwise() {
-            masks.push(None);
-            return;
-        }
-        let weight = conv.weight.value.clone();
-        let grouped = match grouping.group(&weight, d) {
-            Ok(g) => g,
-            Err(MvqError::IncompatibleShape { .. }) => {
-                masks.push(None);
-                return;
-            }
-            Err(e) => {
-                first_err = Some(e);
-                return;
-            }
-        };
-        match prune_matrix_nm(&grouped, keep_n, m) {
-            Ok((pruned, mask)) => match grouping.ungroup(&pruned, weight.dims(), d) {
-                Ok(w4) => {
-                    conv.weight.value = w4;
-                    masks.push(Some(mask));
-                }
-                Err(e) => first_err = Some(e),
-            },
+        let Some((_, grouped)) = pending.next_if(|(i, _)| *i == idx) else { return };
+        let res = op(idx, grouped, &mut conv.weight).and_then(|new| {
+            new.map(|g| spec.grouping.ungroup(&g, conv.weight.value.dims(), spec.d)).transpose()
+        });
+        match res {
+            Ok(Some(w)) => conv.weight.value = w,
+            Ok(None) => {}
             Err(e) => first_err = Some(e),
         }
     });
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(masks),
-    }
+    first_err.map_or(Ok(()), Err)
 }
 
-/// Configuration for sparse fine-tuning.
+/// Configuration for sparse fine-tuning. The N:M pattern and its grid come
+/// from the [`PipelineSpec`] passed beside it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseFinetuneConfig {
     /// Pruning schedule (ASP or SR-STE).
@@ -157,14 +207,6 @@ pub struct SparseFinetuneConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Grouping used when re-evaluating masks (SR-STE).
-    pub grouping: GroupingStrategy,
-    /// Subvector length.
-    pub d: usize,
-    /// Kept weights per group.
-    pub keep_n: usize,
-    /// Group size.
-    pub m: usize,
 }
 
 /// Fine-tunes a pruned model while preserving (ASP) or re-learning (SR-STE)
@@ -173,8 +215,8 @@ pub struct SparseFinetuneConfig {
 /// SR-STE keeps a *dense shadow* of every compressible conv weight: the
 /// forward pass sees the masked weight, the straight-through gradient (plus
 /// the `λ·w` sparse-refinement decay on pruned lanes) updates the dense
-/// shadow, and the mask is re-evaluated from the shadow each step. On exit
-/// the model holds the masked weights.
+/// shadow, and the mask is re-evaluated from the shadow each step with
+/// [`prune_model`] on `spec`. On exit the model holds the masked weights.
 ///
 /// # Errors
 ///
@@ -183,6 +225,7 @@ pub fn sparse_finetune<R: Rng>(
     model: &mut Sequential,
     masks: Vec<Option<NmMask>>,
     data: &SyntheticClassification,
+    spec: &PipelineSpec,
     cfg: &SparseFinetuneConfig,
     opt: &mut Optimizer,
     rng: &mut R,
@@ -205,7 +248,7 @@ pub fn sparse_finetune<R: Rng>(
         let mut start = 0;
         while start < n {
             let end = (start + cfg.batch_size).min(n);
-            let (xb, yb) = gather(data, &order[start..end]);
+            let (xb, yb) = gather_batch(&data.train_images, &data.train_labels, &order[start..end]);
             model.zero_grad();
             let logits = model.forward(&xb, true)?;
             let (_, grad) = cross_entropy(&logits, &yb)?;
@@ -213,7 +256,7 @@ pub fn sparse_finetune<R: Rng>(
             match cfg.method {
                 PruneMethod::Asp => {
                     opt.step(model);
-                    reapply_masks(model, &masks, cfg)?;
+                    reapply_masks(model, &masks, spec)?;
                 }
                 PruneMethod::SrSte { lambda } => {
                     let ws = shadow.as_mut().expect("shadow initialized for SR-STE");
@@ -223,7 +266,7 @@ pub fn sparse_finetune<R: Rng>(
                         conv.weight.value = ws[idx].clone();
                         idx += 1;
                     });
-                    apply_srste_decay(model, &masks, cfg, lambda)?;
+                    apply_srste_decay(model, &masks, spec, lambda)?;
                     opt.step(model);
                     // capture updated shadow, then re-prune for the next
                     // forward pass
@@ -232,7 +275,7 @@ pub fn sparse_finetune<R: Rng>(
                         ws[idx] = conv.weight.value.clone();
                         idx += 1;
                     });
-                    masks = reprune(model, cfg)?;
+                    masks = prune_model(model, spec)?;
                 }
             }
             start = end;
@@ -241,106 +284,35 @@ pub fn sparse_finetune<R: Rng>(
     Ok(masks)
 }
 
-fn gather(data: &SyntheticClassification, idx: &[usize]) -> (Tensor, Vec<usize>) {
-    let d = data.train_images.dims();
-    let per = d[1] * d[2] * d[3];
-    let mut buf = Vec::with_capacity(idx.len() * per);
-    let mut labels = Vec::with_capacity(idx.len());
-    for &i in idx {
-        buf.extend_from_slice(&data.train_images.data()[i * per..(i + 1) * per]);
-        labels.push(data.train_labels[i]);
-    }
-    (Tensor::from_vec(vec![idx.len(), d[1], d[2], d[3]], buf).expect("sized buffer"), labels)
-}
-
 /// Zeroes pruned weights according to fixed masks (ASP step).
 fn reapply_masks(
     model: &mut Sequential,
     masks: &[Option<NmMask>],
-    cfg: &SparseFinetuneConfig,
+    spec: &PipelineSpec,
 ) -> Result<(), MvqError> {
-    let mut idx = 0usize;
-    let mut first_err = None;
-    model.visit_convs_mut(&mut |conv| {
-        if first_err.is_some() {
-            return;
-        }
-        let mask = match masks.get(idx) {
-            Some(Some(m)) => m,
-            _ => {
-                idx += 1;
-                return;
-            }
-        };
-        let weight = conv.weight.value.clone();
-        let res = cfg
-            .grouping
-            .group(&weight, cfg.d)
-            .and_then(|g| mask.apply(&g))
-            .and_then(|m| cfg.grouping.ungroup(&m, weight.dims(), cfg.d));
-        match res {
-            Ok(w) => conv.weight.value = w,
-            Err(e) => first_err = Some(e),
-        }
-        idx += 1;
-    });
-    first_err.map_or(Ok(()), Err)
-}
-
-/// Recomputes magnitude masks from current weights (SR-STE step).
-fn reprune(
-    model: &mut Sequential,
-    cfg: &SparseFinetuneConfig,
-) -> Result<Vec<Option<NmMask>>, MvqError> {
-    prune_model(model, cfg.grouping, cfg.d, cfg.keep_n, cfg.m)
+    walk_prunable(model, spec, |idx, grouped, _| {
+        masks.get(idx).and_then(Option::as_ref).map(|mask| mask.apply(&grouped)).transpose()
+    })
 }
 
 /// Adds `lambda * w` to the gradient of currently-pruned weights.
 fn apply_srste_decay(
     model: &mut Sequential,
     masks: &[Option<NmMask>],
-    cfg: &SparseFinetuneConfig,
+    spec: &PipelineSpec,
     lambda: f32,
 ) -> Result<(), MvqError> {
-    let mut idx = 0usize;
-    let mut first_err = None;
-    model.visit_convs_mut(&mut |conv| {
-        if first_err.is_some() {
-            return;
-        }
-        let mask = match masks.get(idx) {
-            Some(Some(m)) => m,
-            _ => {
-                idx += 1;
-                return;
+    walk_prunable(model, spec, |idx, grouped, weight| {
+        let Some(mask) = masks.get(idx).and_then(Option::as_ref) else { return Ok(None) };
+        let mut ggrad = spec.grouping.group(&weight.grad, spec.d)?;
+        for ((g, &w), &kept) in ggrad.data_mut().iter_mut().zip(grouped.data()).zip(mask.bits()) {
+            if !kept {
+                *g += lambda * w;
             }
-        };
-        let weight = conv.weight.value.clone();
-        match cfg.grouping.group(&weight, cfg.d) {
-            Ok(gw) => {
-                let mut ggrad = match cfg.grouping.group(&conv.weight.grad, cfg.d) {
-                    Ok(g) => g,
-                    Err(e) => {
-                        first_err = Some(e);
-                        return;
-                    }
-                };
-                for ((g, &w), &kept) in ggrad.data_mut().iter_mut().zip(gw.data()).zip(mask.bits())
-                {
-                    if !kept {
-                        *g += lambda * w;
-                    }
-                }
-                match cfg.grouping.ungroup(&ggrad, weight.dims(), cfg.d) {
-                    Ok(g4) => conv.weight.grad = g4,
-                    Err(e) => first_err = Some(e),
-                }
-            }
-            Err(e) => first_err = Some(e),
         }
-        idx += 1;
-    });
-    first_err.map_or(Ok(()), Err)
+        weight.grad = spec.grouping.ungroup(&ggrad, weight.grad.dims(), spec.d)?;
+        Ok(None)
+    })
 }
 
 #[cfg(test)]
@@ -397,8 +369,7 @@ mod tests {
     fn prune_model_sparsifies_compressible_convs() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut model = tiny_cnn(4, 8, &mut rng);
-        let masks =
-            prune_model(&mut model, GroupingStrategy::OutputChannelWise, 16, 4, 16).unwrap();
+        let masks = prune_model(&mut model, &PipelineSpec::default()).unwrap();
         assert_eq!(masks.len(), model.num_convs());
         let mut idx = 0;
         model.visit_convs_mut(&mut |conv| {
@@ -420,20 +391,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let data = SyntheticClassification::generate(3, 32, 8, 8, &mut rng);
         let mut model = tiny_cnn(3, 8, &mut rng);
-        let masks =
-            prune_model(&mut model, GroupingStrategy::OutputChannelWise, 16, 8, 16).unwrap();
-        let cfg = SparseFinetuneConfig {
-            method: PruneMethod::Asp,
-            epochs: 1,
-            batch_size: 16,
-            grouping: GroupingStrategy::OutputChannelWise,
-            d: 16,
-            keep_n: 8,
-            m: 16,
-        };
+        let spec = PipelineSpec::default().with_nm(8, 16);
+        let masks = prune_model(&mut model, &spec).unwrap();
+        let cfg = SparseFinetuneConfig { method: PruneMethod::Asp, epochs: 1, batch_size: 16 };
         let mut opt = Optimizer::new(OptimizerKind::sgd(0.05, 0.9, 0.0));
         let out_masks =
-            sparse_finetune(&mut model, masks.clone(), &data, &cfg, &mut opt, &mut rng).unwrap();
+            sparse_finetune(&mut model, masks.clone(), &data, &spec, &cfg, &mut opt, &mut rng)
+                .unwrap();
         // ASP: masks unchanged, weights still sparse
         for (a, b) in masks.iter().zip(&out_masks) {
             assert_eq!(
@@ -451,20 +415,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let data = SyntheticClassification::generate(3, 32, 8, 8, &mut rng);
         let mut model = tiny_cnn(3, 8, &mut rng);
-        let masks =
-            prune_model(&mut model, GroupingStrategy::OutputChannelWise, 16, 8, 16).unwrap();
+        let spec = PipelineSpec::default().with_nm(8, 16);
+        let masks = prune_model(&mut model, &spec).unwrap();
         let cfg = SparseFinetuneConfig {
             method: PruneMethod::SrSte { lambda: 2e-4 },
             epochs: 1,
             batch_size: 16,
-            grouping: GroupingStrategy::OutputChannelWise,
-            d: 16,
-            keep_n: 8,
-            m: 16,
         };
         let mut opt = Optimizer::new(OptimizerKind::sgd(0.05, 0.9, 0.0));
         let out_masks =
-            sparse_finetune(&mut model, masks, &data, &cfg, &mut opt, &mut rng).unwrap();
+            sparse_finetune(&mut model, masks, &data, &spec, &cfg, &mut opt, &mut rng).unwrap();
         // N:M structure still holds (mask may have moved)
         for m in out_masks.iter().flatten() {
             assert_eq!(m.keep_n(), 8);
@@ -473,6 +433,49 @@ mod tests {
         model.visit_convs_mut(&mut |conv| {
             assert!(conv.weight.value.sparsity() >= 0.49);
         });
+    }
+
+    /// FNV-1a over every mask bit (a `None` layer hashes as 2) and the
+    /// bit pattern of every conv weight.
+    fn digest(model: &Sequential, masks: &[Option<NmMask>]) -> u64 {
+        let mut h = crate::store::Fnv1a::new();
+        for mask in masks {
+            match mask {
+                Some(mask) => mask.bits().iter().for_each(|&b| h.update(&[b as u8])),
+                None => h.update(&[2]),
+            }
+        }
+        model.visit_convs(&mut |conv| {
+            conv.weight.value.data().iter().for_each(|w| h.update(&w.to_bits().to_le_bytes()))
+        });
+        h.finish()
+    }
+
+    /// Pins the masks and weights one epoch of each fine-tuning method
+    /// leaves behind, so a refactor of the pruning walk cannot move a bit.
+    /// The SR-STE arm re-learns its masks (the lr is high enough for
+    /// pruned lanes to regrow), so its pin covers the dense shadow and the
+    /// decay as well as the mask walk.
+    #[test]
+    fn sparse_finetune_output_is_pinned() {
+        let methods = [
+            (PruneMethod::Asp, 0x1369_6ff0_506a_f1c2),
+            (PruneMethod::SrSte { lambda: 2e-4 }, 0x921f_cbf8_ab73_9f99),
+        ];
+        for (method, pinned) in methods {
+            let mut rng = StdRng::seed_from_u64(7);
+            let data = SyntheticClassification::generate(3, 64, 8, 8, &mut rng);
+            let mut model = tiny_cnn(3, 8, &mut rng);
+            let spec = PipelineSpec::default().with_nm(8, 16);
+            let masks = prune_model(&mut model, &spec).unwrap();
+            let cfg = SparseFinetuneConfig { method, epochs: 1, batch_size: 8 };
+            let mut opt = Optimizer::new(OptimizerKind::sgd(0.2, 0.9, 0.0));
+            let out =
+                sparse_finetune(&mut model, masks.clone(), &data, &spec, &cfg, &mut opt, &mut rng)
+                    .unwrap();
+            assert_eq!(out == masks, method == PruneMethod::Asp, "{}", method.name());
+            assert_eq!(digest(&model, &out), pinned, "{}", method.name());
+        }
     }
 
     #[test]

@@ -252,6 +252,26 @@ pub fn batch_of(images: &Tensor, labels: &[usize], from: usize, to: usize) -> (T
     (batch, labels[from..to].to_vec())
 }
 
+/// Copies the images and labels at `indices` (a shuffled slice of the
+/// training order) into one batch, in `indices` order.
+///
+/// # Panics
+///
+/// Panics if an index is out of bounds.
+pub fn gather_batch(images: &Tensor, labels: &[usize], indices: &[usize]) -> (Tensor, Vec<usize>) {
+    let d = images.dims();
+    let per = d[1] * d[2] * d[3];
+    let mut data = Vec::with_capacity(indices.len() * per);
+    let mut lab = Vec::with_capacity(indices.len());
+    for &i in indices {
+        data.extend_from_slice(&images.data()[i * per..(i + 1) * per]);
+        lab.push(labels[i]);
+    }
+    let batch =
+        Tensor::from_vec(vec![indices.len(), d[1], d[2], d[3]], data).expect("slice sized to dims");
+    (batch, lab)
+}
+
 /// Copies a batch of a segmentation dataset, where labels are per-pixel.
 ///
 /// # Panics
@@ -334,6 +354,18 @@ mod tests {
         // first image of batch equals third image of dataset
         let per = 3 * 8 * 8;
         assert_eq!(&xb.data()[..per], &d.train_images.data()[2 * per..3 * per]);
+    }
+
+    #[test]
+    fn gather_copies_in_index_order() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let d = SyntheticClassification::generate(3, 10, 4, 8, &mut rng);
+        let (xb, yb) = gather_batch(&d.train_images, &d.train_labels, &[7, 2]);
+        let (x7, y7) = batch_of(&d.train_images, &d.train_labels, 7, 8);
+        let (x2, y2) = batch_of(&d.train_images, &d.train_labels, 2, 3);
+        assert_eq!(xb.dims(), &[2, 3, 8, 8]);
+        assert_eq!(xb.data(), [x7.data(), x2.data()].concat());
+        assert_eq!(yb, [y7, y2].concat());
     }
 
     #[test]

@@ -4,7 +4,9 @@ use mvq_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::data::{batch_of, seg_batch_of, SyntheticClassification, SyntheticSegmentation};
+use crate::data::{
+    batch_of, gather_batch, seg_batch_of, SyntheticClassification, SyntheticSegmentation,
+};
 use crate::error::NnError;
 use crate::layers::Sequential;
 use crate::loss::{cross_entropy, pixel_cross_entropy};
@@ -263,21 +265,6 @@ pub fn measure_activation_sparsity(
         }
     }
     Ok(if total == 0 { 0.0 } else { zeros as f32 / total as f32 })
-}
-
-fn gather_batch(images: &Tensor, labels: &[usize], indices: &[usize]) -> (Tensor, Vec<usize>) {
-    let d = images.dims();
-    let per = d[1] * d[2] * d[3];
-    let mut data = Vec::with_capacity(indices.len() * per);
-    let mut lab = Vec::with_capacity(indices.len());
-    for &i in indices {
-        data.extend_from_slice(&images.data()[i * per..(i + 1) * per]);
-        lab.push(labels[i]);
-    }
-    (
-        Tensor::from_vec(vec![indices.len(), d[1], d[2], d[3]], data).expect("slice sized to dims"),
-        lab,
-    )
 }
 
 fn concat_batch(parts: &[Tensor]) -> Tensor {

@@ -459,21 +459,6 @@ impl CompressionService {
         ServiceBuilder::default()
     }
 
-    /// A default-configured service over a purely in-memory cache.
-    pub fn in_memory() -> CompressionService {
-        ServiceBuilder::default().build().expect("default service config is valid")
-    }
-
-    /// A default-configured service whose cache persists blobs under
-    /// `dir`, surviving restarts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cache-directory creation/scan errors.
-    pub fn with_cache_dir<P: AsRef<Path>>(dir: P) -> Result<CompressionService, MvqError> {
-        ServiceBuilder::default().cache_dir(dir).build()
-    }
-
     /// The underlying cache (for stats and direct lookups).
     pub fn cache(&self) -> &ArtifactCache {
         &self.shared.cache

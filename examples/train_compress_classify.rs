@@ -8,7 +8,7 @@
 
 use mvq::core::{
     finetune_codebooks, prune_model, sparse_finetune, CodebookFinetuneConfig, Compressor,
-    GroupingStrategy, MvqCompressor, PipelineSpec, PruneMethod, SparseFinetuneConfig,
+    MvqCompressor, PipelineSpec, PruneMethod, SparseFinetuneConfig,
 };
 use mvq::nn::data::SyntheticClassification;
 use mvq::nn::models::resnet18_lite;
@@ -29,27 +29,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dense_acc = evaluate_classifier(&mut model, &data)?;
     println!("dense accuracy:           {:.1}%", dense_acc * 100.0);
 
-    // 2. 4:16 pruning + SR-STE sparse fine-tuning
-    let grouping = GroupingStrategy::OutputChannelWise;
-    let masks = prune_model(&mut model, grouping, 16, 4, 16)?;
+    // 2. 4:16 pruning + SR-STE sparse fine-tuning; one spec (k=64, d=16,
+    // 4:16, output-channel grouping) drives pruning, fine-tuning and
+    // clustering
+    let spec = PipelineSpec::default();
+    let masks = prune_model(&mut model, &spec)?;
     let pruned_acc = evaluate_classifier(&mut model, &data)?;
     println!("after 4:16 pruning:       {:.1}%", pruned_acc * 100.0);
     let sf = SparseFinetuneConfig {
         method: PruneMethod::SrSte { lambda: 2e-4 },
         epochs: 2,
         batch_size: 32,
-        grouping,
-        d: 16,
-        keep_n: 4,
-        m: 16,
     };
     let mut opt = Optimizer::new(OptimizerKind::sgd(0.01, 0.9, 0.0));
-    sparse_finetune(&mut model, masks, &data, &sf, &mut opt, &mut rng)?;
+    sparse_finetune(&mut model, masks, &data, &spec, &sf, &mut opt, &mut rng)?;
     let sparse_acc = evaluate_classifier(&mut model, &data)?;
     println!("after sparse fine-tune:   {:.1}%", sparse_acc * 100.0);
 
     // 3. masked k-means + int8 codebook
-    let spec = PipelineSpec { grouping, ..PipelineSpec::default() }; // k=64, d=16, 4:16
     let mut compressed = MvqCompressor::new(spec)?.compress_model(&mut model, &mut rng)?;
     let clustered_acc = evaluate_classifier(&mut model, &data)?;
     println!(

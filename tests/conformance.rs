@@ -336,7 +336,7 @@ fn disk_eviction_respects_budget_and_survives_restart() {
     // fill an unbudgeted disk cache with three blobs, oldest first (the
     // sleeps order modification times for the restart's LRU scan)
     let blob_len = {
-        let service = CompressionService::with_cache_dir(&dir).unwrap();
+        let service = CompressionService::builder().cache_dir(&dir).build().unwrap();
         for seed in 1..=3 {
             submit(&service, seed);
             std::thread::sleep(std::time::Duration::from_millis(25));
@@ -444,14 +444,14 @@ fn disk_backed_service_survives_restart_bit_identically() {
         CompressionRequest::builder("conv0", w.clone(), "mvq").spec(spec.clone()).build().unwrap()
     };
 
-    let first = CompressionService::with_cache_dir(&dir).expect("cache dir");
+    let first = CompressionService::builder().cache_dir(&dir).build().expect("cache dir");
     let cold = first.submit_one(request()).wait().expect("cold");
     assert!(!cold.from_cache);
     drop(first);
 
     // a new service over the same directory: the artifact must come back
     // from disk, bit-identical
-    let second = CompressionService::with_cache_dir(&dir).expect("cache dir");
+    let second = CompressionService::builder().cache_dir(&dir).build().expect("cache dir");
     assert_eq!(second.cache().disk_len(), 1, "restart scan must see the persisted blob");
     let warm = second.submit_one(request()).wait().expect("warm");
     assert!(warm.from_cache);

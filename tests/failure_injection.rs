@@ -453,7 +453,7 @@ fn corrupt_cache_blob_fails_the_job_not_the_service() {
             .unwrap()
     };
     let key = {
-        let service = CompressionService::with_cache_dir(&dir).unwrap();
+        let service = CompressionService::builder().cache_dir(&dir).build().unwrap();
         service.submit_one(request("seed7", 7)).wait().unwrap().key
     };
     let path = dir.join(key.blob_name());
@@ -462,7 +462,7 @@ fn corrupt_cache_blob_fails_the_job_not_the_service() {
     blob[last] ^= 0x10;
     std::fs::write(&path, &blob).unwrap();
 
-    let service = CompressionService::with_cache_dir(&dir).unwrap();
+    let service = CompressionService::builder().cache_dir(&dir).build().unwrap();
     match service.submit_one(request("poisoned-blob", 7)).wait() {
         Err(JobError::Cache { name, source }) => {
             assert_eq!(name, "poisoned-blob");

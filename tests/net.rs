@@ -371,7 +371,7 @@ fn disk_restart_and_half_budget_eviction_serve_cold_bits_over_the_wire() {
         server.shutdown();
         (fresh, bits, server.service().cache().disk_bytes())
     };
-    let on_disk = || CompressionService::with_cache_dir(&dir).expect("cache dir");
+    let on_disk = || CompressionService::builder().cache_dir(&dir).build().expect("cache dir");
 
     let (fresh, cold, disk_bytes) = pass(on_disk(), requests.iter().collect());
     assert_eq!(fresh, requests.len(), "cold must compress each distinct key once");

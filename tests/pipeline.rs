@@ -105,11 +105,11 @@ fn prune_then_compress_is_consistent_with_compress() {
     // prune_model + MVQ model compression find the same masks
     // (magnitude pruning is deterministic).
     let (model, _, _) = trained_tiny(6);
+    let spec = PipelineSpec::default().with_k(8);
     let mut pruned = model.clone();
-    let masks = prune_model(&mut pruned, GroupingStrategy::OutputChannelWise, 16, 4, 16).unwrap();
+    let masks = prune_model(&mut pruned, &spec).unwrap();
     let mut compressed_model = model.clone();
     let mut rng = StdRng::seed_from_u64(7);
-    let spec = PipelineSpec::default().with_k(8);
     let compressed =
         MvqCompressor::new(spec).unwrap().compress_model(&mut compressed_model, &mut rng).unwrap();
     for (layer, mask) in compressed.layers.iter().zip(masks.iter()) {
