@@ -79,7 +79,7 @@ pub fn bn_recalibrate(model: &mut Sequential, data: &SyntheticClassification, ba
         let from = (b * bs) % (data.n_train() - bs + 1);
         let (xb, _) =
             mvq_nn::data::batch_of(&data.train_images, &data.train_labels, from, from + bs);
-        let _ = model.forward(&xb, true);
+        model.forward(&xb, true).expect("forward");
     }
 }
 

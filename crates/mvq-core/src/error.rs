@@ -57,8 +57,13 @@ impl From<TensorError> for MvqError {
 }
 
 impl From<NnError> for MvqError {
+    /// A model-layer config error (a zero epoch count or batch size in the
+    /// training walk) stays a config error here.
     fn from(e: NnError) -> Self {
-        MvqError::Nn(e)
+        match e {
+            NnError::InvalidConfig(msg) => MvqError::InvalidConfig(msg),
+            e => MvqError::Nn(e),
+        }
     }
 }
 

@@ -87,18 +87,14 @@ fn importance_masks(weights: &[Tensor], keep: usize, group: usize) -> Vec<Vec<bo
         .map(|w| {
             let data = w.data();
             let mut mask = vec![false; data.len()];
-            let mut start = 0;
-            while start < data.len() {
-                let end = (start + group).min(data.len());
-                let slice = &data[start..end];
+            for (g, slice) in data.chunks(group).enumerate() {
                 let mut order: Vec<usize> = (0..slice.len()).collect();
                 order.sort_by(|&a, &b| {
                     slice[b].abs().partial_cmp(&slice[a].abs()).expect("finite").then(a.cmp(&b))
                 });
                 for &t in order.iter().take(keep.min(slice.len())) {
-                    mask[start + t] = true;
+                    mask[g * group + t] = true;
                 }
-                start = end;
             }
             mask
         })

@@ -19,9 +19,9 @@ use mvq_nn::data::{gather_batch, SyntheticClassification};
 use mvq_nn::layers::Sequential;
 use mvq_nn::loss::cross_entropy;
 use mvq_nn::optim::{Optimizer, OptimizerKind};
+use mvq_nn::train::run_epochs;
 use mvq_nn::Param;
 use mvq_tensor::Tensor;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::error::MvqError;
@@ -59,56 +59,42 @@ pub fn finetune_codebooks<R: Rng>(
     cfg: &CodebookFinetuneConfig,
     rng: &mut R,
 ) -> Result<Vec<f32>, MvqError> {
-    if cfg.epochs == 0 || cfg.batch_size == 0 {
-        return Err(MvqError::InvalidConfig("epochs and batch_size must be positive".into()));
-    }
     for layer in &artifacts.layers {
         layer.as_masked()?;
     }
     let groups = artifacts.codebook_groups();
     let mut opt = Optimizer::new(cfg.optimizer);
-    let n = data.n_train();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     // wrap each shared codebook in a Param so the optimizer machinery applies
-    let mut cb_params = Vec::with_capacity(groups.len());
-    for group in &groups {
-        let codebook = artifacts.layers[group[0]].as_masked()?.codebook();
-        cb_params.push(Param::new(codebook.centers().clone()));
-    }
-    for _ in 0..cfg.epochs {
-        order.shuffle(rng);
-        let mut total = 0.0f64;
-        let mut batches = 0usize;
-        let mut start = 0;
-        while start < n {
-            let end = (start + cfg.batch_size).min(n);
-            let (xb, yb) = gather_batch(&data.train_images, &data.train_labels, &order[start..end]);
-            artifacts.apply_to(model)?;
-            model.zero_grad();
-            let logits = model.forward(&xb, true)?;
-            let (loss, grad) = cross_entropy(&logits, &yb)?;
-            model.backward(&grad)?;
-            accumulate_masked_codebook_grads(model, artifacts, &groups, &mut cb_params)?;
-            for (slot, p) in cb_params.iter_mut().enumerate() {
-                opt.step_param(p, slot);
-                p.zero_grad();
-            }
-            // write updated centers back to every layer sharing the
-            // codebook and re-snap them to the int grid
-            for (group, p) in groups.iter().zip(&cb_params) {
-                for &i in group {
-                    let codebook = artifacts.layers[i].as_masked_mut()?.codebook_mut();
-                    *codebook.centers_mut() = p.value.clone();
-                    codebook.requantize()?;
-                }
-            }
-            total += loss as f64;
-            batches += 1;
-            start = end;
+    let mut cb_params = groups
+        .iter()
+        .map(|g| Ok(Param::new(artifacts.layers[g[0]].as_masked()?.codebook().centers().clone())))
+        .collect::<Result<Vec<_>, MvqError>>()?;
+    let step = |opt: &mut Optimizer, batch: &[usize]| -> Result<f32, MvqError> {
+        let (xb, yb) = gather_batch(&data.train_images, &data.train_labels, batch);
+        artifacts.apply_to(model)?;
+        model.zero_grad();
+        let logits = model.forward(&xb, true)?;
+        let (loss, grad) = cross_entropy(&logits, &yb)?;
+        model.backward(&grad)?;
+        accumulate_masked_codebook_grads(model, artifacts, &groups, &mut cb_params)?;
+        for (slot, p) in cb_params.iter_mut().enumerate() {
+            opt.step_param(p, slot);
+            p.zero_grad();
         }
-        epoch_losses.push((total / batches.max(1) as f64) as f32);
-    }
+        // write updated centers back to every layer sharing the codebook
+        // and re-snap them to the int grid
+        for (group, p) in groups.iter().zip(&cb_params) {
+            for &i in group {
+                let codebook = artifacts.layers[i].as_masked_mut()?.codebook_mut();
+                *codebook.centers_mut() = p.value.clone();
+                codebook.requantize()?;
+            }
+        }
+        Ok(loss)
+    };
+    let n = data.n_train();
+    let epoch_losses =
+        run_epochs(n, cfg.epochs, cfg.batch_size, &mut opt, rng, step, |_, _, _| {})?;
     artifacts.apply_to(model)?;
     Ok(epoch_losses)
 }
@@ -259,6 +245,26 @@ mod tests {
         assert_ne!(after[0], &before, "fine-tuning should move the shared codebook");
         assert!(after.iter().all(|cb| *cb == after[0]), "shared codebook copies diverged");
         assert_eq!(compressed.codebook_groups(), vec![vec![0, 1]]);
+    }
+
+    /// Pins the weights and per-epoch losses of a short fine-tuning run (a
+    /// partial last batch included), so a refactor of the training walk
+    /// cannot move a bit.
+    #[test]
+    fn finetune_output_is_pinned() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let data = SyntheticClassification::generate(3, 40, 8, 8, &mut rng);
+        let mut model = tiny_cnn(3, 8, &mut rng);
+        let spec = PipelineSpec::default().with_k(8).with_nm(8, 16);
+        let mut compressed = mvq(spec).compress_model(&mut model, &mut rng).unwrap();
+        let ft = CodebookFinetuneConfig { epochs: 2, batch_size: 12, ..Default::default() };
+        let losses = finetune_codebooks(&mut model, &mut compressed, &data, &ft, &mut rng).unwrap();
+        let mut h = crate::store::Fnv1a::new();
+        model.visit_convs(&mut |conv| {
+            conv.weight.value.data().iter().for_each(|w| h.update(&w.to_bits().to_le_bytes()))
+        });
+        losses.iter().for_each(|l| h.update(&l.to_bits().to_le_bytes()));
+        assert_eq!(h.finish(), 0xc81d_e58a_a142_e05d);
     }
 
     #[test]

@@ -20,9 +20,9 @@ use mvq_nn::data::{gather_batch, SyntheticClassification};
 use mvq_nn::layers::Sequential;
 use mvq_nn::loss::cross_entropy;
 use mvq_nn::optim::Optimizer;
+use mvq_nn::train::run_epochs;
 use mvq_nn::Param;
 use mvq_tensor::Tensor;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::error::MvqError;
@@ -220,67 +220,49 @@ pub struct SparseFinetuneConfig {
 ///
 /// # Errors
 ///
-/// Propagates model and pruning errors.
+/// Returns [`MvqError::InvalidConfig`] for zero epochs or batch size,
+/// leaving the model untouched; propagates model and pruning errors.
 pub fn sparse_finetune<R: Rng>(
     model: &mut Sequential,
-    masks: Vec<Option<NmMask>>,
+    mut masks: Vec<Option<NmMask>>,
     data: &SyntheticClassification,
     spec: &PipelineSpec,
     cfg: &SparseFinetuneConfig,
     opt: &mut Optimizer,
     rng: &mut R,
 ) -> Result<Vec<Option<NmMask>>, MvqError> {
-    let mut masks = masks;
-    let n = data.n_train();
-    let mut order: Vec<usize> = (0..n).collect();
     // dense shadow for SR-STE (starts from the masked weights; revived
     // lanes re-grow from zero through the straight-through gradient)
-    let mut shadow: Option<Vec<Tensor>> = match cfg.method {
-        PruneMethod::SrSte { .. } => {
-            let mut ws = Vec::new();
-            model.visit_convs_mut(&mut |conv| ws.push(conv.weight.value.clone()));
-            Some(ws)
-        }
-        PruneMethod::Asp => None,
-    };
-    for _ in 0..cfg.epochs {
-        order.shuffle(rng);
-        let mut start = 0;
-        while start < n {
-            let end = (start + cfg.batch_size).min(n);
-            let (xb, yb) = gather_batch(&data.train_images, &data.train_labels, &order[start..end]);
-            model.zero_grad();
-            let logits = model.forward(&xb, true)?;
-            let (_, grad) = cross_entropy(&logits, &yb)?;
-            model.backward(&grad)?;
-            match cfg.method {
-                PruneMethod::Asp => {
-                    opt.step(model);
-                    reapply_masks(model, &masks, spec)?;
-                }
-                PruneMethod::SrSte { lambda } => {
-                    let ws = shadow.as_mut().expect("shadow initialized for SR-STE");
-                    // restore dense shadow so the optimizer updates it
-                    let mut idx = 0usize;
-                    model.visit_convs_mut(&mut |conv| {
-                        conv.weight.value = ws[idx].clone();
-                        idx += 1;
-                    });
-                    apply_srste_decay(model, &masks, spec, lambda)?;
-                    opt.step(model);
-                    // capture updated shadow, then re-prune for the next
-                    // forward pass
-                    let mut idx = 0usize;
-                    model.visit_convs_mut(&mut |conv| {
-                        ws[idx] = conv.weight.value.clone();
-                        idx += 1;
-                    });
-                    masks = prune_model(model, spec)?;
-                }
-            }
-            start = end;
-        }
+    let mut shadow = Vec::new();
+    if let PruneMethod::SrSte { .. } = cfg.method {
+        model.visit_convs(&mut |c| shadow.push(c.weight.value.clone()));
     }
+    let step = |opt: &mut Optimizer, batch: &[usize]| -> Result<f32, MvqError> {
+        let (xb, yb) = gather_batch(&data.train_images, &data.train_labels, batch);
+        model.zero_grad();
+        let logits = model.forward(&xb, true)?;
+        let (loss, grad) = cross_entropy(&logits, &yb)?;
+        model.backward(&grad)?;
+        match cfg.method {
+            PruneMethod::Asp => {
+                opt.step(model);
+                reapply_masks(model, &masks, spec)?;
+            }
+            PruneMethod::SrSte { lambda } => {
+                // restore dense shadow so the optimizer updates it
+                let mut dense = std::mem::take(&mut shadow).into_iter();
+                model.visit_convs_mut(&mut |c| c.weight.value = dense.next().expect("shadow"));
+                apply_srste_decay(model, &masks, spec, lambda)?;
+                opt.step(model);
+                // capture updated shadow, then re-prune for the next
+                // forward pass
+                model.visit_convs(&mut |c| shadow.push(c.weight.value.clone()));
+                masks = prune_model(model, spec)?;
+            }
+        }
+        Ok(loss)
+    };
+    run_epochs(data.n_train(), cfg.epochs, cfg.batch_size, opt, rng, step, |_, _, _| {})?;
     Ok(masks)
 }
 
@@ -475,6 +457,39 @@ mod tests {
                     .unwrap();
             assert_eq!(out == masks, method == PruneMethod::Asp, "{}", method.name());
             assert_eq!(digest(&model, &out), pinned, "{}", method.name());
+        }
+    }
+
+    /// A zero batch size or epoch count is a config error, returned before
+    /// any weight moves. The call runs on a thread under a watchdog, so a
+    /// batch loop that never ends fails the test instead of stalling the
+    /// suite.
+    #[test]
+    fn zero_batch_or_epochs_is_rejected_untouched() {
+        let cases = [(PruneMethod::Asp, 1, 0), (PruneMethod::SrSte { lambda: 2e-4 }, 0, 8)];
+        for (method, epochs, batch_size) in cases {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(2);
+                let data = SyntheticClassification::generate(3, 16, 4, 8, &mut rng);
+                let mut model = tiny_cnn(3, 8, &mut rng);
+                let spec = PipelineSpec::default().with_nm(8, 16);
+                let masks = prune_model(&mut model, &spec).unwrap();
+                let before = digest(&model, &[]);
+                let cfg = SparseFinetuneConfig { method, epochs, batch_size };
+                let mut opt = Optimizer::new(OptimizerKind::sgd(0.05, 0.9, 0.0));
+                let res =
+                    sparse_finetune(&mut model, masks, &data, &spec, &cfg, &mut opt, &mut rng);
+                tx.send((res.map(drop), digest(&model, &[]) == before)).unwrap();
+            });
+            let (res, untouched) =
+                rx.recv_timeout(std::time::Duration::from_secs(30)).expect("sparse_finetune hung");
+            worker.join().expect("worker thread");
+            assert!(
+                matches!(res, Err(MvqError::InvalidConfig(_))),
+                "{epochs}/{batch_size}: {res:?}"
+            );
+            assert!(untouched, "{epochs}/{batch_size}: weights moved");
         }
     }
 

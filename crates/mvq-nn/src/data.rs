@@ -239,6 +239,8 @@ impl SyntheticSegmentation {
 }
 
 /// Copies a batch `[from, to)` of images and labels out of a dataset.
+/// Each image has `labels.len() / N` labels: one for classification,
+/// `H·W` for segmentation.
 ///
 /// # Panics
 ///
@@ -246,14 +248,16 @@ impl SyntheticSegmentation {
 pub fn batch_of(images: &Tensor, labels: &[usize], from: usize, to: usize) -> (Tensor, Vec<usize>) {
     let d = images.dims();
     let per = d[1] * d[2] * d[3];
+    let lper = labels.len() / d[0].max(1);
     let data = images.data()[from * per..to * per].to_vec();
     let batch =
         Tensor::from_vec(vec![to - from, d[1], d[2], d[3]], data).expect("slice sized to dims");
-    (batch, labels[from..to].to_vec())
+    (batch, labels[from * lper..to * lper].to_vec())
 }
 
 /// Copies the images and labels at `indices` (a shuffled slice of the
-/// training order) into one batch, in `indices` order.
+/// training order) into one batch, in `indices` order. Labels are per
+/// sample or per pixel, as in [`batch_of`].
 ///
 /// # Panics
 ///
@@ -261,35 +265,16 @@ pub fn batch_of(images: &Tensor, labels: &[usize], from: usize, to: usize) -> (T
 pub fn gather_batch(images: &Tensor, labels: &[usize], indices: &[usize]) -> (Tensor, Vec<usize>) {
     let d = images.dims();
     let per = d[1] * d[2] * d[3];
+    let lper = labels.len() / d[0].max(1);
     let mut data = Vec::with_capacity(indices.len() * per);
-    let mut lab = Vec::with_capacity(indices.len());
+    let mut lab = Vec::with_capacity(indices.len() * lper);
     for &i in indices {
         data.extend_from_slice(&images.data()[i * per..(i + 1) * per]);
-        lab.push(labels[i]);
+        lab.extend_from_slice(&labels[i * lper..(i + 1) * lper]);
     }
     let batch =
         Tensor::from_vec(vec![indices.len(), d[1], d[2], d[3]], data).expect("slice sized to dims");
     (batch, lab)
-}
-
-/// Copies a batch of a segmentation dataset, where labels are per-pixel.
-///
-/// # Panics
-///
-/// Panics if the range is out of bounds.
-pub fn seg_batch_of(
-    images: &Tensor,
-    labels: &[usize],
-    from: usize,
-    to: usize,
-) -> (Tensor, Vec<usize>) {
-    let d = images.dims();
-    let per = d[1] * d[2] * d[3];
-    let plane = d[2] * d[3];
-    let data = images.data()[from * per..to * per].to_vec();
-    let batch =
-        Tensor::from_vec(vec![to - from, d[1], d[2], d[3]], data).expect("slice sized to dims");
-    (batch, labels[from * plane..to * plane].to_vec())
 }
 
 #[cfg(test)]
@@ -372,7 +357,7 @@ mod tests {
     fn seg_batch_extraction() {
         let mut rng = StdRng::seed_from_u64(4);
         let d = SyntheticSegmentation::generate(3, 5, 2, 8, &mut rng);
-        let (xb, yb) = seg_batch_of(&d.train_images, &d.train_labels, 1, 3);
+        let (xb, yb) = batch_of(&d.train_images, &d.train_labels, 1, 3);
         assert_eq!(xb.dims(), &[2, 3, 8, 8]);
         assert_eq!(yb.len(), 2 * 64);
         assert_eq!(yb[0], d.train_labels[64]);
