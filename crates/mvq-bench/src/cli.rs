@@ -26,10 +26,15 @@
 
 use std::process::ExitCode;
 
-use mvq_core::pipeline::{canonical_name, PipelineSpec};
-use mvq_core::KernelStrategy;
+use mvq_core::pipeline::{canonical_name, CompressedArtifact, PipelineSpec};
+use mvq_core::store::{ArtifactCache, CacheBudget};
+use mvq_core::{KernelStrategy, MvqError};
 use mvq_nn::models::Arch;
-use mvq_serve::{CachePolicy, CompressionRequest, CompressionService, StreamConfig, Ticket, Work};
+use mvq_nn::Sequential;
+use mvq_serve::{
+    CompressionRequest, CompressionService, ServiceBuilder, StreamConfig, Ticket, Work,
+};
+use mvq_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -88,9 +93,12 @@ fn parse_args(args: &[String]) -> Result<CompressArgs, String> {
                     Some(value("--seed")?.parse().map_err(|e| format!("--seed: {e}\n{USAGE}"))?);
             }
             "--workers" => {
-                parsed.workers = Some(
-                    value("--workers")?.parse().map_err(|e| format!("--workers: {e}\n{USAGE}"))?,
-                );
+                let workers =
+                    value("--workers")?.parse().map_err(|e| format!("--workers: {e}\n{USAGE}"))?;
+                if workers == 0 {
+                    return Err(format!("--workers must be at least 1\n{USAGE}"));
+                }
+                parsed.workers = Some(workers);
             }
             "--cache-dir" => parsed.cache_dir = Some(value("--cache-dir")?.to_string()),
             "--stream" => parsed.stream = true,
@@ -138,44 +146,23 @@ pub fn run_compress(args: &[String]) -> ExitCode {
         }
     };
 
-    // the lite workload: conv weights of the requested architecture
-    let mut rng = StdRng::seed_from_u64(parsed.seed.unwrap_or(0));
-    let model = match parsed.arch.as_str() {
-        "tiny" => mvq_nn::models::tiny_cnn(8, 16, &mut rng),
-        "resnet18" => Arch::ResNet18.build(8, &mut rng),
-        other => {
-            eprintln!("unknown arch `{other}` (known: tiny, resnet18)");
+    let (model, weights, mut spec) = match lite_workload(&parsed.arch, parsed.k, parsed.seed) {
+        Ok(workload) => workload,
+        Err(msg) => {
+            eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    let mut weights = Vec::new();
-    model.visit_convs(&mut |conv| weights.push(conv.weight.value.clone()));
-
-    let mut spec = PipelineSpec::default();
-    if let Some(k) = parsed.k {
-        spec.k = k;
-    } else if parsed.arch == "tiny" {
-        spec.k = 8; // the tiny convs have few subvectors; default k=64 cannot fit
-    }
     if let Some(kernel) = parsed.kernel {
         spec = spec.with_kernel(kernel);
     }
 
-    let mut policy = CachePolicy::UNBOUNDED;
-    if let Some(bytes) = parsed.memory_budget {
-        policy = policy.with_memory_budget(bytes);
-    }
-    if let Some(bytes) = parsed.disk_budget {
-        policy = policy.with_disk_budget(bytes);
-    }
-    let mut builder = CompressionService::builder().cache_policy(policy);
-    if let Some(dir) = &parsed.cache_dir {
-        builder = builder.cache_dir(dir);
-    }
+    let mut builder = CompressionService::builder();
     if let Some(workers) = parsed.workers {
-        builder = builder.workers(workers.max(1));
+        builder = builder.workers(workers);
     }
-    let service = match builder.build() {
+    let budget = CacheBudget { memory_bytes: parsed.memory_budget, disk_bytes: parsed.disk_budget };
+    let service = match start_service(builder, parsed.cache_dir.as_deref(), budget) {
         Ok(service) => service,
         Err(e) => {
             eprintln!("cannot start service: {e}");
@@ -185,7 +172,7 @@ pub fn run_compress(args: &[String]) -> ExitCode {
 
     if parsed.stream {
         let failures = run_stream_jobs(&service, &parsed.algos, &model, &spec, parsed.seed);
-        print_cache_stats(&service);
+        print_cache_counters(&service);
         if failures > 0 {
             eprintln!("{failures} model job(s) failed");
             return ExitCode::FAILURE;
@@ -224,17 +211,8 @@ pub fn run_compress(args: &[String]) -> ExitCode {
     for ticket in tickets {
         match ticket.wait() {
             Ok(outcome) => {
-                let source = if outcome.deduped {
-                    "dedup"
-                } else if outcome.from_cache {
-                    "cache"
-                } else {
-                    "fresh"
-                };
-                let ratio = match outcome.artifact() {
-                    Ok(artifact) => format!("{:>7.1}x", artifact.compression_ratio()),
-                    Err(_) => format!("{:>8}", "-"),
-                };
+                let (ratio, source) =
+                    outcome_cells(outcome.deduped, outcome.from_cache, outcome.artifact());
                 println!("{:<18} {ratio} {:>9} {:>7}", outcome.name, source, "ok");
             }
             Err(e) => {
@@ -244,7 +222,7 @@ pub fn run_compress(args: &[String]) -> ExitCode {
             }
         }
     }
-    print_cache_stats(&service);
+    print_cache_counters(&service);
     if skipped > 0 {
         println!("skipped {skipped} conv(s) not groupable at d={}", spec.d);
     }
@@ -255,13 +233,82 @@ pub fn run_compress(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The lite workload `paper compress` and `paper client` share: the
+/// requested architecture's model (drawn from `seed`, default 0), its
+/// conv weights, and the spec they are compressed under.
+///
+/// # Errors
+///
+/// Names the architecture when it is neither `tiny` nor `resnet18`.
+pub(crate) fn lite_workload(
+    arch: &str,
+    k: Option<usize>,
+    seed: Option<u64>,
+) -> Result<(Sequential, Vec<Tensor>, PipelineSpec), String> {
+    let mut rng = StdRng::seed_from_u64(seed.unwrap_or(0));
+    let model = match arch {
+        "tiny" => mvq_nn::models::tiny_cnn(8, 16, &mut rng),
+        "resnet18" => Arch::ResNet18.build(8, &mut rng),
+        other => return Err(format!("unknown arch `{other}` (known: tiny, resnet18)")),
+    };
+    let mut weights = Vec::new();
+    model.visit_convs(&mut |conv| weights.push(conv.weight.value.clone()));
+    let mut spec = PipelineSpec::default();
+    if let Some(k) = k {
+        spec.k = k;
+    } else if arch == "tiny" {
+        spec.k = 8; // the tiny convs have few subvectors; default k=64 cannot fit
+    }
+    Ok((model, weights, spec))
+}
+
+/// Builds the service over the cache `--cache-dir` and the budget flags
+/// describe: persisted under `cache_dir` when one is given, in memory
+/// otherwise.
+///
+/// # Errors
+///
+/// [`MvqError::Codec`] when the cache directory cannot be created or
+/// scanned, and whatever [`ServiceBuilder::build`] refuses.
+pub(crate) fn start_service(
+    builder: ServiceBuilder,
+    cache_dir: Option<&str>,
+    budget: CacheBudget,
+) -> Result<CompressionService, MvqError> {
+    let cache = match cache_dir {
+        Some(dir) => ArtifactCache::with_dir_and_budget(dir, budget)?,
+        None => ArtifactCache::in_memory_with_budget(budget),
+    };
+    builder.cache(cache).build()
+}
+
+/// The ratio and source cells of one finished job's table row.
+pub(crate) fn outcome_cells(
+    deduped: bool,
+    from_cache: bool,
+    artifact: Result<CompressedArtifact, MvqError>,
+) -> (String, &'static str) {
+    let ratio = match artifact {
+        Ok(artifact) => format!("{:>7.1}x", artifact.compression_ratio()),
+        Err(_) => format!("{:>8}", "-"),
+    };
+    let source = if deduped {
+        "dedup"
+    } else if from_cache {
+        "cache"
+    } else {
+        "fresh"
+    };
+    (ratio, source)
+}
+
 /// Submits the whole model as one streaming job per algorithm, printing
 /// live per-layer progress from the ticket while each job runs. Returns
 /// the failure count.
 fn run_stream_jobs(
     service: &CompressionService,
     algos: &[String],
-    model: &mvq_nn::Sequential,
+    model: &Sequential,
     spec: &PipelineSpec,
     seed: Option<u64>,
 ) -> usize {
@@ -333,8 +380,8 @@ fn run_stream_jobs(
     failures
 }
 
-fn print_cache_stats(service: &CompressionService) {
-    let stats = service.cache_stats();
+fn print_cache_counters(service: &CompressionService) {
+    let stats = service.cache().stats();
     println!(
         "\ncache: {} hits, {} misses, {} insertions, {} mem blobs ({} B), {} disk blobs ({} B), \
          {} mem evictions, {} disk evictions",
@@ -400,6 +447,8 @@ mod tests {
         let err = parse_args(&strs(&["--algo", "vqgan"])).unwrap_err();
         assert!(err.contains("vqgan"), "{err}");
         assert!(parse_args(&strs(&["--k"])).is_err(), "missing value must error");
+        let err = parse_args(&strs(&["--workers", "0"])).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
         // a disk budget without a disk would silently be a no-op; refuse it
         let err = parse_args(&strs(&["--disk-budget", "1000"])).unwrap_err();
         assert!(err.contains("--cache-dir"), "{err}");

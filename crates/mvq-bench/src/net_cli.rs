@@ -33,15 +33,15 @@ use std::io::BufRead;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mvq_core::pipeline::{canonical_name, PipelineSpec};
+use mvq_core::pipeline::canonical_name;
+use mvq_core::store::CacheBudget;
 use mvq_net::{
     NetClient, NetError, NetRequest, NetServer, WireMetric, WireMetricValue, WireStatsReply,
 };
-use mvq_nn::models::Arch;
 use mvq_obs::{Registry, TraceSnapshot};
 use mvq_serve::CompressionService;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+
+use crate::cli::{lite_workload, outcome_cells, start_service};
 
 /// The default loopback endpoint both subcommands assume.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7341";
@@ -73,11 +73,13 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
         match flag.as_str() {
             "--addr" => parsed.addr = value("--addr")?.to_string(),
             "--workers" => {
-                parsed.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}\n{SERVE_USAGE}"))?,
-                );
+                let workers = value("--workers")?
+                    .parse()
+                    .map_err(|e| format!("--workers: {e}\n{SERVE_USAGE}"))?;
+                if workers == 0 {
+                    return Err(format!("--workers must be at least 1\n{SERVE_USAGE}"));
+                }
+                parsed.workers = Some(workers);
             }
             "--queue" => {
                 parsed.queue = Some(
@@ -105,15 +107,13 @@ pub fn run_serve(args: &[String]) -> ExitCode {
     };
     let mut builder = CompressionService::builder();
     if let Some(workers) = parsed.workers {
-        builder = builder.workers(workers.max(1));
+        builder = builder.workers(workers);
     }
     if let Some(queue) = parsed.queue {
         builder = builder.queue_capacity(queue);
     }
-    if let Some(dir) = &parsed.cache_dir {
-        builder = builder.cache_dir(dir);
-    }
-    let service = match builder.build() {
+    let service = match start_service(builder, parsed.cache_dir.as_deref(), CacheBudget::UNBOUNDED)
+    {
         Ok(service) => service,
         Err(e) => {
             eprintln!("cannot start service: {e}");
@@ -348,25 +348,13 @@ pub fn run_client(args: &[String]) -> ExitCode {
         }
     };
 
-    // the same lite workload as `paper compress`
-    let mut rng = StdRng::seed_from_u64(parsed.seed.unwrap_or(0));
-    let model = match parsed.arch.as_str() {
-        "tiny" => mvq_nn::models::tiny_cnn(8, 16, &mut rng),
-        "resnet18" => Arch::ResNet18.build(8, &mut rng),
-        other => {
-            eprintln!("unknown arch `{other}` (known: tiny, resnet18)");
+    let (_, weights, spec) = match lite_workload(&parsed.arch, parsed.k, parsed.seed) {
+        Ok(workload) => workload,
+        Err(msg) => {
+            eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    let mut weights = Vec::new();
-    model.visit_convs(&mut |conv| weights.push(conv.weight.value.clone()));
-
-    let mut spec = PipelineSpec::default();
-    if let Some(k) = parsed.k {
-        spec.k = k;
-    } else if parsed.arch == "tiny" {
-        spec.k = 8; // the tiny convs have few subvectors; default k=64 cannot fit
-    }
 
     let mut client = match NetClient::connect(parsed.addr.as_str()) {
         Ok(client) => client,
@@ -397,17 +385,8 @@ pub fn run_client(args: &[String]) -> ExitCode {
                 match client.submit(&request) {
                     Ok(outcome) => {
                         let rtt = t0.elapsed();
-                        let source = if outcome.deduped {
-                            "dedup"
-                        } else if outcome.from_cache {
-                            "cache"
-                        } else {
-                            "fresh"
-                        };
-                        let ratio = match outcome.artifact() {
-                            Ok(artifact) => format!("{:>7.1}x", artifact.compression_ratio()),
-                            Err(_) => format!("{:>8}", "-"),
-                        };
+                        let (ratio, source) =
+                            outcome_cells(outcome.deduped, outcome.from_cache, outcome.artifact());
                         println!(
                             "{:<18} {ratio} {source:>9} {:>9} {:>9.1}ms",
                             outcome.name,
@@ -473,6 +452,8 @@ mod tests {
         assert_eq!(parsed.cache_dir.as_deref(), Some("/tmp/blobs"));
         assert!(parse_serve_args(&strs(&["--frobnicate"])).is_err());
         assert!(parse_serve_args(&strs(&["--workers"])).is_err(), "missing value must error");
+        let err = parse_serve_args(&strs(&["--workers", "0"])).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
         assert_eq!(parse_serve_args(&[]).unwrap().addr, DEFAULT_ADDR);
     }
 

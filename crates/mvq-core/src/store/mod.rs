@@ -18,13 +18,12 @@
 //!
 //! ## Sharding
 //!
-//! The cache is split into [`DEFAULT_SHARDS`] independent lock domains
-//! (configurable per cache). A key is routed to its shard by FNV-1a hash
-//! of its blob name, so the key, its disk-ledger entry, and its
-//! remembered failures always live under the same lock, and concurrent
-//! lookups of different keys contend only `1/N` of the time. Traffic
-//! counters are kept per shard and merged on read by
-//! [`ArtifactCache::stats`].
+//! Every cache is split into [`DEFAULT_SHARDS`] independent lock
+//! domains. A key is routed to its shard by FNV-1a hash of its blob
+//! name, so the key, its disk-ledger entry, and its remembered failures
+//! always live under the same lock, and concurrent lookups of different
+//! keys contend only `1/N` of the time. Traffic counters are kept per
+//! shard and merged on read by [`ArtifactCache::stats`].
 //!
 //! ## Zero-copy hits
 //!
@@ -89,9 +88,9 @@ use crate::error::MvqError;
 use crate::kernels::KernelStrategy;
 use crate::pipeline::{canonical_name, CompressedArtifact, PipelineSpec};
 
-/// Lock domains a cache is split into unless the constructor says
-/// otherwise: enough that 16 concurrent submitters rarely collide,
-/// small enough that the merge-on-read stats scan stays trivial.
+/// Lock domains every cache is split into: enough that 16 concurrent
+/// submitters rarely collide, small enough that the merge-on-read stats
+/// scan stays trivial.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// The content address of one compression result: *what* was compressed
@@ -206,21 +205,7 @@ impl ArtifactCache {
     /// A purely in-memory cache whose resident bytes honor `budget`
     /// (the disk half of the budget is ignored — there is no disk).
     pub fn in_memory_with_budget(budget: CacheBudget) -> ArtifactCache {
-        ArtifactCache::in_memory_sharded(budget, DEFAULT_SHARDS)
-    }
-
-    /// An in-memory cache split into `shards` lock domains (clamped to
-    /// at least 1). One shard reproduces the single-lock behavior.
-    pub fn in_memory_sharded(budget: CacheBudget, shards: usize) -> ArtifactCache {
-        ArtifactCache {
-            dir: None,
-            budget,
-            shards: new_shards(shards),
-            clock: AtomicU64::new(0),
-            memory_used: AtomicU64::new(0),
-            disk_used: AtomicU64::new(0),
-            metrics: Registry::new(),
-        }
+        ArtifactCache::empty(None, budget)
     }
 
     /// A cache persisting blobs under `dir` (created if absent), with no
@@ -249,36 +234,27 @@ impl ArtifactCache {
         dir: P,
         budget: CacheBudget,
     ) -> Result<ArtifactCache, MvqError> {
-        ArtifactCache::with_dir_budget_and_shards(dir, budget, DEFAULT_SHARDS)
-    }
-
-    /// A disk-backed cache honoring `budget`, split into `shards` lock
-    /// domains (clamped to at least 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MvqError::Codec`] when the directory cannot be created,
-    /// scanned, or pruned.
-    pub fn with_dir_budget_and_shards<P: AsRef<Path>>(
-        dir: P,
-        budget: CacheBudget,
-        shards: usize,
-    ) -> Result<ArtifactCache, MvqError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(|e| {
             MvqError::Codec(format!("cannot create cache dir {}: {e}", dir.display()))
         })?;
-        let cache = ArtifactCache {
-            dir: Some(dir),
+        let cache = ArtifactCache::empty(Some(dir), budget);
+        cache.scan_disk()?;
+        Ok(cache)
+    }
+
+    /// A cache with nothing in it yet, split into [`DEFAULT_SHARDS`]
+    /// lock domains.
+    fn empty(dir: Option<PathBuf>, budget: CacheBudget) -> ArtifactCache {
+        ArtifactCache {
+            dir,
             budget,
-            shards: new_shards(shards),
+            shards: (0..DEFAULT_SHARDS).map(|_| Shard::default()).collect(),
             clock: AtomicU64::new(0),
             memory_used: AtomicU64::new(0),
             disk_used: AtomicU64::new(0),
             metrics: Registry::new(),
-        };
-        cache.scan_disk()?;
-        Ok(cache)
+        }
     }
 
     /// The backing directory, if this cache persists to disk.
@@ -540,39 +516,6 @@ impl ArtifactCache {
             self.metrics.counter(metric::STORE_CACHE_NEGATIVE_HITS).inc();
         }
         remembered
-    }
-
-    /// `get`, falling back to `compute` + `put` on a miss. A remembered
-    /// failure short-circuits to the remembered error; a fresh compute
-    /// failure is remembered.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup, compute and store errors.
-    pub fn get_or_compute<F>(
-        &self,
-        key: &CacheKey,
-        compute: F,
-    ) -> Result<(CompressedArtifact, bool), MvqError>
-    where
-        F: FnOnce() -> Result<CompressedArtifact, MvqError>,
-    {
-        if let Some(hit) = self.get(key)? {
-            return Ok((hit, true));
-        }
-        if let Some(remembered) = self.failure(key) {
-            return Err(remembered);
-        }
-        match compute() {
-            Ok(fresh) => {
-                self.put(key, &fresh)?;
-                Ok((fresh, false))
-            }
-            Err(e) => {
-                self.note_failure(key, &e);
-                Err(e)
-            }
-        }
     }
 
     /// A unique, monotonically increasing LRU stamp.
@@ -864,11 +807,6 @@ impl ArtifactCache {
     }
 }
 
-/// Allocates `n` fresh shards (clamped to at least one).
-fn new_shards(n: usize) -> Box<[Shard]> {
-    (0..n.max(1)).map(|_| Shard::default()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1146,23 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn get_or_compute_short_circuits_remembered_failures() {
-        let cache = ArtifactCache::in_memory();
-        let spec = PipelineSpec { k: 8, ..PipelineSpec::default() };
-        let key = CacheKey::new("mvq", &weight(), &spec, 9).unwrap();
-        let err = cache
-            .get_or_compute(&key, || Err(MvqError::InvalidConfig("deterministic".into())))
-            .unwrap_err();
-        assert!(matches!(err, MvqError::InvalidConfig(_)));
-        // second call must not invoke compute at all
-        let err = cache
-            .get_or_compute(&key, || panic!("compute re-ran for a known-failing key"))
-            .unwrap_err();
-        assert!(matches!(err, MvqError::InvalidConfig(_)));
-        assert_eq!(cache.stats().negative_hits, 1);
-    }
-
-    #[test]
     fn stats_report_occupancy_gauges() {
         let cache = ArtifactCache::in_memory();
         let spec = PipelineSpec { k: 8, ..PipelineSpec::default() };
@@ -1174,18 +1095,6 @@ mod tests {
         assert_eq!(stats.memory_bytes, a.to_bytes().unwrap().len() as u64);
         assert_eq!(stats.disk_len, 0);
         assert_eq!(stats.disk_bytes, 0);
-    }
-
-    #[test]
-    fn single_shard_cache_matches_the_classic_behavior() {
-        let cache = ArtifactCache::in_memory_sharded(CacheBudget::UNBOUNDED, 1);
-        assert_eq!(cache.shard_count(), 1);
-        let spec = PipelineSpec { k: 8, ..PipelineSpec::default() };
-        let key = CacheKey::new("mvq", &weight(), &spec, 0).unwrap();
-        cache.put(&key, &artifact("mvq")).unwrap();
-        assert!(cache.get(&key).unwrap().is_some());
-        // a zero request clamps to one shard instead of dividing by zero
-        assert_eq!(ArtifactCache::in_memory_sharded(CacheBudget::UNBOUNDED, 0).shard_count(), 1);
     }
 
     #[test]

@@ -118,7 +118,6 @@ impl std::error::Error for NetError {}
 #[derive(Debug)]
 pub struct NetClient {
     stream: TcpStream,
-    max_message_len: usize,
     next_id: u64,
 }
 
@@ -134,14 +133,7 @@ impl NetClient {
         // vectored write) interacts with Nagle + delayed ACK into ~40 ms
         // stalls per message
         let _ = stream.set_nodelay(true);
-        Ok(NetClient { stream, max_message_len: DEFAULT_MAX_MESSAGE_LEN, next_id: 0 })
-    }
-
-    /// Overrides the per-message length cap (must match the server's to
-    /// exchange artifacts near the cap).
-    pub fn with_max_message_len(mut self, max: usize) -> NetClient {
-        self.max_message_len = max;
-        self
+        Ok(NetClient { stream, next_id: 0 })
     }
 
     /// Sends one request and blocks for its response.
@@ -171,7 +163,8 @@ impl NetClient {
         };
         let frame = wire.encode().map_err(NetError::Protocol)?;
         write_message(&mut self.stream, &frame).map_err(NetError::Io)?;
-        let header = read_message(&mut self.stream, self.max_message_len).map_err(NetError::Io)?;
+        let header =
+            read_message(&mut self.stream, DEFAULT_MAX_MESSAGE_LEN).map_err(NetError::Io)?;
         match WireResponse::decode(&header).map_err(NetError::Protocol)? {
             WireResponse::Ok { id: rid, name, from_cache, deduped } => {
                 if rid != id {
@@ -179,8 +172,8 @@ impl NetClient {
                         "response id {rid} does not match request id {id}"
                     ))));
                 }
-                let bytes =
-                    read_message(&mut self.stream, self.max_message_len).map_err(NetError::Io)?;
+                let bytes = read_message(&mut self.stream, DEFAULT_MAX_MESSAGE_LEN)
+                    .map_err(NetError::Io)?;
                 validate_frame(BlobKind::Artifact, &bytes).map_err(NetError::Protocol)?;
                 Ok(NetOutcome { name, from_cache, deduped, bytes })
             }
@@ -210,7 +203,7 @@ impl NetClient {
         let max_traces = u32::try_from(max_traces).unwrap_or(u32::MAX);
         let frame = WireStatsRequest { id, max_traces }.encode();
         write_message(&mut self.stream, &frame).map_err(NetError::Io)?;
-        let msg = read_message(&mut self.stream, self.max_message_len).map_err(NetError::Io)?;
+        let msg = read_message(&mut self.stream, DEFAULT_MAX_MESSAGE_LEN).map_err(NetError::Io)?;
         let reply = WireStatsReply::decode(&msg).map_err(NetError::Protocol)?;
         if reply.id != id {
             return Err(NetError::Protocol(MvqError::Codec(format!(

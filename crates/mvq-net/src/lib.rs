@@ -91,7 +91,7 @@ mod server;
 mod wire;
 
 pub use client::{NetClient, NetError, NetOutcome, NetRequest};
-pub use server::{NetConfig, NetServer, NetStats};
+pub use server::{NetServer, NetStats};
 pub use wire::{
     WireErrorKind, WireMetric, WireMetricValue, WireRequest, WireResponse, WireStatsReply,
     WireStatsRequest, DEFAULT_MAX_MESSAGE_LEN,

@@ -46,34 +46,20 @@ use crate::wire::{
     WireStatsReply, WireStatsRequest, DEFAULT_MAX_MESSAGE_LEN,
 };
 
-/// Tunables for [`NetServer::bind_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct NetConfig {
-    /// Cap on one message's frame length, both directions.
-    pub max_message_len: usize,
-    /// Per-connection in-flight pipeline depth: how many submitted
-    /// tickets may sit between a connection's reader and writer before
-    /// the reader blocks (bounded by construction — the workspace's
-    /// no-unbounded-queue rule).
-    pub pipeline_depth: usize,
-}
-
-impl Default for NetConfig {
-    fn default() -> NetConfig {
-        NetConfig { max_message_len: DEFAULT_MAX_MESSAGE_LEN, pipeline_depth: 64 }
-    }
-}
+/// Per-connection in-flight pipeline depth: how many submitted tickets
+/// may sit between a connection's reader and writer before the reader
+/// blocks (bounded by construction — the workspace's no-unbounded-queue
+/// rule).
+const PIPELINE_DEPTH: usize = 64;
 
 /// Monotonic counters for the server's observable behavior. Snapshot
 /// via [`NetServer::stats`]; tests spin on these to await events (a
 /// cancelled job, a drained connection) without sleeping.
 ///
-/// Since the observability layer landed this is a **view over the
-/// serving stack's `mvq_obs::Registry`** (the server adopts its
-/// service's registry, which the service adopted from its cache): the
-/// fields read the registry's `net.conn.*` counters, recorded at the
-/// same points that used to bump a private atomic struct. Fields and
-/// values are unchanged.
+/// This is a **view over the serving stack's `mvq_obs::Registry`**
+/// (the server adopts its service's registry, which the service adopted
+/// from its cache): the fields read the registry's `net.conn.*`
+/// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Connections accepted.
@@ -105,7 +91,6 @@ struct Conn {
 
 struct NetShared {
     service: CompressionService,
-    config: NetConfig,
     draining: AtomicBool,
     /// The serving stack's metrics registry, adopted from the service
     /// (which adopted it from its cache): one registry, one snapshot,
@@ -134,7 +119,8 @@ impl std::fmt::Debug for NetServer {
 
 impl NetServer {
     /// Binds `addr` (use port 0 for an OS-assigned port) and starts
-    /// serving `service` with default [`NetConfig`].
+    /// serving `service`. Every message is capped at
+    /// [`DEFAULT_MAX_MESSAGE_LEN`] bytes in both directions.
     ///
     /// # Errors
     ///
@@ -144,19 +130,6 @@ impl NetServer {
         addr: impl ToSocketAddrs,
         service: CompressionService,
     ) -> Result<NetServer, MvqError> {
-        NetServer::bind_with(addr, service, NetConfig::default())
-    }
-
-    /// [`NetServer::bind`] with explicit tunables.
-    ///
-    /// # Errors
-    ///
-    /// As [`NetServer::bind`].
-    pub fn bind_with(
-        addr: impl ToSocketAddrs,
-        service: CompressionService,
-        config: NetConfig,
-    ) -> Result<NetServer, MvqError> {
         let listener = TcpListener::bind(addr)
             .map_err(|e| MvqError::InvalidConfig(format!("cannot bind listener: {e}")))?;
         let local_addr = listener
@@ -165,7 +138,6 @@ impl NetServer {
         let metrics = Arc::clone(service.registry());
         let shared = Arc::new(NetShared {
             service,
-            config,
             draining: AtomicBool::new(false),
             metrics,
             conns: Mutex::new(Vec::new()),
@@ -296,7 +268,7 @@ fn spawn_connection(shared: &Arc<NetShared>, stream: TcpStream) {
     // bounded by design: the pipeline depth is the connection's
     // in-flight budget, and a reader blocked on a full channel is the
     // protocol's backpressure
-    let (tx, rx) = mpsc::sync_channel::<Pending>(shared.config.pipeline_depth.max(1));
+    let (tx, rx) = mpsc::sync_channel::<Pending>(PIPELINE_DEPTH);
     let outstanding: Arc<Mutex<HashMap<u64, CancelToken>>> = Arc::new(Mutex::new(HashMap::new()));
     let reader = {
         let shared = Arc::clone(shared);
@@ -339,7 +311,7 @@ fn conn_reader(
     outstanding: &Mutex<HashMap<u64, CancelToken>>,
 ) {
     loop {
-        let msg = match read_message(&mut stream, shared.config.max_message_len) {
+        let msg = match read_message(&mut stream, DEFAULT_MAX_MESSAGE_LEN) {
             Ok(msg) => msg,
             Err(e) => {
                 // a clean disconnect surfaces as EOF at the length

@@ -24,9 +24,9 @@ use mvq_obs::{
 use mvq_serve::{CacheMode, CancelKind, JobError, Priority};
 use mvq_tensor::Tensor;
 
-/// Default cap on one message's frame length (length prefix excluded):
-/// protects both sides from a hostile or corrupt length prefix
-/// committing them to a multi-GiB read.
+/// Cap on one message's frame length (length prefix excluded), which
+/// server and client both read under: protects both sides from a
+/// hostile or corrupt length prefix committing them to a multi-GiB read.
 pub const DEFAULT_MAX_MESSAGE_LEN: usize = 64 << 20;
 
 /// Writes one length-prefixed message.

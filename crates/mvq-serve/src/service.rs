@@ -12,14 +12,13 @@
 
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mvq_core::pipeline::{by_name, PipelineSpec};
-use mvq_core::store::{ArtifactCache, CacheBudget, CacheKey, CacheStats, Persist, DEFAULT_SHARDS};
+use mvq_core::store::{ArtifactCache, CacheKey, Persist};
 use mvq_core::{
     load_streamed_model, stream_compress_model, MvqError, ProgressHandle, StreamConfig,
 };
@@ -30,44 +29,6 @@ use rand::SeedableRng;
 
 use crate::request::{CacheMode, CompressionRequest, Priority, Work};
 use crate::ticket::{CancelKind, CancelToken, JobError, JobOutcome, JobResult, Payload, Ticket};
-
-/// Cache policy the service applies to the cache it builds: a thin,
-/// service-facing wrapper over [`CacheBudget`] plus the shard count
-/// (ignored when the builder is handed a pre-built cache, which carries
-/// its own budget and sharding).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CachePolicy {
-    /// The byte budget; `CacheBudget::UNBOUNDED` (the default) preserves
-    /// the grow-forever behavior.
-    pub budget: CacheBudget,
-    /// Lock domains the cache is split into; `None` (the default) uses
-    /// [`DEFAULT_SHARDS`]. `Some(1)` reproduces the single-lock layout
-    /// (the benchmark baseline).
-    pub shards: Option<usize>,
-}
-
-impl CachePolicy {
-    /// No budgets — the cache grows without bound.
-    pub const UNBOUNDED: CachePolicy = CachePolicy { budget: CacheBudget::UNBOUNDED, shards: None };
-
-    /// Caps the cache's in-memory footprint at `bytes`.
-    pub fn with_memory_budget(mut self, bytes: u64) -> CachePolicy {
-        self.budget.memory_bytes = Some(bytes);
-        self
-    }
-
-    /// Caps the cache's on-disk footprint at `bytes`.
-    pub fn with_disk_budget(mut self, bytes: u64) -> CachePolicy {
-        self.budget.disk_bytes = Some(bytes);
-        self
-    }
-
-    /// Splits the cache into `shards` lock domains (clamped to ≥ 1).
-    pub fn with_shards(mut self, shards: usize) -> CachePolicy {
-        self.shards = Some(shards);
-        self
-    }
-}
 
 /// Why a non-blocking submission was refused.
 #[derive(Debug)]
@@ -329,20 +290,12 @@ impl std::fmt::Debug for CompressionService {
 pub struct ServiceBuilder {
     workers: Option<usize>,
     queue_capacity: usize,
-    cache_dir: Option<PathBuf>,
-    cache: Option<ArtifactCache>,
-    policy: CachePolicy,
+    cache: ArtifactCache,
 }
 
 impl Default for ServiceBuilder {
     fn default() -> ServiceBuilder {
-        ServiceBuilder {
-            workers: None,
-            queue_capacity: 1024,
-            cache_dir: None,
-            cache: None,
-            policy: CachePolicy::UNBOUNDED,
-        }
+        ServiceBuilder { workers: None, queue_capacity: 1024, cache: ArtifactCache::in_memory() }
     }
 }
 
@@ -365,23 +318,12 @@ impl ServiceBuilder {
         self
     }
 
-    /// Persist cache blobs under `dir` (created if absent), surviving
-    /// restarts.
-    pub fn cache_dir(mut self, dir: impl AsRef<Path>) -> Self {
-        self.cache_dir = Some(dir.as_ref().to_path_buf());
-        self
-    }
-
-    /// Use a pre-built cache (it carries its own budget; setting a
-    /// [`CachePolicy`] too is rejected at build).
+    /// The cache the service serves from and stores into; it carries its
+    /// own byte budget and, when built with
+    /// [`ArtifactCache::with_dir`], its own directory. Defaults to an
+    /// unbounded [`ArtifactCache::in_memory`].
     pub fn cache(mut self, cache: ArtifactCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Byte budgets for the cache the builder creates.
-    pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.policy = policy;
+        self.cache = cache;
         self
     }
 
@@ -390,43 +332,17 @@ impl ServiceBuilder {
     /// # Errors
     ///
     /// Returns [`MvqError::InvalidConfig`] for a zero queue capacity or
-    /// conflicting cache configuration, and [`MvqError::Codec`] when the
-    /// cache directory cannot be created or scanned.
+    /// when a worker thread cannot be spawned.
     pub fn build(self) -> Result<CompressionService, MvqError> {
         if self.queue_capacity == 0 {
             return Err(MvqError::InvalidConfig(
                 "service queue capacity must be at least 1".into(),
             ));
         }
-        let cache = match (self.cache, &self.cache_dir) {
-            (Some(_), Some(_)) => {
-                return Err(MvqError::InvalidConfig(
-                    "give the service either a pre-built cache or a cache dir, not both".into(),
-                ));
-            }
-            (Some(cache), None) => {
-                if self.policy != CachePolicy::UNBOUNDED {
-                    return Err(MvqError::InvalidConfig(
-                        "a pre-built cache carries its own budget; set the policy on the cache"
-                            .into(),
-                    ));
-                }
-                cache
-            }
-            (None, Some(dir)) => ArtifactCache::with_dir_budget_and_shards(
-                dir,
-                self.policy.budget,
-                self.policy.shards.unwrap_or(DEFAULT_SHARDS),
-            )?,
-            (None, None) => ArtifactCache::in_memory_sharded(
-                self.policy.budget,
-                self.policy.shards.unwrap_or(DEFAULT_SHARDS),
-            ),
-        };
         let workers = self
             .workers
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
-        let cache = Arc::new(cache);
+        let cache = Arc::new(self.cache);
         let metrics = Arc::clone(cache.registry());
         let shared = Arc::new(Shared {
             state: Mutex::new(State::default()),
@@ -462,11 +378,6 @@ impl CompressionService {
     /// The underlying cache (for stats and direct lookups).
     pub fn cache(&self) -> &ArtifactCache {
         &self.shared.cache
-    }
-
-    /// Cache traffic counters and occupancy gauges.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
     }
 
     /// The metrics registry (and completed-trace ring) shared by the

@@ -6,9 +6,9 @@
 //! interleaving, and cache eviction.
 
 use mvq::core::pipeline::{by_name, registry, PipelineSpec, ALGORITHM_NAMES};
-use mvq::core::store::CacheBudget;
+use mvq::core::store::{ArtifactCache, CacheBudget};
 use mvq::core::{CompressedArtifact, KernelStrategy};
-use mvq::serve::{CachePolicy, CompressionRequest, CompressionService, JobOutcome, Ticket};
+use mvq::serve::{CompressionRequest, CompressionService, JobOutcome, Ticket};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -284,7 +284,7 @@ fn memory_eviction_under_byte_budget_is_lru_and_never_exceeds() {
     let cap = 2 * probe;
     let service = CompressionService::builder()
         .workers(1)
-        .cache_policy(CachePolicy::UNBOUNDED.with_memory_budget(cap))
+        .cache(ArtifactCache::in_memory_with_budget(CacheBudget::UNBOUNDED.with_memory_bytes(cap)))
         .build()
         .unwrap();
     assert_eq!(service.cache().budget(), CacheBudget::UNBOUNDED.with_memory_bytes(cap));
@@ -306,7 +306,7 @@ fn memory_eviction_under_byte_budget_is_lru_and_never_exceeds() {
     submit(2);
     submit(1); // touch: seed 2 becomes the LRU victim
     submit(3); // evicts seed 2
-    let stats = service.cache_stats();
+    let stats = service.cache().stats();
     assert_eq!(stats.memory_evictions, 1, "{stats:?}");
     assert!(submit(1).from_cache, "recently used entry was evicted");
     let recompressed = submit(2);
@@ -336,7 +336,10 @@ fn disk_eviction_respects_budget_and_survives_restart() {
     // fill an unbudgeted disk cache with three blobs, oldest first (the
     // sleeps order modification times for the restart's LRU scan)
     let blob_len = {
-        let service = CompressionService::builder().cache_dir(&dir).build().unwrap();
+        let service = CompressionService::builder()
+            .cache(ArtifactCache::with_dir(&dir).unwrap())
+            .build()
+            .unwrap();
         for seed in 1..=3 {
             submit(&service, seed);
             std::thread::sleep(std::time::Duration::from_millis(25));
@@ -350,13 +353,15 @@ fn disk_eviction_respects_budget_and_survives_restart() {
     let cap = 2 * blob_len + blob_len / 2;
     let service = CompressionService::builder()
         .workers(1)
-        .cache_dir(&dir)
-        .cache_policy(CachePolicy::UNBOUNDED.with_disk_budget(cap))
+        .cache(
+            ArtifactCache::with_dir_and_budget(&dir, CacheBudget::UNBOUNDED.with_disk_bytes(cap))
+                .unwrap(),
+        )
         .build()
         .unwrap();
     assert_eq!(service.cache().disk_len(), 2, "restart did not prune to the budget");
     assert!(service.cache().disk_bytes() <= cap);
-    assert_eq!(service.cache_stats().disk_evictions, 1);
+    assert_eq!(service.cache().stats().disk_evictions, 1);
     assert!(!submit(&service, 1).from_cache, "stalest blob must be the eviction victim");
     assert!(submit(&service, 3).from_cache, "freshest blob must survive the restart prune");
     // the put for seed 1 re-evicted the then-LRU blob; the budget held
@@ -444,14 +449,20 @@ fn disk_backed_service_survives_restart_bit_identically() {
         CompressionRequest::builder("conv0", w.clone(), "mvq").spec(spec.clone()).build().unwrap()
     };
 
-    let first = CompressionService::builder().cache_dir(&dir).build().expect("cache dir");
+    let first = CompressionService::builder()
+        .cache(ArtifactCache::with_dir(&dir).expect("cache dir"))
+        .build()
+        .unwrap();
     let cold = first.submit_one(request()).wait().expect("cold");
     assert!(!cold.from_cache);
     drop(first);
 
     // a new service over the same directory: the artifact must come back
     // from disk, bit-identical
-    let second = CompressionService::builder().cache_dir(&dir).build().expect("cache dir");
+    let second = CompressionService::builder()
+        .cache(ArtifactCache::with_dir(&dir).expect("cache dir"))
+        .build()
+        .unwrap();
     assert_eq!(second.cache().disk_len(), 1, "restart scan must see the persisted blob");
     let warm = second.submit_one(request()).wait().expect("warm");
     assert!(warm.from_cache);

@@ -431,7 +431,7 @@ fn deterministic_failures_are_remembered_not_recompressed() {
         panic!("both submissions must fail with typed compression errors");
     };
     assert_eq!(original, remembered, "the remembered failure must replay the original error");
-    let stats = service.cache_stats();
+    let stats = service.cache().stats();
     assert_eq!(stats.negative_hits, 1, "{stats:?}");
     assert_eq!(stats.negative_len, 1, "{stats:?}");
 }
@@ -453,7 +453,10 @@ fn corrupt_cache_blob_fails_the_job_not_the_service() {
             .unwrap()
     };
     let key = {
-        let service = CompressionService::builder().cache_dir(&dir).build().unwrap();
+        let service = CompressionService::builder()
+            .cache(ArtifactCache::with_dir(&dir).unwrap())
+            .build()
+            .unwrap();
         service.submit_one(request("seed7", 7)).wait().unwrap().key
     };
     let path = dir.join(key.blob_name());
@@ -462,7 +465,10 @@ fn corrupt_cache_blob_fails_the_job_not_the_service() {
     blob[last] ^= 0x10;
     std::fs::write(&path, &blob).unwrap();
 
-    let service = CompressionService::builder().cache_dir(&dir).build().unwrap();
+    let service = CompressionService::builder()
+        .cache(ArtifactCache::with_dir(&dir).unwrap())
+        .build()
+        .unwrap();
     match service.submit_one(request("poisoned-blob", 7)).wait() {
         Err(JobError::Cache { name, source }) => {
             assert_eq!(name, "poisoned-blob");
@@ -470,7 +476,7 @@ fn corrupt_cache_blob_fails_the_job_not_the_service() {
         }
         other => panic!("corrupt blob must be a typed cache error, got {other:?}"),
     }
-    assert_eq!(service.cache_stats().corrupt_rejections, 1);
+    assert_eq!(service.cache().stats().corrupt_rejections, 1);
     let healthy = service.submit_one(request("other-seed", 8)).wait().unwrap();
     assert!(!healthy.from_cache);
     let _ = std::fs::remove_dir_all(&dir);

@@ -18,9 +18,9 @@ use std::time::Duration;
 
 use common::{blocker_request, quick_spec, wait_until, weight};
 use mvq::core::pipeline::PipelineSpec;
-use mvq::core::store::{CacheKey, FORMAT_VERSION};
+use mvq::core::store::{ArtifactCache, CacheBudget, CacheKey, FORMAT_VERSION};
 use mvq::net::{NetClient, NetError, NetRequest, NetServer, WireErrorKind, WireRequest};
-use mvq::serve::{CacheMode, CachePolicy, CompressionRequest, CompressionService, Priority};
+use mvq::serve::{CacheMode, CompressionRequest, CompressionService, Priority};
 
 fn one_worker_server() -> NetServer {
     let service =
@@ -371,7 +371,10 @@ fn disk_restart_and_half_budget_eviction_serve_cold_bits_over_the_wire() {
         server.shutdown();
         (fresh, bits, server.service().cache().disk_bytes())
     };
-    let on_disk = || CompressionService::builder().cache_dir(&dir).build().expect("cache dir");
+    let on_disk = || {
+        let cache = ArtifactCache::with_dir(&dir).expect("cache dir");
+        CompressionService::builder().cache(cache).build().unwrap()
+    };
 
     let (fresh, cold, disk_bytes) = pass(on_disk(), requests.iter().collect());
     assert_eq!(fresh, requests.len(), "cold must compress each distinct key once");
@@ -382,12 +385,11 @@ fn disk_restart_and_half_budget_eviction_serve_cold_bits_over_the_wire() {
     // restart under half the blob bytes: the scan prunes, evicted keys
     // recompress to the cold bits, and the budget holds throughout
     let budget = disk_bytes / 2;
-    let service = CompressionService::builder()
-        .cache_dir(&dir)
-        .cache_policy(CachePolicy::UNBOUNDED.with_disk_budget(budget))
-        .build()
-        .expect("cache dir");
-    assert!(service.cache_stats().disk_evictions > 0, "the restart prune evicted nothing");
+    let cache =
+        ArtifactCache::with_dir_and_budget(&dir, CacheBudget::UNBOUNDED.with_disk_bytes(budget))
+            .expect("cache dir");
+    let service = CompressionService::builder().cache(cache).build().unwrap();
+    assert!(service.cache().stats().disk_evictions > 0, "the restart prune evicted nothing");
     assert!(service.cache().disk_bytes() <= budget);
     // newest blobs (the survivors) first, so recompressions cannot evict
     // them before their turn

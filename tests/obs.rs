@@ -2,14 +2,18 @@
 //! serve/store/net): a warm cache hit over real TCP must come back as a
 //! queryable job-lifecycle trace (answered at submit, so it never
 //! queues), in-flight dedup must account each rider exactly once even
-//! when submissions race, and a job cancelled while queued must leave a
-//! monotonic trace whose never-ran stages are absent — not zero.
+//! when submissions race, a job cancelled while queued must leave a
+//! monotonic trace whose never-ran stages are absent — not zero, and a
+//! cache built by the caller must be the one the whole stack reports
+//! through.
 
 mod common;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use common::{blocker_request, quick_spec, wait_until, weight};
+use mvq::core::store::ArtifactCache;
 use mvq::net::{NetClient, NetError, NetRequest, NetServer, WireErrorKind, WireMetricValue};
 use mvq::obs::{names as metric, Stage, TraceOutcome};
 use mvq::serve::{CompressionRequest, CompressionService};
@@ -56,6 +60,27 @@ fn warm_hit_over_tcp_yields_a_queryable_trace_with_three_stages() {
     };
     assert!(histogram_count("serve.hit.latency_us") >= 1, "the warm hit must record hit latency");
     assert_eq!(histogram_count("serve.queue.wait_us"), 1, "only the priming miss queues");
+}
+
+#[test]
+fn a_caller_built_cache_shares_one_registry_with_its_server() {
+    let cache = ArtifactCache::in_memory();
+    let registry = Arc::clone(cache.registry());
+    let service =
+        CompressionService::builder().workers(1).cache(cache).build().expect("build service");
+    let server = NetServer::bind("127.0.0.1:0", service).expect("bind server");
+    assert!(
+        Arc::ptr_eq(&registry, server.registry()),
+        "the server reports through another registry"
+    );
+
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let mut request = NetRequest::new("shared-probe", weight(61), "mvq");
+    request.spec = quick_spec();
+    request.seed = Some(4);
+    assert!(!client.submit(&request).expect("priming submit").from_cache);
+    assert!(client.submit(&request).expect("warm submit").from_cache);
+    assert_eq!(server.service().cache().stats().hits, 1, "the wire hit missed the caller's cache");
 }
 
 #[test]
