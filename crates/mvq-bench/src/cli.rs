@@ -137,6 +137,11 @@ fn parse_args(args: &[String]) -> Result<CompressArgs, String> {
 
 /// Entry point for the `compress` subcommand; `args` excludes the
 /// subcommand name itself.
+///
+/// Every job is submitted at once, so with `--disk-budget` and more than
+/// one worker the cache's LRU order — and with it the hit and eviction
+/// counts `print_cache_counters` reports — follows job completion
+/// order and can differ from run to run; `--workers 1` reproduces them.
 pub fn run_compress(args: &[String]) -> ExitCode {
     let parsed = match parse_args(args) {
         Ok(parsed) => parsed,
@@ -380,6 +385,9 @@ fn run_stream_jobs(
     failures
 }
 
+/// Prints the cache line. Under a budget its hit and eviction counts
+/// follow job completion order, which is only fixed with one worker
+/// (see [`run_compress`]).
 fn print_cache_counters(service: &CompressionService) {
     let stats = service.cache().stats();
     println!(

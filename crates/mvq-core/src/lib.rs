@@ -44,11 +44,11 @@
 //!
 //! [`store`] gives every artifact kind a versioned, checksummed binary
 //! form ([`store::Persist`]: `to_bytes`/`from_bytes`, 0-ULP-identical on
-//! decode) and a sharded, content-addressed [`store::ArtifactCache`]
-//! keyed by weight hash + [`PipelineSpec::fingerprint`] + algorithm +
-//! kernel + seed. Blobs are validated once at admission and served
-//! zero-copy as shared bytes; byte budgets ([`store::CacheBudget`]) are
-//! enforced by reserve-then-insert LRU eviction, so footprints never
+//! decode) and a content-addressed [`store::ArtifactCache`] under one
+//! lock, keyed by weight hash + [`PipelineSpec::fingerprint`] +
+//! algorithm + kernel + seed. Blobs are validated once at admission and
+//! served zero-copy as shared bytes; byte budgets ([`store::CacheBudget`])
+//! are enforced by evict-then-insert LRU admission, so footprints never
 //! exceed their caps. The `mvq-serve` crate builds the ticket-based
 //! compression service on top. Bump [`store::FORMAT_VERSION`] on any
 //! layout change and keep a decode test for the old version.

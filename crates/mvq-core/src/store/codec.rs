@@ -67,10 +67,10 @@ pub const FORMAT_VERSION: u16 = 3;
 pub const HEADER_LEN: usize = 23;
 
 /// FNV-1a 64-bit — the workspace's stable, dependency-free hash for small
-/// inputs: spec fingerprints, derived layer keys, content seeds and shard
-/// routing, plus the payload checksum of format v1 and v2 frames. It is
-/// byte-serial (each byte waits on the previous multiply); bulk bytes go
-/// through XXH64 instead.
+/// inputs: spec fingerprints, derived layer keys and content seeds, plus
+/// the payload checksum of format v1 and v2 frames. It is byte-serial
+/// (each byte waits on the previous multiply); bulk bytes go through
+/// XXH64 instead.
 #[derive(Debug, Clone)]
 pub struct Fnv1a(u64);
 

@@ -2,9 +2,9 @@
 //! quarantine, and the restart directory scan.
 //!
 //! Every function here is a free function over a directory path — none
-//! takes a shard guard — so all disk I/O happens outside the cache's
-//! critical sections by construction (the lock-scope lint keeps the
-//! call sites honest).
+//! takes the cache's lock guard — so all disk I/O happens outside the
+//! cache's critical section by construction (the lock-scope lint keeps
+//! the call sites honest).
 
 use std::path::Path;
 

@@ -1,6 +1,5 @@
-//! Versioned artifact serialization and the sharded, zero-copy,
-//! content-addressed artifact cache — the durable half of the
-//! compression pipeline.
+//! Versioned artifact serialization and the zero-copy, content-addressed
+//! artifact cache — the durable half of the compression pipeline.
 //!
 //! An in-memory [`crate::CompressedArtifact`] is only useful while the
 //! process lives. This module gives every artifact kind a self-describing
@@ -16,44 +15,46 @@
 //!   `(weight hash, PipelineSpec fingerprint, algorithm, kernel strategy,
 //!   seed)`.
 //!
-//! ## Sharding
+//! ## One lock
 //!
-//! Every cache is split into [`DEFAULT_SHARDS`] independent lock
-//! domains. A key is routed to its shard by FNV-1a hash of its blob
-//! name, so the key, its disk-ledger entry, and its remembered failures
-//! always live under the same lock, and concurrent lookups of different
-//! keys contend only `1/N` of the time. Traffic counters are kept per
-//! shard and merged on read by [`ArtifactCache::stats`].
+//! Every cache keeps its memory map, disk ledger, remembered failures,
+//! byte totals and LRU clock under one `Mutex`. Each critical section is
+//! a few map operations (the widest is an admission's LRU victim scan);
+//! disk I/O — persisting, reading, deleting and quarantining blob files
+//! — runs before the lock is taken or after it is released. Traffic
+//! counters live on the cache's `mvq_obs::Registry` and are read back by
+//! [`ArtifactCache::stats`].
 //!
 //! ## Zero-copy hits
 //!
 //! Blobs are stored as shared `Arc<[u8]>` bytes, checksum-validated
 //! **once at admission** ([`validate_frame`]). [`ArtifactCache::get_raw`]
 //! returns a clone of the `Arc` — no decode, no byte copy — so a hit
-//! costs a hash, one shard lock, and a reference-count bump. The classic
-//! [`ArtifactCache::get`] decodes behind it and is still guaranteed
-//! bit-identical to a cold load of the durable form.
+//! costs one lock and a reference-count bump (plus the blob name of a
+//! disk-backed cache, whose disk copy's LRU stamp the hit refreshes).
+//! The classic [`ArtifactCache::get`] decodes behind it and is still
+//! guaranteed bit-identical to a cold load of the durable form.
 //!
-//! ## Byte budgets: reserve-then-insert
+//! ## Byte budgets: evict-then-insert
 //!
 //! A [`CacheBudget`] caps the encoded bytes in memory and on disk.
-//! Footprints are cache-wide atomics: admission *reserves* the incoming
-//! blob's bytes with a compare-and-swap that only succeeds while the
-//! total stays under the cap, evicting the cache-wide least-recently-used
-//! entry between attempts (one shard lock at a time, stamped by a global
-//! logical clock, so victim selection is deterministic). A blob that can
-//! never fit is refused — the caller keeps the returned artifact and the
-//! cache simply does not retain it. The budget is therefore never
-//! exceeded at any observable instant, and refusal is never an error.
+//! Admission evicts the least-recently-used entries (stamped by the
+//! cache's logical clock, so victim selection is deterministic) until the
+//! incoming blob fits, then inserts it — all under the lock, so the
+//! budget is never exceeded at any observable instant. The ledger forgets
+//! a disk victim at once; its file is deleted after the lock is released.
+//! A blob that can never fit is refused — the caller keeps the returned
+//! artifact and the cache simply does not retain it; refusal is never an
+//! error.
 //!
 //! ## Negative caching
 //!
 //! A deterministic compression failure can be remembered per key
 //! ([`ArtifactCache::note_failure`]) and recalled
 //! ([`ArtifactCache::failure`]) so repeated requests for a known-bad key
-//! fail fast instead of re-running the pipeline. Each shard remembers a
-//! bounded number of failures (stalest dropped first), and a successful
-//! `put` heals the key.
+//! fail fast instead of re-running the pipeline. The cache remembers at
+//! most `NEGATIVE_CAP` (1,024) failures, dropping the stalest first, and
+//! a successful `put` heals the key.
 //!
 //! ## Corruption
 //!
@@ -65,7 +66,6 @@
 
 mod codec;
 mod ledger;
-mod shard;
 mod stats;
 
 pub use codec::{
@@ -74,24 +74,23 @@ pub use codec::{
 };
 pub use stats::{CacheBudget, CacheStats};
 
-use std::collections::hash_map;
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use mvq_obs::{names as metric, Registry};
 use mvq_tensor::Tensor;
-
-use shard::{DiskEntry, MemEntry, Shard};
 
 use crate::error::MvqError;
 use crate::kernels::KernelStrategy;
 use crate::pipeline::{canonical_name, CompressedArtifact, PipelineSpec};
 
-/// Lock domains every cache is split into: enough that 16 concurrent
-/// submitters rarely collide, small enough that the merge-on-read stats
-/// scan stays trivial.
-pub const DEFAULT_SHARDS: usize = 16;
+/// Most known-failing keys one cache remembers; the stalest entry is
+/// dropped past this. Failures are tiny (an error string), but an
+/// adversarial request stream must not grow the map without bound.
+const NEGATIVE_CAP: u64 = 1024;
 
 /// The content address of one compression result: *what* was compressed
 /// (the weight hash), *how* (spec fingerprint + algorithm + kernel), and
@@ -165,10 +164,116 @@ impl CacheKey {
     }
 }
 
-/// A sharded, content-addressed artifact store: an in-memory blob map,
-/// optionally backed by an on-disk directory, shared across threads
-/// (`&self` methods are thread-safe — the compression service's worker
-/// pool fans out over one cache).
+/// One entry of a [`Tier`]: its value, the size it counts against the
+/// tier's cap, and its LRU stamp.
+struct Entry<V> {
+    value: V,
+    size: u64,
+    last_used: u64,
+}
+
+/// One LRU-ordered map under the cache lock — the memory blobs, the disk
+/// ledger or the remembered failures — and the sum of its entry sizes.
+struct Tier<K, V> {
+    entries: HashMap<K, Entry<V>>,
+    used: u64,
+}
+
+impl<K, V> Default for Tier<K, V> {
+    fn default() -> Self {
+        Tier { entries: HashMap::new(), used: 0 }
+    }
+}
+
+impl<K: Hash + Eq + Clone, V> Tier<K, V> {
+    /// Refreshes `key`'s LRU stamp and returns its value, if present.
+    fn touch<Q>(&mut self, key: &Q, tick: u64) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let entry = self.entries.get_mut(key)?;
+        entry.last_used = tick;
+        Some(&entry.value)
+    }
+
+    /// Drops `key`, if present.
+    fn remove<Q>(&mut self, key: &Q)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        if let Some(entry) = self.entries.remove(key) {
+            self.used -= entry.size;
+        }
+    }
+
+    /// Admits `value` under `key` at stamp `tick`. A present key only
+    /// has its stamp refreshed (same key ⇒ same deterministic encoding,
+    /// so its size cannot have changed). Otherwise least-recently-used
+    /// entries are evicted until `size` fits under `cap`, and the entry
+    /// is inserted. Returns the evicted keys, or `None` — nothing evicted,
+    /// nothing inserted — when `size` alone exceeds `cap`.
+    ///
+    /// Victim selection is a linear scan per eviction — deliberate: a
+    /// cache holds at most a few thousand modest entries (one per
+    /// compressed layer × config), where a scan beats maintaining a
+    /// second ordered index. Revisit if caches grow by orders of
+    /// magnitude.
+    fn admit(
+        &mut self,
+        key: K,
+        value: V,
+        size: u64,
+        tick: u64,
+        cap: Option<u64>,
+    ) -> Option<Vec<K>> {
+        if self.touch(&key, tick).is_some() {
+            return Some(Vec::new());
+        }
+        let cap = cap.unwrap_or(u64::MAX);
+        if size > cap {
+            return None;
+        }
+        let mut victims = Vec::new();
+        while self.used + size > cap {
+            // over the cap with `size <= cap` means `used > 0`: an entry exists
+            let victim =
+                self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())?;
+            self.remove(&victim);
+            victims.push(victim);
+        }
+        self.used += size;
+        self.entries.insert(key, Entry { value, size, last_used: tick });
+        Some(victims)
+    }
+}
+
+/// Everything the cache's one lock guards.
+#[derive(Default)]
+struct State {
+    /// Memory-resident blobs; a hit clones the `Arc`, never the bytes.
+    memory: Tier<CacheKey, Arc<[u8]>>,
+    /// The on-disk ledger, keyed by blob file name.
+    disk: Tier<String, ()>,
+    /// Known-failing keys, each of size 1 under [`NEGATIVE_CAP`].
+    negative: Tier<CacheKey, MvqError>,
+    /// The logical clock every touch is stamped with.
+    clock: u64,
+}
+
+impl State {
+    /// A unique, monotonically increasing LRU stamp.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+}
+
+/// A content-addressed artifact store: an in-memory blob map, optionally
+/// backed by an on-disk directory, shared across threads (`&self`
+/// methods are thread-safe — the compression service's worker pool fans
+/// out over one cache).
 ///
 /// Artifacts are stored *encoded* and validated once at admission;
 /// [`ArtifactCache::get_raw`] hands back the shared bytes zero-copy,
@@ -177,19 +282,12 @@ impl CacheKey {
 /// bit-identical to a decode of the durable form — the cache cannot
 /// return state that would not survive a restart.
 ///
-/// See the [module docs](self) for the sharding, budget-reservation,
+/// See the [module docs](self) for the locking, budget,
 /// negative-caching and corruption-quarantine design.
 pub struct ArtifactCache {
     dir: Option<PathBuf>,
     budget: CacheBudget,
-    shards: Box<[Shard]>,
-    /// Cache-wide logical clock; every touch gets a unique stamp, so
-    /// LRU victim selection is deterministic across shards.
-    clock: AtomicU64,
-    /// Encoded bytes resident in memory (reservation total).
-    memory_used: AtomicU64,
-    /// Encoded bytes ledgered on disk (reservation total).
-    disk_used: AtomicU64,
+    state: Mutex<State>,
     /// The observability registry this cache records into. Created
     /// here and adopted by the service/network tiers above, so one
     /// serving stack shares one registry.
@@ -243,18 +341,9 @@ impl ArtifactCache {
         Ok(cache)
     }
 
-    /// A cache with nothing in it yet, split into [`DEFAULT_SHARDS`]
-    /// lock domains.
+    /// A cache with nothing in it yet.
     fn empty(dir: Option<PathBuf>, budget: CacheBudget) -> ArtifactCache {
-        ArtifactCache {
-            dir,
-            budget,
-            shards: (0..DEFAULT_SHARDS).map(|_| Shard::default()).collect(),
-            clock: AtomicU64::new(0),
-            memory_used: AtomicU64::new(0),
-            disk_used: AtomicU64::new(0),
-            metrics: Registry::new(),
-        }
+        ArtifactCache { dir, budget, state: Mutex::default(), metrics: Registry::new() }
     }
 
     /// The backing directory, if this cache persists to disk.
@@ -274,15 +363,10 @@ impl ArtifactCache {
         &self.metrics
     }
 
-    /// Lock domains this cache is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of artifacts resident in **memory**. Disk-backed caches may
     /// hold more blobs on disk — see [`ArtifactCache::disk_len`].
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().blobs.len()).sum()
+        self.lock().memory.entries.len()
     }
 
     /// True when no artifact is resident in memory.
@@ -292,43 +376,39 @@ impl ArtifactCache {
 
     /// Number of blobs on disk (0 for in-memory caches).
     pub fn disk_len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().disk.len()).sum()
+        self.lock().disk.entries.len()
     }
 
-    /// Encoded bytes currently resident in memory (lock-free read of the
-    /// reservation total).
+    /// Encoded bytes currently resident in memory.
     pub fn memory_bytes(&self) -> u64 {
-        self.memory_used.load(Ordering::Relaxed)
+        self.lock().memory.used
     }
 
     /// Encoded bytes currently on disk (0 for in-memory caches).
     pub fn disk_bytes(&self) -> u64 {
-        self.disk_used.load(Ordering::Relaxed)
+        self.lock().disk.used
     }
 
-    /// A snapshot of the traffic counters and occupancy gauges, merged
-    /// across shards (one shard lock at a time).
+    /// A snapshot of the traffic counters and occupancy gauges, taken
+    /// under the lock.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats {
-            hits: self.metrics.counter(metric::STORE_CACHE_HITS).get(),
-            misses: self.metrics.counter(metric::STORE_CACHE_MISSES).get(),
-            insertions: self.metrics.counter(metric::STORE_CACHE_INSERTIONS).get(),
-            corrupt_rejections: self.metrics.counter(metric::STORE_CACHE_CORRUPT_REJECTIONS).get(),
-            memory_evictions: self.metrics.counter(metric::STORE_SHARD_EVICTIONS_MEMORY).get(),
-            disk_evictions: self.metrics.counter(metric::STORE_SHARD_EVICTIONS_DISK).get(),
-            negative_hits: self.metrics.counter(metric::STORE_CACHE_NEGATIVE_HITS).get(),
-            mtime_fallbacks: self.metrics.counter(metric::STORE_CACHE_MTIME_FALLBACKS).get(),
-            ..CacheStats::default()
-        };
-        for shard in self.shards.iter() {
-            let inner = shard.lock();
-            total.memory_len += inner.blobs.len();
-            total.disk_len += inner.disk.len();
-            total.negative_len += inner.negative_len();
+        let counter = |id| self.metrics.counter(id).get();
+        let state = self.lock();
+        CacheStats {
+            hits: counter(metric::STORE_CACHE_HITS),
+            misses: counter(metric::STORE_CACHE_MISSES),
+            insertions: counter(metric::STORE_CACHE_INSERTIONS),
+            corrupt_rejections: counter(metric::STORE_CACHE_CORRUPT_REJECTIONS),
+            memory_evictions: counter(metric::STORE_SHARD_EVICTIONS_MEMORY),
+            disk_evictions: counter(metric::STORE_SHARD_EVICTIONS_DISK),
+            negative_hits: counter(metric::STORE_CACHE_NEGATIVE_HITS),
+            mtime_fallbacks: counter(metric::STORE_CACHE_MTIME_FALLBACKS),
+            memory_len: state.memory.entries.len(),
+            disk_len: state.disk.entries.len(),
+            negative_len: state.negative.entries.len(),
+            memory_bytes: state.memory.used,
+            disk_bytes: state.disk.used,
         }
-        total.memory_bytes = self.memory_bytes();
-        total.disk_bytes = self.disk_bytes();
-        total
     }
 
     /// Looks up `key`, returning the validated encoded bytes zero-copy
@@ -365,31 +445,24 @@ impl ArtifactCache {
         key: &CacheKey,
         kind: BlobKind,
     ) -> Result<Option<Arc<[u8]>>, MvqError> {
-        let name = key.blob_name();
-        if let Some(bytes) = self.resident(key, &name) {
+        let name = self.disk_name(key);
+        if let Some(bytes) = self.resident(key, name.as_deref()) {
             return Ok(Some(bytes));
         }
-        let Some(dir) = &self.dir else {
+        let (Some(dir), Some(name)) = (&self.dir, name) else {
             self.metrics.counter(metric::STORE_CACHE_MISSES).inc();
             return Ok(None);
         };
         let Some(loaded) = ledger::load_blob(dir, &name)? else {
-            let freed = {
-                let mut inner = self.shard_for(&name).lock();
-                self.metrics.counter(metric::STORE_CACHE_MISSES).inc();
-                // drop a stale ledger entry only if the file is truly
-                // absent *now*: a concurrent put may have persisted this
-                // key between our (lock-free) disk read and re-acquiring
-                // the lock, and its ledger entry must survive
-                // lint:allow(lock-scope) -- metadata-only existence probe; it must happen under this lock or the concurrent-put race described above comes back
-                if !dir.join(&name).exists() {
-                    inner.forget_disk(&name)
-                } else {
-                    0
-                }
-            };
-            if freed > 0 {
-                self.disk_used.fetch_sub(freed, Ordering::Relaxed);
+            let mut state = self.lock();
+            self.metrics.counter(metric::STORE_CACHE_MISSES).inc();
+            // drop a stale ledger entry only if the file is truly absent
+            // *now*: a concurrent put may have persisted this key between
+            // our (lock-free) disk read and taking the lock, and its
+            // ledger entry must survive
+            // lint:allow(lock-scope) -- metadata-only existence probe; it must happen under this lock or the concurrent-put race described above comes back
+            if !dir.join(&name).exists() {
+                state.disk.remove(name.as_str());
             }
             return Ok(None);
         };
@@ -398,10 +471,15 @@ impl ArtifactCache {
         if let Err(detail) = validate_frame(kind, &bytes) {
             return Err(self.reject_corrupt(key, &name, &detail));
         }
-        let tick = self.tick();
-        self.metrics.counter(metric::STORE_CACHE_HITS).inc();
-        self.admit_disk(&name, bytes.len() as u64, tick)?;
-        self.admit_memory(key, &name, Arc::clone(&bytes), tick, false);
+        let mut doomed = Vec::new();
+        {
+            let mut state = self.lock();
+            self.metrics.counter(metric::STORE_CACHE_HITS).inc();
+            let tick = state.tick();
+            self.admit_disk(&mut state, &name, bytes.len() as u64, tick, &mut doomed);
+            self.admit_memory(&mut state, key, Arc::clone(&bytes), tick);
+        }
+        self.delete_files(&doomed)?;
         Ok(Some(bytes))
     }
 
@@ -411,27 +489,29 @@ impl ArtifactCache {
     /// nothing and touches no disk, so a caller that falls back to
     /// [`ArtifactCache::get_raw`] leaves that probe to count the miss.
     pub fn get_resident(&self, key: &CacheKey) -> Option<Arc<[u8]>> {
-        self.resident(key, &key.blob_name())
+        self.resident(key, self.disk_name(key).as_deref())
+    }
+
+    /// `key`'s blob file name when this cache has a disk tier; a purely
+    /// in-memory cache never formats it.
+    fn disk_name(&self, key: &CacheKey) -> Option<String> {
+        self.dir.as_ref().map(|_| key.blob_name())
     }
 
     /// The memory probe behind [`ArtifactCache::get_resident`] and
-    /// [`ArtifactCache::get_raw_kind`]; `name` is `key.blob_name()`.
-    fn resident(&self, key: &CacheKey, name: &str) -> Option<Arc<[u8]>> {
-        let tick = self.tick();
-        let mut inner = self.shard_for(name).lock();
-        let hit = inner.blobs.get_mut(key).map(|entry| {
-            entry.last_used = tick;
-            Arc::clone(&entry.bytes)
-        });
-        if hit.is_some() {
-            self.metrics.counter(metric::STORE_CACHE_HITS).inc();
-            // the blob's disk copy is just as recently used: without
-            // this, a hot key served from memory would keep a stale
-            // disk stamp and be the first blob deleted under a disk
-            // budget — an LRU inversion
-            inner.bump_disk(name, tick);
+    /// [`ArtifactCache::get_raw_kind`]; `name` is [`Self::disk_name`].
+    fn resident(&self, key: &CacheKey, name: Option<&str>) -> Option<Arc<[u8]>> {
+        let mut state = self.lock();
+        let tick = state.tick();
+        let bytes = Arc::clone(state.memory.touch(key, tick)?);
+        self.metrics.counter(metric::STORE_CACHE_HITS).inc();
+        // the blob's disk copy is just as recently used: without this, a
+        // hot key served from memory would keep a stale disk stamp and be
+        // the first blob deleted under a disk budget — an LRU inversion
+        if let Some(name) = name {
+            state.disk.touch(name, tick);
         }
-        hit
+        Some(bytes)
     }
 
     /// Looks up `key`, decoding the stored blob on a hit. Prefer
@@ -455,8 +535,8 @@ impl ArtifactCache {
     }
 
     /// Stores `artifact` under `key` (memory, and disk when backed),
-    /// reserving budget room first — see the module docs. A successful
-    /// put forgets any remembered failure for `key`.
+    /// evicting LRU entries to make budget room first — see the module
+    /// docs. A successful put forgets any remembered failure for `key`.
     ///
     /// # Errors
     ///
@@ -501,280 +581,101 @@ impl ArtifactCache {
     /// Remembers `error` as the deterministic outcome of compressing
     /// `key`, so repeated requests fail fast — see the module docs.
     pub fn note_failure(&self, key: &CacheKey, error: &MvqError) {
-        let name = key.blob_name();
-        let tick = self.tick();
-        self.shard_for(&name).lock().note_failure(key, error.clone(), tick);
+        let (key, error) = (key.clone(), error.clone());
+        let mut state = self.lock();
+        let tick = state.tick();
+        // a re-noted key takes the new error as well as a fresh stamp
+        state.negative.remove(&key);
+        state.negative.admit(key, error, 1, tick, Some(NEGATIVE_CAP));
     }
 
     /// The remembered failure for `key`, if any (refreshes its LRU stamp
     /// and counts a [`CacheStats::negative_hits`]).
     pub fn failure(&self, key: &CacheKey) -> Option<MvqError> {
-        let name = key.blob_name();
-        let tick = self.tick();
-        let remembered = self.shard_for(&name).lock().recall_failure(key, tick);
+        let mut state = self.lock();
+        let tick = state.tick();
+        let remembered = state.negative.touch(key, tick).cloned();
         if remembered.is_some() {
             self.metrics.counter(metric::STORE_CACHE_NEGATIVE_HITS).inc();
         }
         remembered
     }
 
-    /// A unique, monotonically increasing LRU stamp.
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// The shard owning `name` (FNV-1a of the blob name, so CacheKey
-    /// lookups and scanned file names route identically).
-    fn shard_for(&self, name: &str) -> &Shard {
-        let mut h = Fnv1a::new();
-        h.update(name.as_bytes());
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
+    /// Locks the cache state.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("cache lock")
     }
 
     /// Persists + ledgers + admits one validated blob (shared by `put`
     /// and `put_raw`).
     fn insert_validated(&self, key: &CacheKey, bytes: Arc<[u8]>) -> Result<(), MvqError> {
-        let name = key.blob_name();
-        let tick = self.tick();
-        if let Some(dir) = &self.dir {
-            ledger::persist_blob(dir, &name, &bytes)?;
-            if !self.admit_disk(&name, bytes.len() as u64, tick)? {
-                // the blob cannot fit the disk budget even after
-                // evicting everything else; the file written above must
-                // not outlive the refusal
-                ledger::delete_blob(dir, &name)?;
-            }
+        let name = self.disk_name(key);
+        if let (Some(dir), Some(name)) = (&self.dir, &name) {
+            ledger::persist_blob(dir, name, &bytes)?;
         }
-        self.admit_memory(key, &name, bytes, tick, true);
-        Ok(())
+        let mut doomed = Vec::new();
+        {
+            let mut state = self.lock();
+            self.metrics.counter(metric::STORE_CACHE_INSERTIONS).inc();
+            state.negative.remove(key);
+            let tick = state.tick();
+            if let Some(name) = &name {
+                self.admit_disk(&mut state, name, bytes.len() as u64, tick, &mut doomed);
+            }
+            self.admit_memory(&mut state, key, bytes, tick);
+        }
+        self.delete_files(&doomed)
     }
 
-    /// Ledgers `name`: bumps the stamp when already present, otherwise
-    /// reserves disk budget (evicting LRU victims) and inserts. Returns
-    /// `false` when the budget refuses the blob — the caller decides
-    /// what happens to the file.
-    fn admit_disk(&self, name: &str, len: u64, tick: u64) -> Result<bool, MvqError> {
-        let already = {
-            let mut inner = self.shard_for(name).lock();
-            match inner.disk.get_mut(name) {
-                Some(entry) => {
-                    // same name ⇒ same key ⇒ same deterministic encoding:
-                    // the accounted size cannot have changed
-                    entry.last_used = tick;
-                    true
-                }
-                None => false,
-            }
-        };
-        if already {
-            return Ok(true);
-        }
-        if !self.reserve_disk(len)? {
-            return Ok(false);
-        }
-        let mut inner = self.shard_for(name).lock();
-        match inner.disk.entry(name.to_string()) {
-            hash_map::Entry::Occupied(mut e) => {
-                // another thread ledgered this name between our probe and
-                // re-lock; release the duplicate reservation
-                e.get_mut().last_used = tick;
-                self.disk_used.fetch_sub(len, Ordering::Relaxed);
-            }
-            hash_map::Entry::Vacant(v) => {
-                v.insert(DiskEntry { bytes: len, last_used: tick });
-            }
-        }
-        Ok(true)
-    }
-
-    /// Makes `key` memory-resident: bumps the stamp when already
-    /// resident, otherwise reserves memory budget (evicting LRU victims)
-    /// and inserts; a refused blob is simply not retained. `insertion`
-    /// marks caller-initiated puts (counts the insertion, heals the
-    /// negative cache) as opposed to disk promotions.
-    fn admit_memory(
+    /// Ledgers `name` under the disk budget (see [`Tier::admit`]) and
+    /// pushes onto `doomed` the files to delete once the lock is
+    /// released: the LRU victims evicted to make room, or `name` itself
+    /// when it is larger than the whole budget.
+    fn admit_disk(
         &self,
-        key: &CacheKey,
+        state: &mut State,
         name: &str,
-        bytes: Arc<[u8]>,
+        len: u64,
         tick: u64,
-        insertion: bool,
+        doomed: &mut Vec<String>,
     ) {
+        match state.disk.admit(name.to_string(), (), len, tick, self.budget.disk_bytes) {
+            Some(victims) => {
+                self.metrics.counter(metric::STORE_SHARD_EVICTIONS_DISK).add(victims.len() as u64);
+                doomed.extend(victims);
+            }
+            None => doomed.push(name.to_string()),
+        }
+    }
+
+    /// Makes `key` memory-resident under the memory budget (see
+    /// [`Tier::admit`]); a refused blob is simply not retained.
+    fn admit_memory(&self, state: &mut State, key: &CacheKey, bytes: Arc<[u8]>, tick: u64) {
         let len = bytes.len() as u64;
-        let resident = {
-            let mut inner = self.shard_for(name).lock();
-            if insertion {
-                self.metrics.counter(metric::STORE_CACHE_INSERTIONS).inc();
-                inner.clear_failure(key);
-            }
-            match inner.blobs.get_mut(key) {
-                Some(entry) => {
-                    entry.last_used = tick;
-                    true
-                }
-                None => false,
-            }
-        };
-        if resident || !self.reserve_memory(len) {
-            return;
-        }
-        let mut inner = self.shard_for(name).lock();
-        match inner.blobs.entry(key.clone()) {
-            hash_map::Entry::Occupied(mut e) => {
-                // another thread admitted this key between our probe and
-                // re-lock; release the duplicate reservation
-                e.get_mut().last_used = tick;
-                self.memory_used.fetch_sub(len, Ordering::Relaxed);
-            }
-            hash_map::Entry::Vacant(v) => {
-                v.insert(MemEntry { bytes, last_used: tick });
-            }
+        if let Some(victims) =
+            state.memory.admit(key.clone(), bytes, len, tick, self.budget.memory_bytes)
+        {
+            self.metrics.counter(metric::STORE_SHARD_EVICTIONS_MEMORY).add(victims.len() as u64);
         }
     }
 
-    /// Reserves `len` bytes against the memory budget via CAS, evicting
-    /// cache-wide LRU entries between attempts. Returns `false` (nothing
-    /// reserved) when the blob can never fit or nothing is left to evict.
-    fn reserve_memory(&self, len: u64) -> bool {
-        let Some(cap) = self.budget.memory_bytes else {
-            self.memory_used.fetch_add(len, Ordering::Relaxed);
-            return true;
-        };
-        if len > cap {
-            return false;
-        }
-        loop {
-            let used = self.memory_used.load(Ordering::Relaxed);
-            if used + len <= cap {
-                if self
-                    .memory_used
-                    .compare_exchange(used, used + len, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return true;
-                }
-                continue;
-            }
-            if !self.evict_one_memory_lru() {
-                return false;
-            }
-        }
-    }
-
-    /// Reserves `len` bytes against the disk budget via CAS, evicting
-    /// cache-wide LRU blobs (deleting their files) between attempts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MvqError::Codec`] when an eviction's file deletion
-    /// fails.
-    fn reserve_disk(&self, len: u64) -> Result<bool, MvqError> {
-        let Some(cap) = self.budget.disk_bytes else {
-            self.disk_used.fetch_add(len, Ordering::Relaxed);
-            return Ok(true);
-        };
-        if len > cap {
-            return Ok(false);
-        }
-        loop {
-            let used = self.disk_used.load(Ordering::Relaxed);
-            if used + len <= cap {
-                if self
-                    .disk_used
-                    .compare_exchange(used, used + len, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return Ok(true);
-                }
-                continue;
-            }
-            if !self.evict_one_disk_lru()? {
-                return Ok(false);
-            }
-        }
-    }
-
-    /// Evicts the cache-wide least-recently-used memory entry (victim
-    /// scan takes one shard lock at a time — never two at once). Returns
-    /// `false` only when every shard is empty.
-    ///
-    /// Victim selection is a linear scan per eviction — deliberate: the
-    /// cache holds at most a few thousand modest entries (one per
-    /// compressed layer × config), where a scan beats maintaining a
-    /// second ordered index. Revisit if caches grow by orders of
-    /// magnitude.
-    fn evict_one_memory_lru(&self) -> bool {
-        let mut victim: Option<(usize, CacheKey, u64)> = None;
-        for (idx, s) in self.shards.iter().enumerate() {
-            let inner = s.lock();
-            if let Some((key, entry)) = inner.blobs.iter().min_by_key(|(_, e)| e.last_used) {
-                if victim.as_ref().is_none_or(|(_, _, stamp)| entry.last_used < *stamp) {
-                    victim = Some((idx, key.clone(), entry.last_used));
-                }
-            }
-        }
-        let Some((idx, key, _)) = victim else { return false };
-        let freed = {
-            let mut inner = self.shards[idx].lock();
-            let freed = inner.remove_memory(&key);
-            if freed > 0 {
-                self.metrics.counter(metric::STORE_SHARD_EVICTIONS_MEMORY).inc();
-            }
-            freed
-        };
-        if freed > 0 {
-            self.memory_used.fetch_sub(freed, Ordering::Relaxed);
-        }
-        // freed == 0 means a racing thread evicted the victim first and
-        // already released its bytes; either way progress was made, so
-        // the reservation loop retries
-        true
-    }
-
-    /// Evicts the cache-wide least-recently-used disk blob (forgets the
-    /// ledger entry, then deletes the file outside the lock). Returns
-    /// `false` only when the ledger is empty.
-    fn evict_one_disk_lru(&self) -> Result<bool, MvqError> {
-        let Some(dir) = &self.dir else { return Ok(false) };
-        let mut victim: Option<(usize, String, u64)> = None;
-        for (idx, s) in self.shards.iter().enumerate() {
-            let inner = s.lock();
-            if let Some((name, entry)) = inner.disk.iter().min_by_key(|(_, e)| e.last_used) {
-                if victim.as_ref().is_none_or(|(_, _, stamp)| entry.last_used < *stamp) {
-                    victim = Some((idx, name.clone(), entry.last_used));
-                }
-            }
-        }
-        let Some((idx, name, _)) = victim else { return Ok(false) };
-        let freed = {
-            let mut inner = self.shards[idx].lock();
-            let freed = inner.forget_disk(&name);
-            if freed > 0 {
-                self.metrics.counter(metric::STORE_SHARD_EVICTIONS_DISK).inc();
-            }
-            freed
-        };
-        if freed > 0 {
-            self.disk_used.fetch_sub(freed, Ordering::Relaxed);
-            ledger::delete_blob(dir, &name)?;
-        }
-        Ok(true)
+    /// Deletes the files of blobs the ledger no longer holds; call it
+    /// after the lock is released. Every deletion is attempted and the
+    /// first failure is returned.
+    fn delete_files(&self, names: &[String]) -> Result<(), MvqError> {
+        let Some(dir) = &self.dir else { return Ok(()) };
+        names.iter().map(|name| ledger::delete_blob(dir, name)).fold(Ok(()), Result::and)
     }
 
     /// Expels a corrupt blob everywhere it is held — memory, ledger,
     /// and disk (quarantined as `.corrupt` so the bytes survive for
     /// post-mortem inspection) — and builds the loud, typed error.
     fn reject_corrupt(&self, key: &CacheKey, name: &str, detail: &MvqError) -> MvqError {
-        let (mem_freed, disk_freed) = {
-            let mut inner = self.shard_for(name).lock();
+        {
+            let mut state = self.lock();
             self.metrics.counter(metric::STORE_CACHE_CORRUPT_REJECTIONS).inc();
-            (inner.remove_memory(key), inner.forget_disk(name))
-        };
-        if mem_freed > 0 {
-            self.memory_used.fetch_sub(mem_freed, Ordering::Relaxed);
-        }
-        if disk_freed > 0 {
-            self.disk_used.fetch_sub(disk_freed, Ordering::Relaxed);
+            state.memory.remove(key);
+            state.disk.remove(name);
         }
         let mut message = format!("cache blob for {name} is corrupt: {detail}");
         if let Some(dir) = &self.dir {
@@ -795,15 +696,15 @@ impl ArtifactCache {
         if report.mtime_fallbacks > 0 {
             self.metrics.counter(metric::STORE_CACHE_MTIME_FALLBACKS).add(report.mtime_fallbacks);
         }
-        for (name, len) in report.blobs {
-            let tick = self.tick();
-            if !self.admit_disk(&name, len, tick)? {
-                // larger than the whole disk budget: it can never be
-                // served within budget, so it does not survive the scan
-                ledger::delete_blob(dir, &name)?;
+        let mut doomed = Vec::new();
+        {
+            let mut state = self.lock();
+            for (name, len) in report.blobs {
+                let tick = state.tick();
+                self.admit_disk(&mut state, &name, len, tick, &mut doomed);
             }
         }
-        Ok(())
+        self.delete_files(&doomed)
     }
 }
 
@@ -1081,6 +982,21 @@ mod tests {
         cache.put(&key, &artifact("mvq")).unwrap();
         assert!(cache.failure(&key).is_none(), "put did not heal the negative entry");
         assert_eq!(cache.stats().negative_len, 0);
+    }
+
+    #[test]
+    fn negative_cache_forgets_the_stalest_failure_past_its_cap() {
+        let cache = ArtifactCache::in_memory();
+        let spec = PipelineSpec { k: 8, ..PipelineSpec::default() };
+        let first = CacheKey::new("mvq", &weight(), &spec, 0).unwrap();
+        let boom = MvqError::InvalidConfig("k larger than points".into());
+        for seed in 0..1025 {
+            cache.note_failure(&CacheKey { seed, ..first.clone() }, &boom);
+        }
+        assert_eq!(cache.stats().negative_len, 1024);
+        assert!(cache.failure(&first).is_none(), "the first failure noted must be forgotten");
+        assert!(cache.failure(&CacheKey { seed: 1, ..first.clone() }).is_some());
+        assert!(cache.failure(&CacheKey { seed: 1024, ..first }).is_some());
     }
 
     #[test]

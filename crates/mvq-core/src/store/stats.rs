@@ -3,13 +3,10 @@
 /// Cache traffic counters plus occupancy gauges sampled at
 /// [`super::ArtifactCache::stats`] time.
 ///
-/// Since the observability layer landed this is a **view over the
-/// cache's `mvq_obs::Registry`**: the counters are read from the
-/// registry's `store.*` metrics (recorded exactly-once at the same
-/// call sites that used to bump per-shard counters), the occupancy
-/// gauges are sampled shard by shard under each shard's lock, and the
-/// byte gauges come from the cache-wide atomic totals the budget
-/// reservations maintain. The fields and their values are unchanged.
+/// The counters are a **view over the cache's `mvq_obs::Registry`**
+/// (its `store.*` metrics, each recorded exactly once per event); the
+/// occupancy and byte gauges are read under the cache's lock, in the
+/// same critical section.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from memory or disk.
@@ -45,11 +42,10 @@ pub struct CacheStats {
 /// Byte budgets bounding an [`super::ArtifactCache`]'s memory and disk
 /// footprints. `None` means unbounded (the pre-budget behavior).
 ///
-/// A budget is a **hard cap on encoded blob bytes**: admission reserves
-/// the incoming blob's bytes against a cache-wide atomic total before
-/// the blob becomes resident, evicting least-recently-used entries until
-/// the reservation fits. The footprint therefore never exceeds the
-/// budget — not even transiently, at any observable instant — and a blob
+/// A budget is a **hard cap on encoded blob bytes**: admission evicts
+/// least-recently-used entries until the incoming blob fits and inserts
+/// it, all under the cache's lock. The footprint therefore never exceeds
+/// the budget — not even transiently, at any observable instant — and a blob
 /// larger than the whole budget is simply refused (the caller keeps the
 /// returned artifact; refusal is a cache phenomenon, never an error).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

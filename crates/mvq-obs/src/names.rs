@@ -30,13 +30,14 @@ pub const STORE_CACHE_INSERTIONS: u16 = 2;
 /// failure (counter).
 pub const STORE_CACHE_CORRUPT_REJECTIONS: u16 = 3;
 /// `store.shard.evictions_memory` — LRU victims evicted from the
-/// memory tier (counter).
+/// memory tier (counter). The pinned `shard` object name predates the
+/// cache's single lock; both eviction counters keep it.
 pub const STORE_SHARD_EVICTIONS_MEMORY: u16 = 4;
 /// `store.shard.evictions_disk` — LRU victims evicted from the disk
 /// tier (counter).
 pub const STORE_SHARD_EVICTIONS_DISK: u16 = 5;
-/// `store.cache.negative_hits` — probes answered by the per-shard
-/// known-failing-key cache (counter).
+/// `store.cache.negative_hits` — probes answered by the cache's
+/// known-failing-key memory (counter).
 pub const STORE_CACHE_NEGATIVE_HITS: u16 = 6;
 /// `store.cache.mtime_fallbacks` — restart-scan entries whose mtime
 /// was untrustworthy (counter).

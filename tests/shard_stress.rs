@@ -1,17 +1,18 @@
-//! Concurrency stress test for the sharded artifact cache: 16 threads
-//! hammer get/put across every shard of one disk-backed, byte-budgeted
-//! cache while the test asserts the cache's standing invariants at every
-//! observable instant:
+//! Concurrency stress test for the artifact cache's one lock: 16 threads
+//! hammer get/put on one disk-backed, byte-budgeted cache while the test
+//! asserts the cache's standing invariants at every observable instant:
 //!
 //! * **budgets are hard caps** — `memory_bytes()`/`disk_bytes()` never
 //!   exceed their budgets, not even transiently, because admission
-//!   reserves bytes (CAS on the cache-wide totals) before inserting;
+//!   evicts LRU victims and inserts in one critical section;
 //! * **hits are bit-identical** — a served blob always equals the
 //!   reference encoding of a fresh compression for its key, no matter
-//!   how many evictions, re-puts, and cross-shard races it survived;
-//! * **stats sum coherently across shards** — every `get` is exactly one
-//!   hit or one miss, every `put` is exactly one insertion, with the
-//!   per-shard counters merged on read.
+//!   how many evictions, re-puts, and races it survived;
+//! * **stats account exactly once** — every `get` is exactly one hit or
+//!   one miss, every `put` is exactly one insertion;
+//! * **evicted files are gone** — victims' files are deleted after the
+//!   lock is released, and at rest the `.mvqa` files left in the
+//!   directory total no more than the disk budget.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -65,7 +66,6 @@ fn sharded_cache_survives_16_submitters_without_breaking_budgets() {
     let disk_cap = 12 * blob;
     let budget = CacheBudget { memory_bytes: Some(mem_cap), disk_bytes: Some(disk_cap) };
     let cache = ArtifactCache::with_dir_and_budget(&dir, budget).expect("cache dir");
-    assert!(cache.shard_count() > 1, "the stress test must span multiple shards");
 
     let overshoot = AtomicBool::new(false);
     let (gets, puts): (usize, usize) = std::thread::scope(|scope| {
@@ -128,13 +128,24 @@ fn sharded_cache_survives_16_submitters_without_breaking_budgets() {
     assert!(cache.memory_bytes() <= mem_cap, "memory budget exceeded at rest");
     assert!(cache.disk_bytes() <= disk_cap, "disk budget exceeded at rest");
 
-    // per-shard counters must merge into exactly-once accounting
+    // every get and put must be accounted exactly once
     let stats = cache.stats();
     assert_eq!(stats.hits + stats.misses, gets as u64, "{stats:?}");
     assert_eq!(stats.insertions, puts as u64, "{stats:?}");
     assert_eq!(stats.corrupt_rejections, 0, "{stats:?}");
     assert!(stats.hits > 0, "the stress run never hit — caps are too tight to test hits");
     assert!(stats.memory_evictions > 0, "the memory budget never forced an eviction");
+    assert!(stats.disk_evictions > 0, "the disk budget never forced an eviction");
+
+    // victims' files are deleted after the lock is released: at rest, the
+    // blob files left on disk must fit the disk budget
+    let on_disk: u64 = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("dir entry"))
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".mvqa"))
+        .map(|e| e.metadata().expect("blob metadata").len())
+        .sum();
+    assert!(on_disk <= disk_cap, "{on_disk} B of blob files exceed the {disk_cap} B disk budget");
 
     // every survivor must still be bit-identical after all the churn
     let mut survivors = 0;
